@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .measure import (
     EmpiricalMeasure,
     TestFunctionDictionary,
     default_dictionary,
+    exact_sum,
     rho_lower,
     rho_upper,
     uniform_measure,
@@ -49,17 +49,13 @@ class AnalysisError(ValueError):
     pass
 
 
-def _fsum(values: np.ndarray) -> float:
-    return math.fsum(values.tolist())
-
-
 def _mean_se(per_particle: np.ndarray) -> tuple[float, float]:
     """Exactly rounded mean and its standard error (permutation invariant)."""
     n = per_particle.shape[0]
-    mean = _fsum(per_particle) / n
+    mean = exact_sum(per_particle) / n
     if n < 2:
         return mean, 0.0
-    var = _fsum((per_particle - mean) ** 2) / (n - 1)
+    var = exact_sum((per_particle - mean) ** 2) / (n - 1)
     return mean, math.sqrt(var / n)
 
 
@@ -232,7 +228,7 @@ def increment_scaling(traj: TrajectorySet, order: int, lags) -> IncrementReport:
     for k, lag in enumerate(lags):
         gaps = traj.states[lag:] - traj.states[:-lag]
         sq = np.sum(gaps * gaps, axis=2) ** order
-        values[k] = float(np.mean(sq))
+        values[k] = exact_sum(sq) / sq.size
     lag_times = np.asarray(lags, dtype=np.float64) * dt
     if np.all(values == 0.0):
         return IncrementReport(
@@ -260,6 +256,10 @@ def osgood_integral(kappa, eps: float, upper: float = 1.0) -> float:
     flattens the near-zero singularity (for kappa(x) = x the transformed
     integrand is constant).
     """
+    # scipy.integrate costs about 0.6 s and 52 MB to import; only the two
+    # oracles use it, so it is imported on first use
+    from scipy.integrate import quad
+
     if not (0.0 < eps < upper):
         raise AnalysisError(f"need 0 < eps < upper, got eps={eps}, upper={upper}")
     probe = np.geomspace(eps, upper, 64)
@@ -298,6 +298,8 @@ def bihari_ode_check(kappa, scale: float, eps: float, horizon: float, n_eval: in
     path stays below its knee, the exact solution eps**exp(-scale*t) is
     attached for comparison; leaving the log branch flips ``numeric_only``.
     """
+    from scipy.integrate import solve_ivp  # imported on first use, see osgood_integral
+
     if eps < 0:
         raise AnalysisError(f"initial value must be nonnegative, got {eps}")
     if horizon <= 0 or scale < 0:

@@ -45,11 +45,34 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+#: rows formatted and written per block, bounding the writer's memory
+_CSV_BLOCK_ROWS = 4096
+
+
+def _format_column(values) -> list[str]:
+    """Strings equal to ``_fmt`` of each value, formatted a column at a time."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        # tolist() gives Python floats and ints, whose repr is _fmt's output
+        return [repr(v) for v in values.tolist()]
+    return [_fmt(v) for v in values]
+
+
+def _write_csv(path: Path, header: list[str], columns: list, n_rows: int | None = None) -> None:
+    """Write equal-length columns as CSV rows, streamed in fixed blocks.
+
+    A column is a sequence of ``n_rows`` values (default: the length of the
+    first column) or a function mapping an index array of rows to their
+    values, so derived columns are built one block at a time.
+    """
+    if n_rows is None:
+        n_rows = len(columns[0])
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, n_rows)
+            rows = np.arange(lo, hi)
+            cells = [_format_column(c(rows) if callable(c) else c[lo:hi]) for c in columns]
+            fh.write("\n".join(",".join(row) for row in zip(*cells)) + "\n")
 
 
 def _write_summary(path: Path, mapping: dict) -> None:
@@ -103,13 +126,19 @@ def cmd_run(cfg: ExperimentConfig, out: Path, threads: int, gate: bool) -> dict:
         record_level=cfg.record_level,
         workers=threads,
     )
-    rows = (
-        (traj.times[j], p, k, traj.states[j, p, k])
-        for j in range(traj.times.shape[0])
-        for p in range(traj.n_particles)
-        for k in range(traj.dim)
+    # row r holds time index r // (N d), particle (r // d) % N, dim r % d
+    n, dim = traj.n_particles, traj.dim
+    _write_csv(
+        out / "trajectories.csv",
+        ["time", "particle", "dim", "value"],
+        [
+            lambda r: traj.times[r // (n * dim)],
+            lambda r: (r // dim) % n,
+            lambda r: r % dim,
+            traj.states.reshape(-1),
+        ],
+        n_rows=traj.states.size,
     )
-    _write_csv(out / "trajectories.csv", ["time", "particle", "dim", "value"], rows)
 
     means = traj.states.mean(axis=1)
     mean_norms = np.linalg.norm(means, axis=1)
@@ -153,7 +182,7 @@ def cmd_rate(cfg: ExperimentConfig, out: Path, threads: int, gate: bool) -> dict
         cfg.levels, errors, stderrs,
         n_particles=cfg.n_particles, seed=cfg.seed, model_id=cfg.model_id,
     )
-    _write_csv(out / "rate.csv", ["level", "error", "stderr"], zip(cfg.levels, errors, stderrs))
+    _write_csv(out / "rate.csv", ["level", "error", "stderr"], [cfg.levels, errors, stderrs])
     _write_gnuplot(
         out / "rate.gp",
         "set logscale y 2\nset xlabel 'level n'\nset ylabel 'mean squared sup gap'\n"
@@ -215,7 +244,7 @@ def cmd_moments(cfg: ExperimentConfig, out: Path, threads: int, gate: bool) -> d
     if oracle_vals is not None:
         header.append("oracle")
         columns.append(oracle_vals)
-    _write_csv(out / "moments.csv", header, zip(*columns))
+    _write_csv(out / "moments.csv", header, columns)
     _write_gnuplot(
         out / "moments.gp",
         "set xlabel 'time'\nset ylabel 'moment'\n"
@@ -271,7 +300,7 @@ def cmd_metric(cfg: ExperimentConfig, out: Path, threads: int, gate: bool) -> di
     _write_csv(
         out / "metric.csv",
         ["time", "rho_upper", "rho_lower"],
-        zip(report.times, report.upper, report.lower),
+        [report.times, report.upper, report.lower],
     )
     _write_gnuplot(
         out / "metric.gp",
@@ -319,7 +348,7 @@ def cmd_check(cfg: ExperimentConfig, out: Path, threads: int, gate: bool) -> dic
         summary["h2prime.fitted_lambda1"] = h2p.fitted_lambda1
         summary["h2prime.fitted_lambda2"] = h2p.fitted_lambda2
         summary["h2prime.measure_term"] = h2p.measure_term
-    _write_csv(out / "check.csv", ["check", "passed", "fitted_1", "fitted_2", "note"], rows)
+    _write_csv(out / "check.csv", ["check", "passed", "fitted_1", "fitted_2", "note"], list(zip(*rows)))
     _write_summary(out / "summary.txt", summary)
     if gate:
         ok = growth.passed and (h2p is None or h2p.passed)
@@ -333,7 +362,7 @@ def cmd_selftest(out: Path, gate: bool) -> dict:
     levels = [1, 2, 3, 4, 5, 6]
     errors = [2.0 ** (-n) for n in levels]
     report = analysis.fit_rate(levels, errors)
-    _write_csv(out / "rate.csv", ["level", "error", "stderr"], zip(levels, errors, [0.0] * len(levels)))
+    _write_csv(out / "rate.csv", ["level", "error", "stderr"], [levels, errors, [0.0] * len(levels)])
 
     kappa = models.ModulusKappaEta()
     knee_gap = abs(

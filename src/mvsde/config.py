@@ -236,10 +236,11 @@ def load_config(
     if horizon <= 0:
         raise ConfigError("sim.T must be positive")
     seed = table.get_int("sim.seed", 0)
-    if seed < 0:
-        raise ConfigError("sim.seed must be nonnegative")
     if seed_override is not None:
         seed = seed_override
+    if seed < 0:
+        source = "sim.seed" if seed_override is None else "--seed"
+        raise ConfigError(f"{source} must be nonnegative, got {seed}")
 
     level = table.get_int("sim.level")
     levels = table.get_levels("sim.levels")

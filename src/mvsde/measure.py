@@ -9,15 +9,27 @@ most one; that supremum is not computable exactly, so this module brackets it:
 * ``rho_lower`` -- the same supremum restricted to a finite, validated
   dictionary of norm-one test functions, hence a lower bound.
 
-All cross-particle reductions use :func:`math.fsum`, which returns the
-correctly rounded sum and is therefore independent of particle order and of
-caller threading.
+All cross-particle reductions go through :func:`exact_sum`, which returns the
+correctly rounded sum (bit for bit what :func:`math.fsum` returns) and is
+therefore independent of particle order and of caller threading.  It splits
+every value into an exponent and two 26-bit integer halves of its mantissa,
+adds the halves per exponent with ``np.bincount`` (exact while N < 2^26),
+combines the buckets as Python integers and rounds once.  Non-finite input,
+inputs large enough that ``math.fsum`` could overflow in an intermediate
+step, zero totals (whose sign ``math.fsum`` defines) and N >= 2^26 are handed
+to ``math.fsum`` itself.
+
+``EmpiricalMeasure`` validates its input unless built with ``validate=False``.
+That form exists for the solver's per-step law: the caller guarantees a
+finite (N, d) float64 support and uniform float64 weights 1/N, and must not
+mutate either array afterwards, because the measure stores them as given,
+without copies or read-only flags.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -27,6 +39,7 @@ __all__ = [
     "MeasureError",
     "CouplingError",
     "EmpiricalMeasure",
+    "exact_sum",
     "TestFunction",
     "TestFunctionDictionary",
     "ValidationReport",
@@ -54,9 +67,43 @@ class CouplingError(MeasureError):
     """Index coupling unavailable: supports or weights are not matched."""
 
 
-def _fsum(values: np.ndarray) -> float:
-    # correctly rounded, hence permutation invariant
-    return math.fsum(values.tolist())
+#: bucket sums of 26-bit halves stay exact in float64 below this many terms
+_EXACT_SUM_MAX_TERMS = 1 << 26
+
+
+def exact_sum(values) -> float:
+    """Correctly rounded sum of a float64 array, equal to ``math.fsum``.
+
+    Order does not matter, so the result is permutation invariant.
+    """
+    x = np.asarray(values, dtype=np.float64).ravel()
+    if not 0 < x.size < _EXACT_SUM_MAX_TERMS or not np.isfinite(x).all():
+        return math.fsum(x.tolist())
+    mant, expo = np.frexp(x)
+    # |partial sums| < N * 2^max(expo): below this bound math.fsum cannot
+    # overflow in an intermediate step, above it defer to its behaviour
+    if int(expo.max()) + x.size.bit_length() > 1022:
+        return math.fsum(x.tolist())
+    # now x = mant * 2^(expo - 53) with mant an integer, |mant| < 2^53,
+    # split exactly as hi * 2^26 + lo with 0 <= lo < 2^26
+    mant *= float(1 << 53)
+    hi = np.floor(mant / float(1 << 26))
+    lo = mant - hi * float(1 << 26)
+    base = int(expo.min())
+    expo -= base
+    hi_sums = np.bincount(expo, weights=hi).tolist()
+    lo_sums = np.bincount(expo, weights=lo).tolist()
+    total = 0
+    for k, (h, l) in enumerate(zip(hi_sums, lo_sums)):
+        if h or l:
+            total += ((int(h) << 26) + int(l)) << k
+    if total == 0:
+        return math.fsum(x.tolist())
+    shift = base - 53
+    if shift >= 0:
+        return float(total << shift)
+    # int true division rounds correctly, subnormal results included
+    return total / (1 << -shift)
 
 
 @dataclass(frozen=True)
@@ -65,12 +112,17 @@ class EmpiricalMeasure:
 
     ``support`` has shape (N, d); a 1-d array is interpreted as N scalar
     atoms.  Weights must be nonnegative and sum to one within ``WEIGHT_TOL``.
+    ``validate=False`` stores both arrays as given and checks nothing; see the
+    module docstring for what the caller then guarantees.
     """
 
     support: np.ndarray
     weights: np.ndarray
+    validate: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, validate: bool) -> None:
+        if not validate:
+            return
         support = np.asarray(self.support, dtype=np.float64)
         if support.ndim == 1:
             support = support[:, None]
@@ -88,7 +140,7 @@ class EmpiricalMeasure:
         if (weights < 0).any():
             idx = int(np.nonzero(weights < 0)[0][0])
             raise MeasureError(f"negative weight at index {idx}: {weights[idx]}")
-        total = _fsum(weights)
+        total = exact_sum(weights)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise MeasureError(f"weights sum to {total!r}, not 1 within {WEIGHT_TOL}")
         support = support.copy()
@@ -119,7 +171,7 @@ class EmpiricalMeasure:
     def mean(self) -> np.ndarray:
         """Barycenter, exactly rounded per coordinate."""
         m = np.array(
-            [_fsum(self.weights * self.support[:, k]) for k in range(self.dim)]
+            [exact_sum(self.weights * self.support[:, k]) for k in range(self.dim)]
         )
         m.flags.writeable = False
         return m
@@ -127,14 +179,14 @@ class EmpiricalMeasure:
     @cached_property
     def lambda2(self) -> float:
         """Weighted mass norm squared: sum of w_i * (1 + |x_i|)^2."""
-        return _fsum(self.weights * (1.0 + self.radii) ** 2)
+        return exact_sum(self.weights * (1.0 + self.radii) ** 2)
 
     def integrate(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
         """Exactly rounded integral of a vectorized test function."""
         vals = np.asarray(fn(self.support), dtype=np.float64)
         if vals.shape != (self.num_atoms,):
             raise MeasureError(f"test function returned shape {vals.shape}, expected ({self.num_atoms},)")
-        return _fsum(self.weights * vals)
+        return exact_sum(self.weights * vals)
 
 
 def dirac(x) -> EmpiricalMeasure:
@@ -172,7 +224,7 @@ def rho_upper(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """
     _require_coupled(mu, nu)
     gaps = np.linalg.norm(mu.support - nu.support, axis=1)
-    return _fsum(mu.weights * gaps)
+    return exact_sum(mu.weights * gaps)
 
 
 def rho_lower(mu: EmpiricalMeasure, nu: EmpiricalMeasure, dictionary: "TestFunctionDictionary") -> float:

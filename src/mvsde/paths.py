@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 _MAGIC = b"MVBL1"
+#: seed, N, d, level as little-endian u64, then the horizon as f64
+_HEADER = struct.Struct("<QQQQd")
 _MASK64 = (1 << 64) - 1
 
 #: second key word reserved for non-noise streams (initial-ensemble sampling)
@@ -218,8 +220,7 @@ def coarsen(lattice: BrownianLattice, level: int) -> np.ndarray:
 def dump_lattice(lattice: BrownianLattice, path) -> None:
     """Little-endian binary dump: magic, seed/N/d/level as u64, horizon as f64,
     then row-major (particle, step, dim) increments as f64."""
-    header = _MAGIC + struct.pack(
-        "<QQQQd",
+    header = _MAGIC + _HEADER.pack(
         lattice.seed & _MASK64,
         lattice.n_particles,
         lattice.dim,
@@ -232,17 +233,24 @@ def dump_lattice(lattice: BrownianLattice, path) -> None:
 
 
 def load_lattice(path) -> BrownianLattice:
+    """Read a ``dump_lattice`` file; any malformed file raises ``LatticeError``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(_MAGIC)] != _MAGIC:
         raise LatticeError(f"bad magic in {path!r}: not a lattice dump")
-    offset = len(_MAGIC)
-    seed, n_particles, dim, level, horizon = struct.unpack_from("<QQQQd", blob, offset)
-    offset += struct.calcsize("<QQQQd")
+    offset = len(_MAGIC) + _HEADER.size
+    if len(blob) < offset:
+        raise LatticeError(f"truncated lattice header in {path!r}: {len(blob)} bytes, need {offset}")
+    seed, n_particles, dim, level, horizon = _HEADER.unpack_from(blob, len(_MAGIC))
+    # bound the level before 1 << level sizes anything
+    if level > MAX_LATTICE_LEVEL:
+        raise LatticeError(f"lattice level {level} in {path!r} exceeds {MAX_LATTICE_LEVEL}")
     count = n_particles * (1 << level) * dim
+    body = len(blob) - offset
+    if body != 8 * count:
+        kind = "truncated" if body < 8 * count else "trailing bytes in"
+        raise LatticeError(f"{kind} lattice dump {path!r}: body has {body} bytes, header implies {8 * count}")
     data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-    if data.size != count:
-        raise LatticeError("truncated lattice dump")
     increments = data.astype(np.float64).reshape(n_particles, 1 << level, dim)
     return BrownianLattice(
         seed=int(seed),

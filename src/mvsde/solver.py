@@ -302,7 +302,9 @@ def em_run(
     out[0] = states
     nxt = 1
     for i in range(grid.num_cells):
-        mu = EmpiricalMeasure(states, weights)
+        # later states passed _guard (finite, |x| <= BLOWUP_LIMIT) and are
+        # rebound, never written, so only the caller's step-0 states need checks
+        mu = EmpiricalMeasure(states, weights, validate=i == 0)
         drift = np.asarray(model.drift(states, mu), dtype=np.float64)
         if dense and per_cell > 1:
             partial = np.cumsum(dw_fine[:, i * per_cell : (i + 1) * per_cell, :], axis=1)

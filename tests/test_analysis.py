@@ -161,6 +161,15 @@ class TestIncrementScaling:
         report = increment_scaling(traj, order=1, lags=[1, 2, 4, 8, 16, 32, 64, 128])
         assert report.exponent == pytest.approx(1.0, abs=0.1)
 
+    def test_permutation_invariance(self):
+        traj = run_single(mf_ou(dim=2), GaussianLaw(0.0, 1.0), seed=4, level=8, n_particles=301)
+        perm = np.random.default_rng(1).permutation(301)
+        lags = [1, 3, 10, 100, 200]
+        report = increment_scaling(_make_traj(traj.states), order=1, lags=lags)
+        permuted = increment_scaling(_make_traj(traj.states[:, perm, :]), order=1, lags=lags)
+        assert permuted.values.tobytes() == report.values.tobytes()
+        assert permuted.exponent == report.exponent
+
     def test_degenerate_zero(self):
         traj = _make_traj(np.zeros((257, 4, 1)))
         report = increment_scaling(traj, order=1, lags=[1, 4, 16, 128])

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvsde.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_GATE, EXIT_OK, main
+from mvsde.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_GATE, EXIT_OK, _fmt, _write_csv, main
 from mvsde.config import ConfigError, load_config, parse_config_text
 
 RUN_CFG = """\
@@ -92,6 +92,10 @@ class TestConfigParsing:
     def test_seed_override(self, tmp_path):
         cfg = load_config(_write(tmp_path, RUN_CFG), "run", seed_override=99)
         assert cfg.seed == 99
+
+    def test_negative_seed_override_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="nonnegative"):
+            load_config(_write(tmp_path, RUN_CFG), "run", seed_override=-1)
 
     def test_levels_accept_commas(self, tmp_path):
         text = RATE_CFG.replace("sim.levels = 1 2 3", "sim.levels = 1,2,3")
@@ -247,6 +251,13 @@ class TestCliSelftestAndCodes:
         main(["run", "--config", str(path), "--out", str(out_b), "--seed", "8"])
         assert (out_a / "trajectories.csv").read_bytes() != (out_b / "trajectories.csv").read_bytes()
 
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
+        path = _write(tmp_path, RUN_CFG)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
+        assert "--seed must be nonnegative" in capsys.readouterr().err
+        assert not (out / "trajectories.csv").exists()
+
     def test_threads_never_change_bytes(self, tmp_path):
         path = _write(tmp_path, RUN_CFG)
         outs = []
@@ -255,3 +266,63 @@ class TestCliSelftestAndCodes:
             assert main(["run", "--config", str(path), "--out", str(out), "--threads", str(threads)]) == EXIT_OK
             outs.append((out / "trajectories.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+
+def _write_csv_per_value(path, header, rows):
+    # the row-by-row writer the columnar one replaced, kept as the reference
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+class TestCsvWriter:
+    def test_run_trajectories_match_per_value_writer(self, tmp_path):
+        # d = 2 and 33 * 300 * 2 rows: several full blocks plus a partial one
+        text = RUN_CFG.replace("sim.d = 1", "sim.d = 2").replace("sim.N = 32", "sim.N = 300")
+        text = text.replace("sim.level = 4", "sim.level = 5").replace("sim.record_level = 2\n", "")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == EXIT_OK
+        import mvsde
+
+        model = mvsde.mf_ou(theta=1.0, alpha=0.5, s=0.4, dim=2)
+        traj = mvsde.run_single(model, mvsde.PointMass(1.0), seed=7, level=5, n_particles=300, horizon=1.0)
+        rows = (
+            (traj.times[j], p, k, traj.states[j, p, k])
+            for j in range(traj.times.shape[0])
+            for p in range(traj.n_particles)
+            for k in range(traj.dim)
+        )
+        _write_csv_per_value(tmp_path / "ref.csv", ["time", "particle", "dim", "value"], rows)
+        assert (out / "trajectories.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_mixed_columns_match_per_value_writer(self, tmp_path):
+        # check.csv mixes bools, floats, empty cells and text
+        header = ["check", "passed", "fitted_1", "fitted_2", "note"]
+        rows = [
+            ("linear_growth", True, 0.30000000000000004, "", ""),
+            ("h2prime", np.bool_(False), np.float64(1e-300), np.float32(0.1), "ratio 2.5 at x=-0.0"),
+            ("count", 3, np.int64(-7), -0.0, None),
+        ]
+        _write_csv(tmp_path / "new.csv", header, list(zip(*rows)))
+        _write_csv_per_value(tmp_path / "ref.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_array_columns_match_per_value_writer(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 10_001
+        columns = [
+            rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n),
+            rng.integers(-(2**62), 2**62, n),
+            rng.integers(0, 2**63, n, dtype=np.uint64),
+            rng.standard_normal(n) > 0,
+            rng.standard_normal(n).astype(np.float32),
+        ]
+        header = ["f64", "i64", "u64", "bool", "f32"]
+        _write_csv(tmp_path / "new.csv", header, columns)
+        _write_csv_per_value(tmp_path / "ref.csv", header, zip(*columns))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_empty_table_is_header_only(self, tmp_path):
+        _write_csv(tmp_path / "new.csv", ["a", "b"], [[], np.empty(0)])
+        assert (tmp_path / "new.csv").read_bytes() == b"a,b\n"

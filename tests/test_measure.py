@@ -13,6 +13,7 @@ from mvsde.measure import (
     TestFunctionDictionary,
     default_dictionary,
     dirac,
+    exact_sum,
     lambda2_norm_squared,
     rho_lower,
     rho_upper,
@@ -204,3 +205,80 @@ class TestValidateTestFunction:
             d.validated = False
             d.validate(lo=np.full(dim, -20.0), hi=np.full(dim, 20.0), n_samples=1024, seed=1)
             assert d.validated
+
+
+def _sum_outcome(fn, values):
+    # the result's exact bits (sign of zero included), or the exception type
+    try:
+        return fn(values).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _assert_matches_fsum(values):
+    values = np.asarray(values, dtype=np.float64)
+    assert _sum_outcome(exact_sum, values) == _sum_outcome(math.fsum, values.tolist())
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+subnormals = st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308, allow_nan=False)
+scaled = st.builds(
+    lambda m, e: math.ldexp(m, e),
+    st.floats(-1.0, 1.0, allow_nan=False),
+    st.integers(-1000, 1000),
+)
+
+
+class TestExactSum:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(finite_floats, subnormals, scaled), max_size=60))
+    def test_bitwise_equal_to_fsum(self, values):
+        _assert_matches_fsum(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(scaled, subnormals), min_size=1, max_size=40), st.randoms())
+    def test_exact_cancellation(self, values, random):
+        # x and -x in shuffled order, plus one small remainder
+        pairs = values + [-v for v in values]
+        random.shuffle(pairs)
+        _assert_matches_fsum(pairs)
+        _assert_matches_fsum(pairs + [values[0] * 2.0**-60])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.one_of(finite_floats, st.sampled_from([math.inf, -math.inf, math.nan])), min_size=1, max_size=20)
+    )
+    def test_nonfinite_matches_fsum_or_its_exception(self, values):
+        _assert_matches_fsum(values)
+
+    def test_signed_zeros_and_empty(self):
+        for values in ([], [-0.0], [-0.0] * 5, [0.0, -0.0], [1.5, -1.5], [-1.5, 1.5, -0.0]):
+            _assert_matches_fsum(values)
+
+    def test_wide_range_and_large_arrays(self, rng):
+        for n in (1, 2, 1000, 70_000):
+            mant = rng.standard_normal(n)
+            _assert_matches_fsum(mant * 10.0 ** rng.uniform(-300, 300, n))
+            _assert_matches_fsum(mant * 10.0 ** rng.uniform(290, 307, n))
+            _assert_matches_fsum(mant * 5e-324 * rng.integers(0, 1 << 40, n))
+
+    def test_permutation_invariant(self, rng):
+        x = rng.standard_normal(5000) * 10.0 ** rng.uniform(-8, 8, 5000)
+        assert exact_sum(x).hex() == exact_sum(rng.permutation(x)).hex()
+
+
+class TestUnvalidatedMeasure:
+    def test_stores_arrays_as_given(self):
+        x = np.array([[1.0], [2.0]])
+        w = np.full(2, 0.5)
+        mu = EmpiricalMeasure(x, w, validate=False)
+        assert mu.support is x and mu.weights is w
+
+    def test_mean_bytes_match_validated(self, rng):
+        for n, d in ((1, 1), (7, 3), (2000, 1), (999, 2)):
+            x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, (n, d))
+            w = np.full(n, 1.0 / n)
+            fast = EmpiricalMeasure(x, w, validate=False)
+            checked = EmpiricalMeasure(x, w)
+            assert fast.mean.tobytes() == checked.mean.tobytes()
+            assert fast.lambda2 == checked.lambda2

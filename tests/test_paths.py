@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -209,5 +210,26 @@ class TestDumpRestore:
         path = tmp_path / "lattice.bin"
         dump_lattice(lat, path)
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(Exception):
+        with pytest.raises(LatticeError, match="truncated lattice dump"):
+            load_lattice(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "lattice.bin"
+        dump_lattice(sample_lattice(1, 2, 1, 3, 1.0), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(LatticeError, match="trailing bytes"):
+            load_lattice(path)
+
+    def test_short_header(self, tmp_path):
+        path = tmp_path / "lattice.bin"
+        dump_lattice(sample_lattice(1, 2, 1, 3, 1.0), path)
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(LatticeError, match="header"):
+            load_lattice(path)
+
+    def test_header_level_bounded_before_allocation(self, tmp_path):
+        # level 60 would ask for 2^60 steps; the header alone must be refused
+        path = tmp_path / "lattice.bin"
+        path.write_bytes(b"MVBL1" + struct.pack("<QQQQd", 0, 1, 1, 60, 1.0))
+        with pytest.raises(LatticeError, match="level 60"):
             load_lattice(path)

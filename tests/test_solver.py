@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mvsde.measure import EmpiricalMeasure, lambda2_norm_squared
+from mvsde.measure import EmpiricalMeasure, MeasureError, lambda2_norm_squared
 from mvsde.models import CoefficientModel, mf_ou, osgood, with_mf_ou_oracles
 from mvsde.paths import BrownianLattice, sample_lattice
 from mvsde.solver import (
@@ -189,6 +189,13 @@ class TestEmRun:
         assert err.value.step >= 0
         assert 0 <= err.value.particle < 4
         assert np.abs(err.value.state).max() > 1e8 or not np.isfinite(err.value.state).all()
+
+    def test_initial_states_are_validated(self):
+        # finite, so the ensemble accepts it, but (1 + |x|)^2 overflows
+        lat = sample_lattice(0, 4, 1, 3, 1.0)
+        ens = ParticleEnsemble(np.array([[0.0], [1e200], [1.0], [2.0]]))
+        with pytest.raises(MeasureError, match="not finite"):
+            em_run(mf_ou(), ens, 3, lat)
 
     def test_level_and_shape_guards(self):
         model = mf_ou()
