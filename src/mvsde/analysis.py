@@ -24,7 +24,7 @@ from .measure import (
     uniform_measure,
 )
 from .models import CoefficientModel, ModulusKappaEta
-from .solver import InitialLaw, TrajectorySet, em_run, sample_initial, sample_lattice
+from .solver import InitialLaw, TrajectorySet, run_single
 
 __all__ = [
     "AnalysisError",
@@ -426,14 +426,13 @@ def uniqueness_replay(
     record_level: int | None = None,
 ) -> UniquenessReport:
     """Run the coupled pipeline twice; pass iff every recorded byte matches."""
-
-    def run_once() -> TrajectorySet:
-        lattice = sample_lattice(seed, n_particles, model.dim, finest, horizon)
-        ens = sample_initial(law, n_particles, model.dim, seed)
-        return em_run(model, ens, level, lattice, record_level=record_level)
-
-    first = run_once()
-    second = run_once()
+    first, second = (
+        run_single(
+            model, law, seed, level, finest=finest, n_particles=n_particles,
+            horizon=horizon, record_level=record_level,
+        )
+        for _ in range(2)
+    )
     same = (
         first.states.tobytes() == second.states.tobytes()
         and first.times.tobytes() == second.times.tobytes()

@@ -6,7 +6,8 @@ the experiment, and writes CSV data plus a flat key=value summary (and a
 gnuplot script where a plot makes sense).  Floats are serialized with
 shortest round-trip decimals so reruns are byte-comparable.
 
-Exit codes: 0 success, 2 config error, 3 numeric blow-up, 4 gate failure.
+Exit codes: 0 success, 2 config error, 3 numeric blow-up, 4 gate failure,
+5 analysis error (a numeric failure while turning trajectories into numbers).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +25,13 @@ from . import analysis, models
 from .config import ConfigError, ExperimentConfig, load_config
 from .measure import default_dictionary
 from .models import GrowthSampleSpec, PairSampleSpec, make_model, with_mf_ou_oracles
-from .solver import BlowUpError, em_multilevel, em_run, run_single, sample_initial, sample_lattice
+from .solver import BlowUpError, em_multilevel, run_single
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_GATE = 4
+EXIT_ANALYSIS = 5
 
 
 class GateFailure(RuntimeError):
@@ -110,22 +113,44 @@ def _build_model(cfg: ExperimentConfig):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# the experiment pipeline: build model -> simulate -> analyse -> write -> gate
 # ---------------------------------------------------------------------------
 
-def cmd_run(cfg: ExperimentConfig, out: Path, threads: int, gate: bool) -> dict:
+def _simulate(cfg: ExperimentConfig, model, threads: int, runs: int):
+    """Every level of a rate study off one lattice; for the other kinds,
+    ``runs`` runs at ``sim.level`` seeded by ``sim.seed``, then ``metric.seed_b``."""
+    shared = {
+        "finest": cfg.finest,
+        "n_particles": cfg.n_particles,
+        "horizon": cfg.horizon,
+        "record_level": cfg.record_level,
+        "workers": threads,
+    }
+    if cfg.kind == "rate":
+        return em_multilevel(model, cfg.law, cfg.seed, list(cfg.levels), **shared)
+    return [run_single(model, cfg.law, seed, cfg.level, **shared) for seed in (cfg.seed, cfg.seed_b)[:runs]]
+
+
+def _report(out: Path, summary: dict, failure: str | None) -> dict:
+    """Write summary.txt, then fail the gate if a failure was found."""
+    _write_summary(out / "summary.txt", summary)
+    if failure is not None:
+        raise GateFailure(failure)
+    return summary
+
+
+def _pipeline(analyse, cfg: ExperimentConfig, out: Path, threads: int, gate: bool, runs: int = 0) -> dict:
+    """One experiment.  ``analyse(cfg, model, trajectories, out, gate)``
+    writes the kind's data files and returns its summary entries and its gate
+    failure (None when the gate is off or passes)."""
     model = _build_model(cfg)
-    traj = run_single(
-        model,
-        cfg.law,
-        cfg.seed,
-        cfg.level,
-        finest=cfg.finest,
-        n_particles=cfg.n_particles,
-        horizon=cfg.horizon,
-        record_level=cfg.record_level,
-        workers=threads,
-    )
+    trajectories = _simulate(cfg, model, threads, runs)
+    entries, failure = analyse(cfg, model, trajectories, out, gate)
+    return _report(out, {"experiment": cfg.kind, "model": cfg.model_id, **entries}, failure)
+
+
+def _analyse_run(cfg, model, trajectories, out, gate):
+    (traj,) = trajectories
     # row r holds time index r // (N d), particle (r // d) % N, dim r % d
     n, dim = traj.n_particles, traj.dim
     _write_csv(
@@ -142,9 +167,7 @@ def cmd_run(cfg: ExperimentConfig, out: Path, threads: int, gate: bool) -> dict:
 
     means = traj.states.mean(axis=1)
     mean_norms = np.linalg.norm(means, axis=1)
-    summary = {
-        "experiment": "run",
-        "model": cfg.model_id,
+    entries = {
         "seed": cfg.seed,
         "N": cfg.n_particles,
         "T": cfg.horizon,
@@ -154,28 +177,15 @@ def cmd_run(cfg: ExperimentConfig, out: Path, threads: int, gate: bool) -> dict:
     }
     if (mean_norms > 1e-12).all() and traj.times.shape[0] >= 3:
         decay, _ = np.polyfit(traj.times, np.log(mean_norms), 1)
-        summary["mean_decay_rate"] = float(decay)
-    _write_summary(out / "summary.txt", summary)
-    return summary
+        entries["mean_decay_rate"] = float(decay)
+    return entries, None
 
 
-def cmd_rate(cfg: ExperimentConfig, out: Path, threads: int, gate: bool) -> dict:
-    model = _build_model(cfg)
-    runs = em_multilevel(
-        model,
-        cfg.law,
-        cfg.seed,
-        list(cfg.levels),
-        cfg.finest,
-        cfg.n_particles,
-        cfg.horizon,
-        record_level=cfg.record_level,
-        workers=threads,
-    )
-    ref = runs[cfg.finest]
+def _analyse_rate(cfg, model, trajectories, out, gate):
+    ref = trajectories[cfg.finest]
     errors, stderrs = [], []
     for lvl in cfg.levels:
-        est, se = analysis.strong_error(ref, runs[lvl])
+        est, se = analysis.strong_error(ref, trajectories[lvl])
         errors.append(est)
         stderrs.append(se)
     report = analysis.fit_rate(
@@ -189,9 +199,7 @@ def cmd_rate(cfg: ExperimentConfig, out: Path, threads: int, gate: bool) -> dict
         "plot 'rate.csv' skip 1 using 1:2:3 with yerrorlines title 'coupled error'\n",
     )
     monotone = all(b < a for a, b in zip(errors, errors[1:]))
-    summary = {
-        "experiment": "rate",
-        "model": cfg.model_id,
+    entries = {
         "seed": cfg.seed,
         "N": cfg.n_particles,
         "T": cfg.horizon,
@@ -202,39 +210,25 @@ def cmd_rate(cfg: ExperimentConfig, out: Path, threads: int, gate: bool) -> dict
         "monotone": monotone,
     }
     for lvl, err, se in zip(cfg.levels, errors, stderrs):
-        summary[f"error.{lvl}"] = err
-        summary[f"stderr.{lvl}"] = se
-    if gate:
-        ok = cfg.gate_slope_min <= report.slope <= cfg.gate_slope_max
-        if cfg.gate_monotone:
-            ok = ok and monotone
-        summary["gate"] = "pass" if ok else "fail"
-        summary["gate.slope_window"] = f"[{cfg.gate_slope_min} {cfg.gate_slope_max}]"
-        _write_summary(out / "summary.txt", summary)
-        if not ok:
-            raise GateFailure(
-                f"rate gate failed: slope {report.slope:.4f} outside "
-                f"[{cfg.gate_slope_min}, {cfg.gate_slope_max}]"
-                + (" or errors not monotone" if cfg.gate_monotone and not monotone else "")
-            )
-    else:
-        _write_summary(out / "summary.txt", summary)
-    return summary
-
-
-def cmd_moments(cfg: ExperimentConfig, out: Path, threads: int, gate: bool) -> dict:
-    model = _build_model(cfg)
-    traj = run_single(
-        model,
-        cfg.law,
-        cfg.seed,
-        cfg.level,
-        finest=cfg.finest,
-        n_particles=cfg.n_particles,
-        horizon=cfg.horizon,
-        record_level=cfg.record_level,
-        workers=threads,
+        entries[f"error.{lvl}"] = err
+        entries[f"stderr.{lvl}"] = se
+    if not gate:
+        return entries, None
+    ok = cfg.gate_slope_min <= report.slope <= cfg.gate_slope_max
+    if cfg.gate_monotone:
+        ok = ok and monotone
+    entries["gate"] = "pass" if ok else "fail"
+    entries["gate.slope_window"] = f"[{cfg.gate_slope_min} {cfg.gate_slope_max}]"
+    failure = None if ok else (
+        f"rate gate failed: slope {report.slope:.4f} outside "
+        f"[{cfg.gate_slope_min}, {cfg.gate_slope_max}]"
+        + (" or errors not monotone" if cfg.gate_monotone and not monotone else "")
     )
+    return entries, failure
+
+
+def _analyse_moments(cfg, model, trajectories, out, gate):
+    (traj,) = trajectories
     report = analysis.moment_curve(traj, cfg.moment_order)
     oracle_vals = None
     if model.moment_oracle is not None and cfg.moment_order == 1:
@@ -251,9 +245,7 @@ def cmd_moments(cfg: ExperimentConfig, out: Path, threads: int, gate: bool) -> d
         "plot 'moments.csv' skip 1 using 1:2:3 with yerrorlines title 'empirical', "
         "'moments.csv' skip 1 using 1:4 with lines title 'envelope'\n",
     )
-    summary = {
-        "experiment": "moments",
-        "model": cfg.model_id,
+    entries = {
         "seed": cfg.seed,
         "N": cfg.n_particles,
         "T": cfg.horizon,
@@ -262,40 +254,20 @@ def cmd_moments(cfg: ExperimentConfig, out: Path, threads: int, gate: bool) -> d
         "envelope_constant": report.envelope_constant,
         "envelope_dominates": report.dominated,
     }
+    ok = report.dominated
     if oracle_vals is not None:
         dev = np.abs(report.moments - oracle_vals)
         # t = 0 has zero spread; compare later points in standard-error units
         with np.errstate(divide="ignore", invalid="ignore"):
             units = np.where(report.stderrs > 0, dev / report.stderrs, np.where(dev > 0, np.inf, 0.0))
-        summary["oracle_max_dev_se"] = float(units.max())
-    _write_summary(out / "summary.txt", summary)
-    if gate:
-        ok = report.dominated
-        if oracle_vals is not None:
-            ok = ok and summary["oracle_max_dev_se"] <= 3.0
-        if not ok:
-            raise GateFailure("moment gate failed: oracle deviation above 3 standard errors")
-    return summary
+        entries["oracle_max_dev_se"] = float(units.max())
+        ok = ok and entries["oracle_max_dev_se"] <= 3.0
+    failure = None if ok or not gate else "moment gate failed: oracle deviation above 3 standard errors"
+    return entries, failure
 
 
-def cmd_metric(cfg: ExperimentConfig, out: Path, threads: int, gate: bool) -> dict:
-    model = _build_model(cfg)
-
-    def one(seed: int):
-        return run_single(
-            model,
-            cfg.law,
-            seed,
-            cfg.level,
-            finest=cfg.finest,
-            n_particles=cfg.n_particles,
-            horizon=cfg.horizon,
-            record_level=cfg.record_level,
-            workers=threads,
-        )
-
-    traj_a = one(cfg.seed)
-    traj_b = one(cfg.seed_b if cfg.seed_b is not None else cfg.seed + 1)
+def _analyse_metric(cfg, model, trajectories, out, gate):
+    traj_a, traj_b = trajectories
     report = analysis.law_gap_curve(traj_a, traj_b, default_dictionary(cfg.dim))
     _write_csv(
         out / "metric.csv",
@@ -308,57 +280,47 @@ def cmd_metric(cfg: ExperimentConfig, out: Path, threads: int, gate: bool) -> di
         "plot 'metric.csv' skip 1 using 1:2 with lines title 'upper', "
         "'metric.csv' skip 1 using 1:3 with lines title 'lower'\n",
     )
-    summary = {
-        "experiment": "metric",
-        "model": cfg.model_id,
+    entries = {
         "seed_a": cfg.seed,
-        "seed_b": cfg.seed_b if cfg.seed_b is not None else cfg.seed + 1,
+        "seed_b": cfg.seed_b,
         "N": cfg.n_particles,
         "coupling": report.coupling,
         "max_upper": float(report.upper.max()),
         "max_lower": float(report.lower.max()),
         "sandwich": bool((report.lower <= report.upper + 1e-12).all()),
     }
-    _write_summary(out / "summary.txt", summary)
-    return summary
+    return entries, None
 
 
-def cmd_check(cfg: ExperimentConfig, out: Path, threads: int, gate: bool) -> dict:
-    model = _build_model(cfg)
+def _analyse_check(cfg, model, trajectories, out, gate):
     growth = models.check_linear_growth(
         model, GrowthSampleSpec(count=cfg.check_count), seed=cfg.seed
     )
     rows = [("linear_growth", growth.passed, growth.fitted_l1, "", growth.failure)]
-    summary = {
-        "experiment": "check",
-        "model": cfg.model_id,
+    entries = {
         "seed": cfg.seed,
         "linear_growth.passed": growth.passed,
         "linear_growth.fitted_l1": growth.fitted_l1,
     }
     if growth.failure:
-        summary["linear_growth.failure"] = growth.failure
-    h2p = None
+        entries["linear_growth.failure"] = growth.failure
+    ok = growth.passed
     if model.assumption_class == "H1+H2'":
         h2p = models.check_h2prime(
             model, PairSampleSpec(count=cfg.check_pairs), seed=cfg.seed
         )
         rows.append(("h2prime", h2p.passed, h2p.fitted_lambda1, h2p.fitted_lambda2, h2p.failure))
-        summary["h2prime.passed"] = h2p.passed
-        summary["h2prime.fitted_lambda1"] = h2p.fitted_lambda1
-        summary["h2prime.fitted_lambda2"] = h2p.fitted_lambda2
-        summary["h2prime.measure_term"] = h2p.measure_term
+        entries["h2prime.passed"] = h2p.passed
+        entries["h2prime.fitted_lambda1"] = h2p.fitted_lambda1
+        entries["h2prime.fitted_lambda2"] = h2p.fitted_lambda2
+        entries["h2prime.measure_term"] = h2p.measure_term
+        ok = ok and h2p.passed
     _write_csv(out / "check.csv", ["check", "passed", "fitted_1", "fitted_2", "note"], list(zip(*rows)))
-    _write_summary(out / "summary.txt", summary)
-    if gate:
-        ok = growth.passed and (h2p is None or h2p.passed)
-        if not ok:
-            raise GateFailure("assumption check failed; see check.csv")
-    return summary
+    return entries, None if ok or not gate else "assumption check failed; see check.csv"
 
 
 def cmd_selftest(out: Path, gate: bool) -> dict:
-    """Solver-free pipeline checks against closed forms."""
+    """Solver-free pipeline checks against closed forms; always gated."""
     levels = [1, 2, 3, 4, 5, 6]
     errors = [2.0 ** (-n) for n in levels]
     report = analysis.fit_rate(levels, errors)
@@ -388,10 +350,8 @@ def cmd_selftest(out: Path, gate: bool) -> dict:
     }
     for name, ok in checks.items():
         summary[f"check.{name}"] = "pass" if ok else "fail"
-    _write_summary(out / "summary.txt", summary)
-    if not all(checks.values()):
-        raise GateFailure("selftest failed: " + ", ".join(k for k, v in checks.items() if not v))
-    return summary
+    failed = [k for k, v in checks.items() if not v]
+    return _report(out, summary, "selftest failed: " + ", ".join(failed) if failed else None)
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +359,11 @@ def cmd_selftest(out: Path, gate: bool) -> dict:
 # ---------------------------------------------------------------------------
 
 _COMMANDS = {
-    "run": cmd_run,
-    "rate": cmd_rate,
-    "moments": cmd_moments,
-    "metric": cmd_metric,
-    "check": cmd_check,
+    "run": partial(_pipeline, _analyse_run, runs=1),
+    "rate": partial(_pipeline, _analyse_rate),
+    "moments": partial(_pipeline, _analyse_moments, runs=1),
+    "metric": partial(_pipeline, _analyse_metric, runs=2),
+    "check": partial(_pipeline, _analyse_check),
 }
 
 
@@ -419,7 +379,7 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="path to a key=value config file")
         p.add_argument("--out", default=None, help="output directory (default: config, then $MVSDE_OUT)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker cap; never changes results")
+        p.add_argument("--threads", type=int, default=1, help="worker cap (at most the CPU count); never changes results")
         p.add_argument("--gate", action="store_true", help="enable acceptance thresholds (exit 4 on failure)")
     return parser
 
@@ -447,8 +407,12 @@ def main(argv=None) -> int:
     except GateFailure as exc:
         print(f"gate failure: {exc}", file=sys.stderr)
         return EXIT_GATE
+    except analysis.AnalysisError as exc:
+        print(f"analysis error: {exc}", file=sys.stderr)
+        return EXIT_ANALYSIS
     except ValueError as exc:
-        # library precondition violations surface as config-class failures
+        # solver, measure and model preconditions: through the CLI they
+        # arise only from config values
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for key, value in summary.items():

@@ -203,7 +203,12 @@ def uniform_measure(points: np.ndarray) -> EmpiricalMeasure:
 
 
 def lambda2_norm_squared(mu: EmpiricalMeasure) -> float:
-    """Weighted mass norm squared; at least 1 for probability measures."""
+    """Weighted mass norm squared, never below ``exact_sum(mu.weights)``.
+
+    Each term w_i * (1 + |x_i|)^2 rounds to at least w_i, and a correctly
+    rounded sum is monotone in its terms.  For a probability measure that
+    total lies within ``WEIGHT_TOL`` of 1, so the norm can be 1 - 2^-53.
+    """
     return mu.lambda2
 
 

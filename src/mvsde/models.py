@@ -141,10 +141,11 @@ def _gamma_one(r):
 class CoefficientModel:
     """Immutable drift/diffusion pair with a declared assumption class.
 
-    ``drift`` maps a state batch (n, d) and a law to (n, d); ``diffusion``
-    maps them to (n, d, d).  ``diffusion_apply``, when provided, computes
-    ``sigma(x, mu) @ dw`` directly and lets the solver skip materializing the
-    full matrix batch.  ``gamma1``/``gamma2`` are the declared continuity
+    ``drift`` maps a state batch (n, d) and a law to (n, d);
+    ``diffusion_apply`` maps them and an increment batch dw (n, d) to
+    ``sigma(x, mu) @ dw`` (n, d), the only form the solver needs.  The matrix
+    sigma (n, d, d) is derived from it (``_diffusion_matrix``).
+    ``gamma1``/``gamma2`` are the declared continuity
     moduli used by :func:`check_h2prime`; ``moment_oracle(t, p)`` returns the
     exact 2p-th absolute moment when available (order 1 only for the catalog).
     """
@@ -152,15 +153,13 @@ class CoefficientModel:
     model_id: str
     dim: int
     drift: Callable[[np.ndarray, EmpiricalMeasure], np.ndarray]
-    diffusion: Callable[[np.ndarray, EmpiricalMeasure], np.ndarray]
+    diffusion_apply: Callable[[np.ndarray, EmpiricalMeasure, np.ndarray], np.ndarray]
     assumption_class: str
     parameters: dict = field(default_factory=dict)
     gamma1: Callable | None = None
     gamma2: Callable | None = None
     moment_oracle: Callable[[float, int], float] | None = None
     mean_oracle: Callable[[float], np.ndarray] | None = None
-    diffusion_apply: Callable[[np.ndarray, EmpiricalMeasure, np.ndarray], np.ndarray] | None = None
-    measure_via_mean: bool = False
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -174,6 +173,14 @@ def _as_batch(x: np.ndarray, dim: int) -> np.ndarray:
     if arr.shape != (dim,):
         raise ModelError(f"state has shape {arr.shape}, model dimension is {dim}")
     return arr[None, :]
+
+
+def _diffusion_matrix(model: CoefficientModel, states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
+    """sigma(x, mu) as an (n, d, d) batch: column j is ``diffusion_apply``
+    of the unit increment e_j."""
+    n = states.shape[0]
+    columns = [model.diffusion_apply(states, mu, np.tile(unit, (n, 1))) for unit in np.eye(model.dim)]
+    return np.stack([np.asarray(c, dtype=np.float64) for c in columns], axis=2)
 
 
 def drift_eval(model: CoefficientModel, x: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
@@ -190,7 +197,7 @@ def diffusion_eval(model: CoefficientModel, x: np.ndarray, mu: EmpiricalMeasure)
     """Evaluate the diffusion matrix at a single state."""
     if mu.dim != model.dim:
         raise ModelError(f"measure dimension {mu.dim} does not match model dimension {model.dim}")
-    out = np.asarray(model.diffusion(_as_batch(x, model.dim), mu), dtype=np.float64)[0]
+    out = _diffusion_matrix(model, _as_batch(x, model.dim), mu)[0]
     if out.shape != (model.dim, model.dim):
         raise ModelError(f"diffusion returned shape {out.shape}, expected ({model.dim}, {model.dim})")
     if not np.isfinite(out).all():
@@ -204,13 +211,9 @@ def diffusion_eval(model: CoefficientModel, x: np.ndarray, mu: EmpiricalMeasure)
 
 def mf_ou(theta: float = 1.0, alpha: float = 0.5, s: float = 0.4, dim: int = 1) -> CoefficientModel:
     """Mean-field Ornstein-Uhlenbeck model (globally Lipschitz)."""
-    eye = np.eye(dim)
 
     def drift(states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
         return -theta * states + alpha * mu.mean[None, :]
-
-    def diffusion(states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
-        return np.broadcast_to(s * eye, (states.shape[0], dim, dim)).copy()
 
     def diffusion_apply(states, mu, dw):
         return s * dw
@@ -219,13 +222,11 @@ def mf_ou(theta: float = 1.0, alpha: float = 0.5, s: float = 0.4, dim: int = 1) 
         model_id="mf-ou",
         dim=dim,
         drift=drift,
-        diffusion=diffusion,
         diffusion_apply=diffusion_apply,
         assumption_class="H1+H2'",
         parameters={"theta": theta, "alpha": alpha, "s": s},
         gamma1=_gamma_one,
         gamma2=_gamma_one,
-        measure_via_mean=True,
     )
 
 
@@ -294,9 +295,6 @@ def osgood(c: float = 1.0, beta: float = 0.25, s: float = 0.3, eta: float = DEFA
     def drift(states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
         return -c * psi(states) + beta * mu.mean[None, :]
 
-    def diffusion(states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
-        return sigma_scalar(states)[:, :, None]
-
     def diffusion_apply(states, mu, dw):
         return sigma_scalar(states) * dw
 
@@ -304,25 +302,19 @@ def osgood(c: float = 1.0, beta: float = 0.25, s: float = 0.3, eta: float = DEFA
         model_id="osgood",
         dim=1,
         drift=drift,
-        diffusion=diffusion,
         diffusion_apply=diffusion_apply,
         assumption_class="H1+H2'",
         parameters={"c": c, "beta": beta, "s": s, "eta": eta},
         gamma1=gamma_log,
         gamma2=gamma_log,
-        measure_via_mean=True,
     )
 
 
 def sznitman(s: float = 0.4, dim: int = 1) -> CoefficientModel:
     """Convolution drift mean(mu) - x with constant diffusion s*I."""
-    eye = np.eye(dim)
 
     def drift(states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
         return mu.mean[None, :] - states
-
-    def diffusion(states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
-        return np.broadcast_to(s * eye, (states.shape[0], dim, dim)).copy()
 
     def diffusion_apply(states, mu, dw):
         return s * dw
@@ -331,13 +323,11 @@ def sznitman(s: float = 0.4, dim: int = 1) -> CoefficientModel:
         model_id="sznitman",
         dim=dim,
         drift=drift,
-        diffusion=diffusion,
         diffusion_apply=diffusion_apply,
         assumption_class="H1+H2'",
         parameters={"s": s},
         gamma1=_gamma_one,
         gamma2=_gamma_one,
-        measure_via_mean=True,
     )
 
 
@@ -347,18 +337,13 @@ def quadratic_drift_fixture() -> CoefficientModel:
     def drift(states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
         return states**2
 
-    def diffusion(states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
-        return np.zeros((states.shape[0], 1, 1))
-
     return CoefficientModel(
         model_id="x2-fixture",
         dim=1,
         drift=drift,
-        diffusion=diffusion,
         diffusion_apply=lambda states, mu, dw: np.zeros_like(dw),
         assumption_class="H1-only",
         parameters={},
-        measure_via_mean=True,
     )
 
 
@@ -457,7 +442,7 @@ def check_linear_growth(
         atoms = scale * rng.uniform(-1.0, 1.0, size=(spec.measure_atoms, model.dim))
         mu = uniform_measure(atoms)
         b = np.asarray(model.drift(x[None, :], mu))[0]
-        sig = np.asarray(model.diffusion(x[None, :], mu))[0]
+        sig = _diffusion_matrix(model, x[None, :], mu)[0]
         num = float(np.dot(b, b) + np.sum(sig * sig))
         den = 1.0 + float(np.dot(x, x)) + mu.lambda2
         ratio = num / den
@@ -513,7 +498,6 @@ class H2PrimeReport:
     diffusion_second_half_max: float
     count: int
     measure_term: str = "upper-bound surrogate"
-    mean_dependence_verified: bool = False
     failure: str = ""
 
 
@@ -532,9 +516,9 @@ def check_h2prime(
     exceed twice the large-separation half.
 
     The measure term uses the coupled upper bound in place of the exact law
-    metric (flagged in the report); for models whose measure dependence is
-    through the mean this substitution is an analytic upper bound, which
-    ``mean_dependence_verified`` records.
+    metric (flagged in the report's ``measure_term``); for models whose
+    measure dependence is through the mean this substitution is an analytic
+    upper bound.
     """
     if model.assumption_class != "H1+H2'":
         raise ModelError(f"model {model.model_id!r} does not declare the continuity class")
@@ -565,7 +549,7 @@ def check_h2prime(
         rho_bar = rho_upper(mu1, mu2)
         dx = float(np.linalg.norm(x2 - x1))
         db = np.asarray(model.drift(x2[None, :], mu2))[0] - np.asarray(model.drift(x1[None, :], mu1))[0]
-        dsig = np.asarray(model.diffusion(x2[None, :], mu2))[0] - np.asarray(model.diffusion(x1[None, :], mu1))[0]
+        dsig = _diffusion_matrix(model, x2[None, :], mu2)[0] - _diffusion_matrix(model, x1[None, :], mu1)[0]
         den1 = dx * float(gamma1(dx)) + rho_bar
         den2 = dx * dx * float(gamma2(dx)) + rho_bar * rho_bar
         r1[i] = float(np.linalg.norm(db)) / den1
@@ -580,7 +564,6 @@ def check_h2prime(
                 diffusion_first_half_max=math.nan,
                 diffusion_second_half_max=math.nan,
                 count=spec.count,
-                mean_dependence_verified=model.measure_via_mean,
                 failure=f"non-finite ratio at sample {i}: x1={x1}, separation={delta:.3g}",
             )
     half = spec.count // 2
@@ -600,6 +583,5 @@ def check_h2prime(
         diffusion_first_half_max=d2a,
         diffusion_second_half_max=d2b,
         count=spec.count,
-        mean_dependence_verified=model.measure_via_mean,
         failure=failure,
     )

@@ -13,6 +13,7 @@ regenerated in isolation and results do not depend on the parallel schedule.
 
 from __future__ import annotations
 
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -157,7 +158,8 @@ def sample_lattice(
 
     Deterministic in (seed, particle, step, dim) and independent of
     ``workers``: every particle row comes from its own keyed counter-based
-    stream and is written to a disjoint slice.
+    stream and is written to a disjoint slice.  At most ``os.cpu_count()``
+    threads run, whatever ``workers`` asks for.
     """
     if n_particles < 1 or dim < 1:
         raise LatticeError("need at least one particle and one dimension")
@@ -180,6 +182,7 @@ def sample_lattice(
         for p in range(lo, hi):
             out[p] = _particle_rng(seed, p).standard_normal((steps, dim))
 
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and n_particles > 1:
         n_chunks = min(workers * 4, n_particles)
         bounds = np.linspace(0, n_particles, n_chunks + 1, dtype=int)

@@ -159,7 +159,6 @@ InitialLaw = Union[PointMass, GaussianLaw, UniformBox]
 @dataclass
 class ParticleEnsemble:
     states: np.ndarray
-    time_index: int = 0
 
     def __post_init__(self) -> None:
         states = np.asarray(self.states, dtype=np.float64)
@@ -239,10 +238,7 @@ def _guard(states: np.ndarray, step: int, time: float) -> None:
 
 
 def _apply_noise(model, states, mu, incr):
-    if model.diffusion_apply is not None:
-        return np.asarray(model.diffusion_apply(states, mu, incr), dtype=np.float64)
-    sig = np.asarray(model.diffusion(states, mu), dtype=np.float64)
-    return np.einsum("nij,nj->ni", sig, incr)
+    return np.asarray(model.diffusion_apply(states, mu, incr), dtype=np.float64)
 
 
 def em_run(
@@ -343,7 +339,6 @@ def em_multilevel(
     record_level: int | None = None,
     in_cell: bool = False,
     workers: int = 1,
-    memory_cap: int | None = None,
 ) -> dict[int, TrajectorySet]:
     """Run every requested level plus the finest reference off one lattice.
 
@@ -361,8 +356,7 @@ def em_multilevel(
         raise SolverError(f"max level {levels[-1]} must be below the reference level {finest}")
     if record_level is None:
         record_level = levels[0]
-    kwargs = {} if memory_cap is None else {"memory_cap": memory_cap}
-    lattice = sample_lattice(seed, n_particles, model.dim, finest, horizon, workers=workers, **kwargs)
+    lattice = sample_lattice(seed, n_particles, model.dim, finest, horizon, workers=workers)
     ens = sample_initial(law, n_particles, model.dim, seed)
     result: dict[int, TrajectorySet] = {}
     for lvl in [*levels, finest]:
@@ -380,13 +374,11 @@ def run_single(
     horizon: float = 1.0,
     record_level: int | None = None,
     workers: int = 1,
-    memory_cap: int | None = None,
 ) -> TrajectorySet:
     """One level against a fresh lattice (finest defaults to the run level)."""
     finest = level if finest is None else finest
     if finest < level:
         raise SolverError(f"finest level {finest} below run level {level}")
-    kwargs = {} if memory_cap is None else {"memory_cap": memory_cap}
-    lattice = sample_lattice(seed, n_particles, model.dim, finest, horizon, workers=workers, **kwargs)
+    lattice = sample_lattice(seed, n_particles, model.dim, finest, horizon, workers=workers)
     ens = sample_initial(law, n_particles, model.dim, seed)
     return em_run(model, ens, level, lattice, record_level=record_level)

@@ -1,11 +1,14 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mvsde.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_GATE, EXIT_OK, _fmt, _write_csv, main
-from mvsde.config import ConfigError, load_config, parse_config_text
+from mvsde.cli import EXIT_ANALYSIS, EXIT_BLOWUP, EXIT_CONFIG, EXIT_GATE, EXIT_OK, _fmt, _write_csv, main
+from mvsde.config import KEYS, REQUIRED, ConfigError, load_config, parse_config_text
+
+ROOT = Path(__file__).resolve().parent.parent
 
 RUN_CFG = """\
 # smoke configuration
@@ -101,6 +104,23 @@ class TestConfigParsing:
         text = RATE_CFG.replace("sim.levels = 1 2 3", "sim.levels = 1,2,3")
         cfg = load_config(_write(tmp_path, text), "rate")
         assert cfg.levels == (1, 2, 3)
+
+    def test_seed_b_defaults_to_seed_plus_one(self, tmp_path):
+        path = _write(tmp_path, RUN_CFG.replace("experiment.kind = run\n", ""))
+        assert load_config(path, "metric").seed_b == 8
+        assert load_config(path, "metric", seed_override=20).seed_b == 21
+        explicit = _write(tmp_path, RUN_CFG.replace("experiment.kind = run\n", "metric.seed_b = 3\n"), "b.cfg")
+        assert load_config(explicit, "metric", seed_override=20).seed_b == 3
+
+    def test_readme_key_table_matches_keys(self):
+        section = (ROOT / "README.md").read_text().split("### Config format", 1)[1].split("\n## ", 1)[0]
+        rows = dict(re.findall(r"^\| `([^`]+)` \| ([^|]+?) \|", section, flags=re.M))
+        assert sorted(rows) == sorted([*KEYS, "model.<param>"])
+        for key, (_, _, default) in KEYS.items():
+            if default is REQUIRED:
+                assert rows[key] == "required", key
+            elif default is not None:
+                assert rows[key] == f"`{_fmt(default)}`", key
 
 
 class TestCliRun:
@@ -227,6 +247,15 @@ class TestCliSelftestAndCodes:
 
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == EXIT_CONFIG
+
+    def test_numeric_analysis_failure_is_not_a_config_error(self, tmp_path, capsys):
+        # a valid config whose levels all coincide: zero errors cannot be fitted
+        text = RATE_CFG + "model.theta = 0\nmodel.alpha = 0\nmodel.s = 0\n"
+        out = tmp_path / "o"
+        assert main(["rate", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == EXIT_ANALYSIS
+        err = capsys.readouterr().err
+        assert "analysis error: errors must be positive and finite" in err
+        assert "config error" not in err
 
     def test_blowup_exit_code(self, tmp_path, capsys):
         text = (

@@ -68,11 +68,17 @@ class TestLambda2:
 
     @settings(max_examples=100, deadline=None)
     @given(measures())
-    def test_at_least_one(self, mu):
+    def test_at_least_the_total_weight(self, mu):
+        # the total may be 1 - 2^-53 (within WEIGHT_TOL), so 1 is not a bound
         val = lambda2_norm_squared(mu)
-        assert val >= 1.0
+        total = exact_sum(mu.weights)
+        assert val >= total
         if mu.radii.max() > 1e-8:
-            assert val > 1.0
+            assert val > total
+
+    def test_mass_just_below_one(self):
+        mu = EmpiricalMeasure(np.zeros((2, 1)), np.array([0.5, 0.5 - 2.0**-53]))
+        assert lambda2_norm_squared(mu) == exact_sum(mu.weights) == 1.0 - 2.0**-53
 
     def test_dirac_scaling(self):
         for r in (0.0, 0.5, 1.0, 3.0, 17.0):

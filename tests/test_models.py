@@ -168,7 +168,7 @@ class TestCatalogEvaluation:
             model_id="bad",
             dim=1,
             drift=bad_drift,
-            diffusion=lambda states, mu: np.zeros((states.shape[0], 1, 1)),
+            diffusion_apply=lambda states, mu, dw: np.zeros_like(dw),
             assumption_class="H1-only",
         )
         with pytest.raises(ModelError, match="non-finite"):
@@ -302,7 +302,6 @@ class TestCheckH2Prime:
         report = check_h2prime(osgood(), PairSampleSpec(count=2000), seed=0)
         assert report.passed
         assert report.measure_term == "upper-bound surrogate"
-        assert report.mean_dependence_verified
         assert math.isfinite(report.fitted_lambda1) and math.isfinite(report.fitted_lambda2)
 
     def test_mf_ou_passes_with_unit_modulus(self):
@@ -316,7 +315,7 @@ class TestCheckH2Prime:
             model_id="sqrt-fixture",
             dim=1,
             drift=lambda states, mu: np.sqrt(np.abs(states)),
-            diffusion=lambda states, mu: np.zeros((states.shape[0], 1, 1)),
+            diffusion_apply=lambda states, mu, dw: np.zeros_like(dw),
             assumption_class="H1+H2'",
             gamma1=gamma_log,
             gamma2=gamma_log,

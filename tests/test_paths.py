@@ -1,5 +1,7 @@
 import math
+import os
 import struct
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from mvsde import paths
 from mvsde.paths import (
     BrownianLattice,
     GridError,
@@ -96,6 +99,32 @@ class TestLatticeSampling:
         # extending the particle count preserves existing rows
         wider = sample_lattice(1, 4, 1, 4, 1.0)
         assert np.array_equal(wider.increments[:3], base.increments)
+
+    def test_thread_pool_capped_at_cpu_count(self, monkeypatch):
+        # an inline stand-in for the pool records its size and runs every
+        # chunk on the calling thread, so no thread is started
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                done = Future()
+                done.set_result(fn(*args))
+                return done
+
+        monkeypatch.setattr(paths, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        wide = sample_lattice(11, 37, 1, 6, 1.0, workers=10**6)
+        assert sizes == [3]
+        assert wide.increments.tobytes() == sample_lattice(11, 37, 1, 6, 1.0, workers=1).increments.tobytes()
 
     def test_memory_cap_advises_streaming(self):
         with pytest.raises(LatticeError, match="particle_increments"):

@@ -143,13 +143,13 @@ class TestEmRun:
         assert np.asarray(replay).tobytes() == traj.states.tobytes()
 
     def test_replay_matches_matrix_route(self):
-        # generic matrix diffusion exercised through the einsum path
+        # generic matrix diffusion, applied with the replay's einsum
         mat = np.array([[0.3, 0.1], [0.0, 0.2]])
         model = CoefficientModel(
             model_id="matrix-fixture",
             dim=2,
             drift=lambda states, mu: -states,
-            diffusion=lambda states, mu: np.broadcast_to(mat, (states.shape[0], 2, 2)).copy(),
+            diffusion_apply=lambda states, mu, dw: np.einsum("ij,nj->ni", mat, dw),
             assumption_class="H1+H2'",
         )
         n, level = 4, 3
