@@ -319,7 +319,7 @@ def _analyse_check(cfg, model, trajectories, out, gate):
     return entries, None if ok or not gate else "assumption check failed; see check.csv"
 
 
-def cmd_selftest(out: Path, gate: bool) -> dict:
+def cmd_selftest(out: Path) -> dict:
     """Solver-free pipeline checks against closed forms; always gated."""
     levels = [1, 2, 3, 4, 5, 6]
     errors = [2.0 ** (-n) for n in levels]
@@ -392,7 +392,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "selftest":
             out = _out_dir(None, args.out, "selftest")
-            cmd_selftest(out, args.gate)
+            cmd_selftest(out)
             print(f"selftest pass ({out})")
             return EXIT_OK
         cfg = load_config(args.config, args.command, seed_override=args.seed)
