@@ -9,11 +9,9 @@ from .measure import (
     TestFunctionDictionary,
     default_dictionary,
     dirac,
-    lambda2_norm_squared,
     rho_lower,
     rho_upper,
     uniform_measure,
-    validate_test_function,
 )
 from .models import (
     CATALOG,
@@ -35,10 +33,7 @@ from .paths import (
     BrownianLattice,
     DyadicGrid,
     coarsen,
-    dump_lattice,
-    load_lattice,
     make_grid,
-    particle_increments,
     sample_lattice,
 )
 from .solver import (
@@ -52,7 +47,6 @@ from .solver import (
     em_run,
     run_single,
     sample_initial,
-    to_measure,
 )
 from .analysis import (
     bihari_ode_check,
@@ -62,7 +56,6 @@ from .analysis import (
     moment_curve,
     osgood_integral,
     strong_error,
-    uniqueness_replay,
 )
 
 __version__ = "0.1.0"

@@ -10,12 +10,11 @@ constants in the underlying bounds are existential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .measure import (
-    EmpiricalMeasure,
     TestFunctionDictionary,
     default_dictionary,
     exact_sum,
@@ -23,8 +22,8 @@ from .measure import (
     rho_upper,
     uniform_measure,
 )
-from .models import CoefficientModel, ModulusKappaEta
-from .solver import InitialLaw, TrajectorySet, run_single
+from .models import ModulusKappaEta
+from .solver import TrajectorySet
 
 __all__ = [
     "AnalysisError",
@@ -38,10 +37,10 @@ __all__ = [
     "osgood_integral",
     "BihariReport",
     "bihari_ode_check",
+    "SANDWICH_RTOL",
+    "sandwich_holds",
     "LawGapReport",
     "law_gap_curve",
-    "UniquenessReport",
-    "uniqueness_replay",
 ]
 
 
@@ -348,8 +347,19 @@ def bihari_ode_check(kappa, scale: float, eps: float, horizon: float, n_eval: in
 
 
 # ---------------------------------------------------------------------------
-# law-gap curves and determinism replay
+# law-gap curves
 # ---------------------------------------------------------------------------
+
+#: relative slack of the metric sandwich lower <= upper, for rounding in the
+#: separately summed integrals of the two bounds
+SANDWICH_RTOL = 1e-9
+
+
+def sandwich_holds(lower, upper) -> np.ndarray:
+    """Pointwise lower <= upper, up to ``SANDWICH_RTOL`` relative to max(1, upper)."""
+    upper = np.asarray(upper, dtype=np.float64)
+    return np.asarray(lower) <= upper + SANDWICH_RTOL * np.maximum(1.0, upper)
+
 
 @dataclass(frozen=True)
 class LawGapReport:
@@ -370,8 +380,9 @@ def law_gap_curve(
     The upper curve is a coupled mean distance; with ``coupling='auto'`` the
     one-dimensional case uses the monotone (sorted) pairing, the tightest
     order-one coupling available there, while higher dimensions keep the
-    index pairing.  The lower curve maximizes over the validated dictionary.
-    The sandwich lower <= upper is asserted pointwise.
+    index pairing.  The lower curve maximizes over the dictionary (default:
+    ``default_dictionary``).  The sandwich lower <= upper is asserted
+    pointwise, see ``sandwich_holds``.
     """
     if traj_a.n_particles != traj_b.n_particles or traj_a.dim != traj_b.dim:
         raise AnalysisError("trajectories have mismatched shapes")
@@ -398,7 +409,7 @@ def law_gap_curve(
             mu_c, nu_c = mu, nu
         uppers[j] = rho_upper(mu_c, nu_c)
         lowers[j] = rho_lower(mu, nu, dictionary)
-        if lowers[j] > uppers[j] + 1e-9 * max(1.0, uppers[j]):
+        if not sandwich_holds(lowers[j], uppers[j]):
             raise AnalysisError(
                 f"metric sandwich violated at t={traj_a.times[j]:.6g}: "
                 f"lower {lowers[j]:.6g} > upper {uppers[j]:.6g}"
@@ -407,35 +418,3 @@ def law_gap_curve(
         times=traj_a.times, upper=uppers, lower=lowers,
         coupling="sorted" if use_sorted else "index",
     )
-
-
-@dataclass(frozen=True)
-class UniquenessReport:
-    passed: bool
-    max_abs_gap: float
-
-
-def uniqueness_replay(
-    model: CoefficientModel,
-    law: InitialLaw,
-    seed: int,
-    level: int,
-    finest: int,
-    n_particles: int,
-    horizon: float,
-    record_level: int | None = None,
-) -> UniquenessReport:
-    """Run the coupled pipeline twice; pass iff every recorded byte matches."""
-    first, second = (
-        run_single(
-            model, law, seed, level, finest=finest, n_particles=n_particles,
-            horizon=horizon, record_level=record_level,
-        )
-        for _ in range(2)
-    )
-    same = (
-        first.states.tobytes() == second.states.tobytes()
-        and first.times.tobytes() == second.times.tobytes()
-    )
-    gap = 0.0 if same else float(np.abs(first.states - second.states).max())
-    return UniquenessReport(passed=same, max_abs_gap=gap)

@@ -287,7 +287,7 @@ def _analyse_metric(cfg, model, trajectories, out, gate):
         "coupling": report.coupling,
         "max_upper": float(report.upper.max()),
         "max_lower": float(report.lower.max()),
-        "sandwich": bool((report.lower <= report.upper + 1e-12).all()),
+        "sandwich": bool(analysis.sandwich_holds(report.lower, report.upper).all()),
     }
     return entries, None
 

@@ -6,8 +6,8 @@ most one; that supremum is not computable exactly, so this module brackets it:
 
 * ``rho_upper`` -- the coupled mean distance over an index-matched pair, an
   upper bound for any coupling of the two measures;
-* ``rho_lower`` -- the same supremum restricted to a finite, validated
-  dictionary of norm-one test functions, hence a lower bound.
+* ``rho_lower`` -- the same supremum restricted to the default dictionary
+  of norm-one test functions, hence a lower bound.
 
 All cross-particle reductions go through :func:`exact_sum`, which returns the
 correctly rounded sum (bit for bit what :func:`math.fsum` returns) and is
@@ -42,21 +42,15 @@ __all__ = [
     "exact_sum",
     "TestFunction",
     "TestFunctionDictionary",
-    "ValidationReport",
     "dirac",
     "uniform_measure",
-    "lambda2_norm_squared",
     "rho_upper",
     "rho_lower",
-    "validate_test_function",
     "default_dictionary",
 ]
 
 #: permitted deviation of the total mass from 1
 WEIGHT_TOL = 1e-12
-
-#: slack for the "norm at most one" validation verdict
-NORM_SLACK = 1e-9
 
 
 class MeasureError(ValueError):
@@ -178,7 +172,13 @@ class EmpiricalMeasure:
 
     @cached_property
     def lambda2(self) -> float:
-        """Weighted mass norm squared: sum of w_i * (1 + |x_i|)^2."""
+        """Weighted mass norm squared: sum of w_i * (1 + |x_i|)^2.
+
+        Never below ``exact_sum(weights)``: each term rounds to at least w_i,
+        and a correctly rounded sum is monotone in its terms.  For a
+        probability measure that total lies within ``WEIGHT_TOL`` of 1, so the
+        norm can be 1 - 2^-53.
+        """
         return exact_sum(self.weights * (1.0 + self.radii) ** 2)
 
     def integrate(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -202,16 +202,6 @@ def uniform_measure(points: np.ndarray) -> EmpiricalMeasure:
     return EmpiricalMeasure(points, np.full(n, 1.0 / n))
 
 
-def lambda2_norm_squared(mu: EmpiricalMeasure) -> float:
-    """Weighted mass norm squared, never below ``exact_sum(mu.weights)``.
-
-    Each term w_i * (1 + |x_i|)^2 rounds to at least w_i, and a correctly
-    rounded sum is monotone in its terms.  For a probability measure that
-    total lies within ``WEIGHT_TOL`` of 1, so the norm can be 1 - 2^-53.
-    """
-    return mu.lambda2
-
-
 def _require_coupled(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
     if mu.num_atoms != nu.num_atoms:
         raise CouplingError(f"atom counts differ: {mu.num_atoms} vs {nu.num_atoms}")
@@ -233,26 +223,15 @@ def rho_upper(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
 
 
 def rho_lower(mu: EmpiricalMeasure, nu: EmpiricalMeasure, dictionary: "TestFunctionDictionary") -> float:
-    """Best integral gap over a validated dictionary of norm-one test functions."""
+    """Best integral gap over a dictionary of norm-one test functions."""
     if len(dictionary.entries) == 0:
         raise MeasureError("empty test-function dictionary")
-    dictionary.require_validated()
     best = 0.0
     for entry in dictionary.entries:
         gap = abs(mu.integrate(entry.fn) - nu.integrate(entry.fn))
         if gap > best:
             best = gap
     return best
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    passed: bool
-    lip_estimate: float
-    weighted_sup_estimate: float
-    norm_estimate: float
-    n_samples: int
-    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -274,98 +253,10 @@ class TestFunction:
 class TestFunctionDictionary:
     __test__ = False  # not a pytest collection target
 
-    entries: tuple[TestFunction, ...]
-    validated: bool = False
+    entries: Sequence[TestFunction]
 
-    def __init__(self, entries: Sequence[TestFunction], validated: bool = False) -> None:
-        self.entries = tuple(entries)
-        self.validated = bool(validated)
-
-    def require_validated(self) -> None:
-        if not self.validated:
-            raise MeasureError(
-                "dictionary has not been validated; call validate() or use default_dictionary()"
-            )
-
-    def validate(self, lo, hi, n_samples: int = 512, seed: int = 0) -> list[ValidationReport]:
-        """Validate every entry by sampling; raises naming the first bad entry."""
-        reports = []
-        for entry in self.entries:
-            report = validate_test_function(entry.fn, lo, hi, n_samples=n_samples, seed=seed)
-            if not report.passed:
-                raise MeasureError(
-                    f"dictionary entry {entry.tag!r} failed validation: "
-                    f"norm estimate {report.norm_estimate:.6g} ({report.reason or 'exceeds 1'})"
-                )
-            reports.append(report)
-        self.validated = True
-        return reports
-
-
-def validate_test_function(
-    fn: Callable[[np.ndarray], np.ndarray],
-    lo,
-    hi,
-    n_samples: int = 512,
-    seed: int = 0,
-) -> ValidationReport:
-    """Monte-Carlo estimate of the weighted-sup and Lipschitz norm terms.
-
-    Samples points uniformly in the box [lo, hi]^d together with random and
-    short-displacement pairs; passes iff the estimated norm is at most
-    1 + ``NORM_SLACK``.  The estimate is a lower bound of the true norm, so a
-    failure is conclusive while a pass certifies only "no violation found".
-    """
-    if n_samples < 100:
-        raise MeasureError(f"need at least 100 samples, got {n_samples}")
-    lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
-    hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
-    if lo.shape != hi.shape or (hi <= lo).any():
-        raise MeasureError("invalid sample box")
-    dim = lo.shape[0]
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(lo, hi, size=(n_samples, dim))
-    vals = np.asarray(fn(pts), dtype=np.float64)
-    if not np.isfinite(vals).all():
-        idx = int(np.nonzero(~np.isfinite(vals))[0][0])
-        return ValidationReport(
-            passed=False,
-            lip_estimate=math.nan,
-            weighted_sup_estimate=math.nan,
-            norm_estimate=math.nan,
-            n_samples=n_samples,
-            reason=f"non-finite value at sample {pts[idx]}",
-        )
-    radii = np.linalg.norm(pts, axis=1)
-    sup_est = float(np.max(np.abs(vals) / (1.0 + radii) ** 2))
-
-    # Lipschitz term: long random pairs plus short displacements around each
-    # sample (the short pairs catch local steepness the long ones miss).
-    perm = rng.permutation(n_samples)
-    keep = np.linalg.norm(pts - pts[perm], axis=1) > 0
-    lip = 0.0
-    if keep.any():
-        num = np.abs(vals - vals[perm])[keep]
-        den = np.linalg.norm(pts - pts[perm], axis=1)[keep]
-        lip = float(np.max(num / den))
-    step = 1e-4 * float(np.max(hi - lo))
-    dirs = rng.standard_normal((n_samples, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    shifted = pts + step * dirs
-    vals_s = np.asarray(fn(shifted), dtype=np.float64)
-    if not np.isfinite(vals_s).all():
-        return ValidationReport(False, math.nan, math.nan, math.nan, n_samples, "non-finite value at shifted sample")
-    gaps = np.linalg.norm(shifted - pts, axis=1)
-    lip = max(lip, float(np.max(np.abs(vals_s - vals) / gaps)))
-
-    norm_est = lip + sup_est
-    return ValidationReport(
-        passed=norm_est <= 1.0 + NORM_SLACK,
-        lip_estimate=lip,
-        weighted_sup_estimate=sup_est,
-        norm_estimate=norm_est,
-        n_samples=n_samples,
-    )
+    def __post_init__(self) -> None:
+        self.entries = tuple(self.entries)
 
 
 def default_dictionary(dim: int, radius: float = 10.0) -> TestFunctionDictionary:
@@ -397,4 +288,4 @@ def default_dictionary(dim: int, radius: float = 10.0) -> TestFunctionDictionary
             fn=lambda pts: 0.8 * np.minimum(np.linalg.norm(pts, axis=1), radius),
         )
     )
-    return TestFunctionDictionary(entries, validated=True)
+    return TestFunctionDictionary(entries)

@@ -7,14 +7,13 @@ tree over the finest increments: coarsening commutes with itself bit-exactly
 (L -> n -> m performs the identical float additions as L -> m).
 
 Increments are a pure function of (seed, particle, step, dim) through a
-counter-based generator keyed per particle, so any particle row can be
-regenerated in isolation and results do not depend on the parallel schedule.
+counter-based generator keyed per particle, so a particle's row depends on
+neither the particle count nor the parallel schedule.
 """
 
 from __future__ import annotations
 
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -27,15 +26,9 @@ __all__ = [
     "make_grid",
     "BrownianLattice",
     "sample_lattice",
-    "particle_increments",
     "coarsen",
-    "dump_lattice",
-    "load_lattice",
 ]
 
-_MAGIC = b"MVBL1"
-#: seed, N, d, level as little-endian u64, then the horizon as f64
-_HEADER = struct.Struct("<QQQQd")
 _MASK64 = (1 << 64) - 1
 
 #: second key word reserved for non-noise streams (initial-ensemble sampling)
@@ -88,19 +81,6 @@ class DyadicGrid:
         pts.flags.writeable = False
         return pts
 
-    def cell_index(self, t: float) -> int:
-        """Index of the cell whose left endpoint floors t; T maps to the last cell."""
-        if not (0.0 <= t <= self.horizon):
-            raise GridError(f"time {t} outside [0, {self.horizon}]")
-        i = int(np.floor(t / self.step))
-        return min(i, self.num_cells - 1)
-
-    def floor_point(self, t: float) -> float:
-        """Largest grid point no greater than t."""
-        if not (0.0 <= t <= self.horizon):
-            raise GridError(f"time {t} outside [0, {self.horizon}]")
-        return min(int(np.floor(t / self.step)), self.num_cells) * self.step
-
 
 def make_grid(horizon: float, level: int) -> DyadicGrid:
     return DyadicGrid(horizon=float(horizon), level=int(level))
@@ -138,20 +118,12 @@ def _particle_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def particle_increments(seed: int, particle: int, dim: int, level: int, horizon: float) -> np.ndarray:
-    """Regenerate one particle's increment rows without building the lattice."""
-    steps = 1 << level
-    scale = np.sqrt(horizon / steps)
-    return _particle_rng(seed, particle).standard_normal((steps, dim)) * scale
-
-
 def sample_lattice(
     seed: int,
     n_particles: int,
     dim: int,
     level: int,
     horizon: float,
-    memory_cap: int = DEFAULT_MEMORY_CAP,
     workers: int = 1,
 ) -> BrownianLattice:
     """Draw the finest-level increment array.
@@ -164,16 +136,12 @@ def sample_lattice(
     if n_particles < 1 or dim < 1:
         raise LatticeError("need at least one particle and one dimension")
     if not (0 <= level <= MAX_LATTICE_LEVEL):
-        raise LatticeError(
-            f"lattice level must lie in [0, {MAX_LATTICE_LEVEL}] "
-            f"(memory guard); regenerate rows on demand with particle_increments() instead"
-        )
+        raise LatticeError(f"lattice level {level} outside the level limit [0, {MAX_LATTICE_LEVEL}]")
     steps = 1 << level
     nbytes = n_particles * steps * dim * 8
-    if nbytes > memory_cap:
+    if nbytes > DEFAULT_MEMORY_CAP:
         raise LatticeError(
-            f"lattice would need {nbytes} bytes (cap {memory_cap}); "
-            f"stream per-particle rows with particle_increments() instead"
+            f"lattice would need {nbytes} bytes, above the memory limit of {DEFAULT_MEMORY_CAP} bytes"
         )
     scale = np.sqrt(horizon / steps)
     out = np.empty((n_particles, steps, dim))
@@ -218,48 +186,3 @@ def coarsen(lattice: BrownianLattice, level: int) -> np.ndarray:
     if arr is lattice.increments:
         arr = lattice.increments.copy()
     return arr
-
-
-def dump_lattice(lattice: BrownianLattice, path) -> None:
-    """Little-endian binary dump: magic, seed/N/d/level as u64, horizon as f64,
-    then row-major (particle, step, dim) increments as f64."""
-    header = _MAGIC + _HEADER.pack(
-        lattice.seed & _MASK64,
-        lattice.n_particles,
-        lattice.dim,
-        lattice.level,
-        lattice.horizon,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(lattice.increments, dtype="<f8").tobytes())
-
-
-def load_lattice(path) -> BrownianLattice:
-    """Read a ``dump_lattice`` file; any malformed file raises ``LatticeError``."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(_MAGIC)] != _MAGIC:
-        raise LatticeError(f"bad magic in {path!r}: not a lattice dump")
-    offset = len(_MAGIC) + _HEADER.size
-    if len(blob) < offset:
-        raise LatticeError(f"truncated lattice header in {path!r}: {len(blob)} bytes, need {offset}")
-    seed, n_particles, dim, level, horizon = _HEADER.unpack_from(blob, len(_MAGIC))
-    # bound the level before 1 << level sizes anything
-    if level > MAX_LATTICE_LEVEL:
-        raise LatticeError(f"lattice level {level} in {path!r} exceeds {MAX_LATTICE_LEVEL}")
-    count = n_particles * (1 << level) * dim
-    body = len(blob) - offset
-    if body != 8 * count:
-        kind = "truncated" if body < 8 * count else "trailing bytes in"
-        raise LatticeError(f"{kind} lattice dump {path!r}: body has {body} bytes, header implies {8 * count}")
-    data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-    increments = data.astype(np.float64).reshape(n_particles, 1 << level, dim)
-    return BrownianLattice(
-        seed=int(seed),
-        n_particles=int(n_particles),
-        dim=int(dim),
-        level=int(level),
-        horizon=float(horizon),
-        increments=increments,
-    )

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .measure import EmpiricalMeasure, uniform_measure
+from .measure import EmpiricalMeasure
 from .models import CoefficientModel
 from .paths import AUX_STREAM_BASE, BrownianLattice, coarsen, make_grid, sample_lattice, _particle_rng
 
@@ -28,7 +28,6 @@ __all__ = [
     "ParticleEnsemble",
     "TrajectorySet",
     "sample_initial",
-    "to_measure",
     "em_run",
     "em_multilevel",
     "run_single",
@@ -43,15 +42,16 @@ class SolverError(ValueError):
 
 
 class BlowUpError(RuntimeError):
-    """State left the admissible range; carries step/particle diagnostics."""
+    """State left the admissible range; carries level/step/particle diagnostics."""
 
-    def __init__(self, step: int, time: float, particle: int, state: np.ndarray):
+    def __init__(self, level: int, step: int, time: float, particle: int, state: np.ndarray):
+        self.level = level
         self.step = step
         self.time = time
         self.particle = particle
         self.state = np.array(state)
         super().__init__(
-            f"blow-up at step {step} (t={time:.6g}): particle {particle} "
+            f"blow-up at level {level}, step {step} (t={time:.6g}): particle {particle} "
             f"reached state {self.state}"
         )
 
@@ -222,19 +222,13 @@ def sample_initial(law: InitialLaw, n: int, dim: int, seed: int) -> ParticleEnse
     return ParticleEnsemble(states=law.sample(rng, n, dim))
 
 
-def to_measure(ensemble: ParticleEnsemble) -> EmpiricalMeasure:
-    """Uniform empirical law on the current states (the measure snapshots
-    its own copy, so later ensemble updates cannot reach it)."""
-    return uniform_measure(ensemble.states)
-
-
-def _guard(states: np.ndarray, step: int, time: float) -> None:
+def _guard(states: np.ndarray, level: int, step: int, time: float) -> None:
     worst = np.abs(states).max()
     if not (worst <= BLOWUP_LIMIT):
         per_particle = np.abs(states).max(axis=1)
         bad = ~np.isfinite(per_particle)
         particle = int(np.nonzero(bad)[0][0]) if bad.any() else int(per_particle.argmax())
-        raise BlowUpError(step=step, time=time, particle=particle, state=states[particle])
+        raise BlowUpError(level=level, step=step, time=time, particle=particle, state=states[particle])
 
 
 def _apply_noise(model, states, mu, incr):
@@ -247,20 +241,14 @@ def em_run(
     level: int,
     lattice: BrownianLattice,
     record_level: int | None = None,
-    in_cell: bool = False,
 ) -> TrajectorySet:
     """Advance the ensemble over the level-``level`` grid.
 
     Per cell: freeze the empirical law and the left states, then
     ``X += b(X, mu) * h + sigma(X, mu) @ dW`` for every particle, with the
     cell increment taken from the coarsened lattice.  Recorded states are
-    exactly the iterates of this recursion.
-
-    With ``in_cell=True`` the record grid may be finer than the step grid:
-    between grid points the scheme is, by construction, the frozen-coefficient
-    segment ``X + b(X, mu) (r - t_i) + sigma(X, mu) (W_r - W_{t_i})``, and
-    interior record points are filled from that identity using the lattice's
-    finer increments (cell endpoints still come from the recursion).
+    exactly the iterates of this recursion, on the level-``record_level``
+    sub-grid (``0 <= record_level <= level``).
     """
     if lattice.level < level:
         raise SolverError(f"lattice level {lattice.level} is coarser than requested level {level}")
@@ -274,12 +262,8 @@ def em_run(
         )
     if record_level is None:
         record_level = level
-    max_record = lattice.level if in_cell else level
-    if not (0 <= record_level <= max_record):
-        raise SolverError(
-            f"record level {record_level} outside [0, {max_record}]"
-            + ("" if in_cell else " (pass in_cell=True to record below the step scale)")
-        )
+    if not (0 <= record_level <= level):
+        raise SolverError(f"record level {record_level} outside [0, {level}]")
 
     grid = make_grid(lattice.horizon, level)
     record_grid = make_grid(lattice.horizon, record_level)
@@ -287,34 +271,21 @@ def em_run(
     h = grid.step
     n, dim = ensemble.n_particles, ensemble.dim
     weights = np.full(n, 1.0 / n)
-    dense = record_level > level
-    stride = 1 if dense else 1 << (level - record_level)
-    per_cell = (1 << (record_level - level)) if dense else 1
-    dw_fine = coarsen(lattice, record_level) if dense else None
-    fine_step = record_grid.step
+    stride = 1 << (level - record_level)
 
     states = ensemble.states.copy()
     out = np.empty((record_grid.num_cells + 1, n, dim))
     out[0] = states
-    nxt = 1
     for i in range(grid.num_cells):
         # later states passed _guard (finite, |x| <= BLOWUP_LIMIT) and are
         # rebound, never written, so only the caller's step-0 states need checks
         mu = EmpiricalMeasure(states, weights, validate=i == 0)
         drift = np.asarray(model.drift(states, mu), dtype=np.float64)
-        if dense and per_cell > 1:
-            partial = np.cumsum(dw_fine[:, i * per_cell : (i + 1) * per_cell, :], axis=1)
-            for k in range(1, per_cell):
-                out[nxt + k - 1] = (
-                    states + (k * fine_step) * drift + _apply_noise(model, states, mu, partial[:, k - 1, :])
-                )
-            nxt += per_cell - 1
         noise = _apply_noise(model, states, mu, dw[:, i, :])
         states = states + h * drift + noise
-        _guard(states, step=i, time=grid.point(i + 1))
+        _guard(states, level=level, step=i, time=grid.point(i + 1))
         if (i + 1) % stride == 0:
-            out[nxt] = states
-            nxt += 1
+            out[(i + 1) // stride] = states
 
     meta = {
         "model_id": model.model_id,
@@ -323,7 +294,6 @@ def em_run(
         "horizon": lattice.horizon,
         "level": level,
         "record_level": record_level,
-        "in_cell": dense,
     }
     return TrajectorySet(level=level, times=record_grid.points(), states=out, meta=meta)
 
@@ -337,7 +307,6 @@ def em_multilevel(
     n_particles: int,
     horizon: float,
     record_level: int | None = None,
-    in_cell: bool = False,
     workers: int = 1,
 ) -> dict[int, TrajectorySet]:
     """Run every requested level plus the finest reference off one lattice.
@@ -360,7 +329,7 @@ def em_multilevel(
     ens = sample_initial(law, n_particles, model.dim, seed)
     result: dict[int, TrajectorySet] = {}
     for lvl in [*levels, finest]:
-        result[lvl] = em_run(model, ens, lvl, lattice, record_level=record_level, in_cell=in_cell)
+        result[lvl] = em_run(model, ens, lvl, lattice, record_level=record_level)
     return result
 
 

@@ -14,11 +14,9 @@ from mvsde.measure import (
     default_dictionary,
     dirac,
     exact_sum,
-    lambda2_norm_squared,
     rho_lower,
     rho_upper,
     uniform_measure,
-    validate_test_function,
 )
 
 from conftest import random_coupled_pair, random_measure
@@ -50,27 +48,27 @@ def measures(draw, dim=None):
 
 class TestLambda2:
     def test_dirac_origin(self):
-        assert lambda2_norm_squared(dirac(0.0)) == 1.0
+        assert dirac(0.0).lambda2 == 1.0
 
     def test_unit_radius_atom(self):
-        assert lambda2_norm_squared(dirac([1.0])) == 4.0
-        assert lambda2_norm_squared(dirac([0.0, 1.0])) == 4.0
+        assert dirac([1.0]).lambda2 == 4.0
+        assert dirac([0.0, 1.0]).lambda2 == 4.0
 
     def test_two_atom_hand_sum(self):
         # atoms {0, (2,0)} with weights (1/2, 1/2): (1 + 9) / 2
         mu = EmpiricalMeasure(np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([0.5, 0.5]))
-        assert lambda2_norm_squared(mu) == pytest.approx(5.0, abs=1e-14)
+        assert mu.lambda2 == pytest.approx(5.0, abs=1e-14)
 
     @settings(max_examples=100, deadline=None)
     @given(measures())
     def test_matches_bruteforce(self, mu):
-        assert lambda2_norm_squared(mu) == pytest.approx(lambda2_bruteforce(mu), rel=1e-12)
+        assert mu.lambda2 == pytest.approx(lambda2_bruteforce(mu), rel=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(measures())
     def test_at_least_the_total_weight(self, mu):
         # the total may be 1 - 2^-53 (within WEIGHT_TOL), so 1 is not a bound
-        val = lambda2_norm_squared(mu)
+        val = mu.lambda2
         total = exact_sum(mu.weights)
         assert val >= total
         if mu.radii.max() > 1e-8:
@@ -78,13 +76,13 @@ class TestLambda2:
 
     def test_mass_just_below_one(self):
         mu = EmpiricalMeasure(np.zeros((2, 1)), np.array([0.5, 0.5 - 2.0**-53]))
-        assert lambda2_norm_squared(mu) == exact_sum(mu.weights) == 1.0 - 2.0**-53
+        assert mu.lambda2 == exact_sum(mu.weights) == 1.0 - 2.0**-53
 
     def test_dirac_scaling(self):
         for r in (0.0, 0.5, 1.0, 3.0, 17.0):
             x = np.zeros(3)
             x[0] = r
-            assert lambda2_norm_squared(dirac(x)) == pytest.approx((1.0 + r) ** 2, rel=1e-15)
+            assert dirac(x).lambda2 == pytest.approx((1.0 + r) ** 2, rel=1e-15)
 
 
 class TestInvariants:
@@ -150,9 +148,7 @@ class TestRhoLower:
     def test_scaled_coordinate_gap(self):
         # phi(x) = 0.8 x has norm exactly 1 (Lipschitz 0.8 plus weighted sup 0.2),
         # and separates the two point masses by 0.8
-        d = TestFunctionDictionary(
-            [TestFunction(tag="coord0", fn=lambda pts: 0.8 * pts[:, 0])], validated=True
-        )
+        d = TestFunctionDictionary([TestFunction(tag="coord0", fn=lambda pts: 0.8 * pts[:, 0])])
         assert rho_lower(dirac(0.0), dirac(1.0), d) == pytest.approx(0.8, abs=1e-15)
 
     def test_sandwich_on_coupled_pairs(self, rng):
@@ -164,53 +160,36 @@ class TestRhoLower:
 
     def test_empty_dictionary_rejected(self):
         with pytest.raises(MeasureError, match="empty"):
-            rho_lower(dirac(0.0), dirac(1.0), TestFunctionDictionary([], validated=True))
+            rho_lower(dirac(0.0), dirac(1.0), TestFunctionDictionary([]))
 
-    def test_unvalidated_dictionary_rejected(self):
-        d = TestFunctionDictionary([TestFunction(tag="t", fn=lambda pts: 0.0 * pts[:, 0])])
-        with pytest.raises(MeasureError, match="validated"):
-            rho_lower(dirac(0.0), dirac(1.0), d)
-
-    def test_validation_failure_names_entry(self):
-        d = TestFunctionDictionary([TestFunction(tag="steep", fn=lambda pts: pts[:, 0])])
-        with pytest.raises(MeasureError, match="steep"):
-            d.validate(lo=-5.0, hi=5.0, n_samples=512, seed=3)
+    def test_declared_bound_above_one_rejected(self):
+        with pytest.raises(MeasureError, match="declared bound"):
+            TestFunction(tag="steep", fn=lambda pts: pts[:, 0], bound=1.5)
 
 
-class TestValidateTestFunction:
-    def test_zero_function_passes(self):
-        rep = validate_test_function(lambda pts: 0.0 * pts[:, 0], lo=-5.0, hi=5.0, n_samples=256, seed=0)
-        assert rep.passed and rep.norm_estimate == 0.0
-
-    def test_plain_coordinate_fails(self):
-        # Lipschitz term 1 plus weighted sup near 1/4 once a sample lands near
-        # radius one pushes the estimate above 1
-        rep = validate_test_function(lambda pts: pts[:, 0], lo=-5.0, hi=5.0, n_samples=2048, seed=0)
-        assert not rep.passed
-        assert rep.norm_estimate > 1.0
-
-    def test_scaled_coordinate_passes(self):
-        rep = validate_test_function(lambda pts: 0.8 * pts[:, 0], lo=-5.0, hi=5.0, n_samples=2048, seed=0)
-        assert rep.passed
-        assert rep.norm_estimate <= 1.0 + 1e-9
-
-    def test_sample_count_floor(self):
-        with pytest.raises(MeasureError, match="100"):
-            validate_test_function(lambda pts: pts[:, 0], lo=-1.0, hi=1.0, n_samples=50)
-
-    def test_nonfinite_rejected(self):
-        rep = validate_test_function(
-            lambda pts: np.where(pts[:, 0] > 0, np.inf, 0.0), lo=-1.0, hi=1.0, n_samples=256
-        )
-        assert not rep.passed
-        assert "non-finite" in rep.reason
-
-    def test_default_dictionary_entries_survive_sampling(self):
-        for dim in (1, 2):
-            d = default_dictionary(dim)
-            d.validated = False
-            d.validate(lo=np.full(dim, -20.0), hi=np.full(dim, 20.0), n_samples=1024, seed=1)
-            assert d.validated
+class TestDefaultDictionary:
+    def test_norm_calibration(self):
+        # weighted sup |f(x)| / (1 + |x|)^2 <= 0.2 and pair ratio
+        # |f(x) - f(y)| / |x - y| <= 0.8, so every entry has norm at most one;
+        # points cluster near radius 1 (where the sup peaks) and run past the
+        # clip radius 10
+        rng = np.random.default_rng(5)
+        for dim in (1, 2, 3):
+            dirs = rng.standard_normal((600, dim))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            radii = np.concatenate([rng.uniform(0.9, 1.1, 300), rng.uniform(0.0, 30.0, 300)])
+            pts = dirs * radii[:, None]
+            weight = (1.0 + np.linalg.norm(pts, axis=1)) ** 2
+            near = pts + 1e-3 * rng.standard_normal(pts.shape)
+            far = pts[rng.permutation(pts.shape[0])]
+            for entry in default_dictionary(dim).entries:
+                vals = entry.fn(pts)
+                assert np.max(np.abs(vals) / weight) <= 0.2 * (1 + 1e-12)
+                for other in (near, far):
+                    gap = np.linalg.norm(pts - other, axis=1)
+                    keep = gap > 0
+                    ratio = np.abs(vals - entry.fn(other))[keep] / gap[keep]
+                    assert ratio.max() <= 0.8 * (1 + 1e-9), (dim, entry.tag)
 
 
 def _sum_outcome(fn, values):

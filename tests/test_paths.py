@@ -1,12 +1,9 @@
 import math
 import os
-import struct
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
 from mvsde import paths
@@ -15,10 +12,7 @@ from mvsde.paths import (
     GridError,
     LatticeError,
     coarsen,
-    dump_lattice,
-    load_lattice,
     make_grid,
-    particle_increments,
     sample_lattice,
 )
 
@@ -28,10 +22,6 @@ class TestDyadicGrid:
         grid = make_grid(1.0, 0)
         assert np.array_equal(grid.points(), [0.0, 1.0])
 
-    def test_floor_examples(self):
-        assert make_grid(1.0, 3).floor_point(0.3) == 0.25  # floor(8*0.3)/8
-        assert make_grid(2.0, 1).floor_point(1.7) == 1.0  # floor(2*1.7/2)*2/2
-
     def test_endpoints_exact(self):
         for horizon in (1.0, 2.0, 0.7, 3.25):
             for level in (0, 1, 5, 11):
@@ -39,21 +29,6 @@ class TestDyadicGrid:
                 assert pts[0] == 0.0
                 assert pts[-1] == horizon
                 assert (np.diff(pts) > 0).all()
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        horizon=st.floats(0.01, 100.0),
-        level=st.integers(0, 20),
-        frac=st.floats(0.0, 1.0),
-    )
-    def test_floor_property(self, horizon, level, frac):
-        grid = make_grid(horizon, level)
-        t = frac * horizon
-        floored = grid.floor_point(t)
-        assert floored <= t or math.isclose(floored, t, rel_tol=1e-15)
-        assert t - floored <= grid.step * (1 + 1e-12)
-        idx = grid.cell_index(t)
-        assert 0 <= idx < grid.num_cells
 
     def test_level_bounds(self):
         with pytest.raises(GridError):
@@ -65,10 +40,11 @@ class TestDyadicGrid:
 
     def test_out_of_range_time(self):
         grid = make_grid(1.0, 2)
+        assert grid.point(4) == 1.0
         with pytest.raises(GridError):
-            grid.floor_point(1.5)
+            grid.point(5)
         with pytest.raises(GridError):
-            grid.cell_index(-0.1)
+            grid.point(-1)
 
 
 class TestLatticeSampling:
@@ -76,12 +52,6 @@ class TestLatticeSampling:
         a = sample_lattice(42, 5, 2, 6, 1.0)
         b = sample_lattice(42, 5, 2, 6, 1.0)
         assert a.increments.tobytes() == b.increments.tobytes()
-
-    def test_particle_rows_regenerable(self):
-        lat = sample_lattice(7, 6, 2, 5, 2.0)
-        for p in (0, 3, 5):
-            row = particle_increments(7, p, 2, 5, 2.0)
-            assert np.array_equal(row, lat.increments[p])
 
     def test_workers_do_not_change_bytes(self):
         a = sample_lattice(11, 37, 1, 8, 1.0, workers=1)
@@ -126,12 +96,14 @@ class TestLatticeSampling:
         assert sizes == [3]
         assert wide.increments.tobytes() == sample_lattice(11, 37, 1, 6, 1.0, workers=1).increments.tobytes()
 
-    def test_memory_cap_advises_streaming(self):
-        with pytest.raises(LatticeError, match="particle_increments"):
-            sample_lattice(0, 10, 1, 20, 1.0, memory_cap=1024)
+    def test_memory_guard(self):
+        # 4096 x 2^20 increments would take 32 GiB; the guard raises before
+        # anything is allocated
+        with pytest.raises(LatticeError, match="memory limit"):
+            sample_lattice(0, 4096, 1, 20, 1.0)
 
     def test_level_guard(self):
-        with pytest.raises(LatticeError, match="particle_increments"):
+        with pytest.raises(LatticeError, match="level limit"):
             sample_lattice(0, 1, 1, 31, 1.0)
 
     def test_marginal_variance(self):
@@ -205,60 +177,3 @@ class TestCoarsen:
         lat = sample_lattice(1, 1, 1, 3, 1.0)
         with pytest.raises(LatticeError):
             coarsen(lat, 4)
-
-
-class TestDumpRestore:
-    def test_roundtrip_exact(self, tmp_path):
-        lat = sample_lattice(123456789, 5, 3, 7, 2.5)
-        path = tmp_path / "lattice.bin"
-        dump_lattice(lat, path)
-        back = load_lattice(path)
-        assert back.seed == lat.seed
-        assert back.n_particles == lat.n_particles
-        assert back.dim == lat.dim
-        assert back.level == lat.level
-        assert back.horizon == lat.horizon
-        assert back.increments.tobytes() == lat.increments.tobytes()
-
-    def test_header_layout(self, tmp_path):
-        lat = sample_lattice(1, 1, 1, 0, 1.0)
-        path = tmp_path / "lattice.bin"
-        dump_lattice(lat, path)
-        blob = path.read_bytes()
-        assert blob[:5] == b"MVBL1"
-        assert len(blob) == 5 + 5 * 8 + 1 * 1 * 1 * 8
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "not-a-lattice.bin"
-        path.write_bytes(b"NOPE!" + b"\x00" * 64)
-        with pytest.raises(LatticeError, match="magic"):
-            load_lattice(path)
-
-    def test_truncated(self, tmp_path):
-        lat = sample_lattice(1, 2, 1, 3, 1.0)
-        path = tmp_path / "lattice.bin"
-        dump_lattice(lat, path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(LatticeError, match="truncated lattice dump"):
-            load_lattice(path)
-
-    def test_trailing_bytes(self, tmp_path):
-        path = tmp_path / "lattice.bin"
-        dump_lattice(sample_lattice(1, 2, 1, 3, 1.0), path)
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(LatticeError, match="trailing bytes"):
-            load_lattice(path)
-
-    def test_short_header(self, tmp_path):
-        path = tmp_path / "lattice.bin"
-        dump_lattice(sample_lattice(1, 2, 1, 3, 1.0), path)
-        path.write_bytes(path.read_bytes()[:20])
-        with pytest.raises(LatticeError, match="header"):
-            load_lattice(path)
-
-    def test_header_level_bounded_before_allocation(self, tmp_path):
-        # level 60 would ask for 2^60 steps; the header alone must be refused
-        path = tmp_path / "lattice.bin"
-        path.write_bytes(b"MVBL1" + struct.pack("<QQQQd", 0, 1, 1, 60, 1.0))
-        with pytest.raises(LatticeError, match="level 60"):
-            load_lattice(path)

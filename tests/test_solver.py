@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mvsde.measure import EmpiricalMeasure, MeasureError, lambda2_norm_squared
+from mvsde.measure import MeasureError, uniform_measure
 from mvsde.models import CoefficientModel, mf_ou, osgood, with_mf_ou_oracles
 from mvsde.paths import BrownianLattice, sample_lattice
 from mvsde.solver import (
@@ -17,7 +17,6 @@ from mvsde.solver import (
     em_run,
     run_single,
     sample_initial,
-    to_measure,
 )
 
 
@@ -72,22 +71,22 @@ class TestSampleInitial:
 
 class TestToMeasure:
     def test_single_particle(self):
-        mu = to_measure(ParticleEnsemble(np.array([[3.0]])))
+        mu = uniform_measure(np.array([[3.0]]))
         assert mu.num_atoms == 1 and mu.support[0, 0] == 3.0 and mu.weights[0] == 1.0
 
     def test_mean(self):
-        mu = to_measure(ParticleEnsemble(np.array([[0.0], [2.0]])))
+        mu = uniform_measure(np.array([[0.0], [2.0]]))
         assert mu.mean[0] == 1.0
 
     def test_lambda2_definition_chase(self):
         states = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]])
-        mu = to_measure(ParticleEnsemble(states))
+        mu = uniform_measure(states)
         expected = np.mean((1.0 + np.linalg.norm(states, axis=1)) ** 2)
-        assert lambda2_norm_squared(mu) == pytest.approx(expected, rel=1e-14)
+        assert mu.lambda2 == pytest.approx(expected, rel=1e-14)
 
     def test_snapshot_is_decoupled(self):
         ens = ParticleEnsemble(np.array([[1.0]]))
-        mu = to_measure(ens)
+        mu = uniform_measure(ens.states)
         ens.states[0, 0] = 99.0
         assert mu.support[0, 0] == 1.0
 
@@ -186,6 +185,7 @@ class TestEmRun:
         model = osgood(c=100.0)
         with pytest.raises(BlowUpError) as err:
             run_single(model, PointMass(1.0), seed=0, level=3, n_particles=4, horizon=8.0)
+        assert err.value.level == 3
         assert err.value.step >= 0
         assert 0 <= err.value.particle < 4
         assert np.abs(err.value.state).max() > 1e8 or not np.isfinite(err.value.state).all()
@@ -209,56 +209,6 @@ class TestEmRun:
             em_run(model, ParticleEnsemble(np.zeros((5, 1))), 3, lat)
         with pytest.raises(SolverError, match="dimension"):
             em_run(mf_ou(dim=2), ens, 3, lat)
-
-
-class TestInCellRecording:
-    def test_deterministic_segments_are_piecewise_linear(self):
-        # b = -x, sigma = 0: inside a cell the identity gives
-        # X_i * (1 - k * h_fine), with the cell endpoint from the recursion
-        model = mf_ou(theta=1.0, alpha=0.0, s=0.0)
-        lat = sample_lattice(2, 1, 1, 6, 1.0)
-        ens = sample_initial(PointMass(1.0), 1, 1, seed=2)
-        traj = em_run(model, ens, 2, lat, record_level=4, in_cell=True)
-        coarse = em_run(model, ens, 2, lat)
-        h_fine = 1.0 / 16
-        for i in range(4):
-            left = coarse.states[i, 0, 0]
-            for k in range(1, 4):
-                expected = left + (k * h_fine) * (-left)
-                assert traj.states[4 * i + k, 0, 0] == expected
-            assert traj.states[4 * (i + 1), 0, 0] == coarse.states[i + 1, 0, 0]
-
-    def test_constant_coefficients_match_fine_path(self):
-        # zero drift, constant sigma: the in-cell record is x0 + s * W at every
-        # fine point, same as running the scheme at the fine level
-        model = mf_ou(theta=0.0, alpha=0.0, s=0.7)
-        lat = sample_lattice(3, 8, 1, 7, 1.0)
-        ens = sample_initial(PointMass(0.5), 8, 1, seed=3)
-        dense = em_run(model, ens, 3, lat, record_level=7, in_cell=True)
-        fine = em_run(model, ens, 7, lat)
-        assert np.allclose(dense.states, fine.states, rtol=0, atol=1e-14)
-
-    def test_requires_flag_below_step_scale(self):
-        model = mf_ou()
-        lat = sample_lattice(0, 2, 1, 5, 1.0)
-        ens = sample_initial(PointMass(0.0), 2, 1, seed=0)
-        with pytest.raises(SolverError, match="in_cell"):
-            em_run(model, ens, 3, lat, record_level=5)
-        traj = em_run(model, ens, 3, lat, record_level=5, in_cell=True)
-        assert traj.times.shape[0] == 33
-
-    def test_dense_sup_dominates_coarse_sup(self):
-        from mvsde.analysis import strong_error
-
-        model = mf_ou()
-        law = GaussianLaw(0.0, 1.0)
-        runs_dense = em_multilevel(model, law, seed=4, levels=[3], finest=8,
-                                   n_particles=64, horizon=1.0, record_level=6, in_cell=True)
-        runs_coarse = em_multilevel(model, law, seed=4, levels=[3], finest=8,
-                                    n_particles=64, horizon=1.0, record_level=3)
-        dense_est, _ = strong_error(runs_dense[8], runs_dense[3])
-        coarse_est, _ = strong_error(runs_coarse[8], runs_coarse[3])
-        assert dense_est >= coarse_est
 
 
 class TestEmMultilevel:
