@@ -5,8 +5,6 @@ and strong-rate diagnostics."""
 
 from .measure import (
     EmpiricalMeasure,
-    TestFunction,
-    TestFunctionDictionary,
     default_dictionary,
     dirac,
     rho_lower,

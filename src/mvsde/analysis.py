@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import (
-    TestFunctionDictionary,
-    default_dictionary,
-    exact_sum,
-    rho_lower,
-    rho_upper,
-    uniform_measure,
-)
+from .measure import default_dictionary, exact_sum, rho_lower, rho_upper, uniform_measure
 from .models import ModulusKappaEta
 from .solver import TrajectorySet
 
@@ -38,7 +31,6 @@ __all__ = [
     "BihariReport",
     "bihari_ode_check",
     "SANDWICH_RTOL",
-    "sandwich_holds",
     "LawGapReport",
     "law_gap_curve",
 ]
@@ -64,14 +56,8 @@ def _mean_se(per_particle: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class RateReport:
-    levels: tuple[int, ...]
-    errors: tuple[float, ...]
-    stderrs: tuple[float, ...] | None
     slope: float
     intercept: float
-    n_particles: int | None = None
-    seed: int | None = None
-    model_id: str | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.slope) and math.isfinite(self.intercept)):
@@ -93,14 +79,7 @@ def strong_error(ref: TrajectorySet, coarse: TrajectorySet) -> tuple[float, floa
     return _mean_se(sup_sq)
 
 
-def fit_rate(
-    levels,
-    errors,
-    stderrs=None,
-    n_particles: int | None = None,
-    seed: int | None = None,
-    model_id: str | None = None,
-) -> RateReport:
+def fit_rate(levels, errors) -> RateReport:
     """Ordinary least squares of log2(error) on the level index."""
     levels = [int(v) for v in levels]
     errors = [float(e) for e in errors]
@@ -113,16 +92,7 @@ def fit_rate(
     if any(not (e > 0 and math.isfinite(e)) for e in errors):
         raise AnalysisError("errors must be positive and finite to take logs")
     slope, intercept = np.polyfit(np.asarray(levels, dtype=np.float64), np.log2(errors), 1)
-    return RateReport(
-        levels=tuple(levels),
-        errors=tuple(errors),
-        stderrs=None if stderrs is None else tuple(float(s) for s in stderrs),
-        slope=float(slope),
-        intercept=float(intercept),
-        n_particles=n_particles,
-        seed=seed,
-        model_id=model_id,
-    )
+    return RateReport(slope=float(slope), intercept=float(intercept))
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +259,9 @@ class BihariReport:
     numeric_only: bool
 
 
-def bihari_ode_check(kappa, scale: float, eps: float, horizon: float, n_eval: int = 257) -> BihariReport:
-    """Integrate z' = scale * kappa(z), z(0) = eps, with a high-order method.
+def bihari_ode_check(kappa, scale: float, eps: float, horizon: float) -> BihariReport:
+    """Integrate z' = scale * kappa(z), z(0) = eps, with a high-order method,
+    reporting the path at 257 equally spaced times.
 
     eps = 0 returns the identically-zero path (the comparison argument pins
     the trivial solution).  When ``kappa`` is the concave log modulus and the
@@ -303,7 +274,7 @@ def bihari_ode_check(kappa, scale: float, eps: float, horizon: float, n_eval: in
         raise AnalysisError(f"initial value must be nonnegative, got {eps}")
     if horizon <= 0 or scale < 0:
         raise AnalysisError("need horizon > 0 and scale >= 0")
-    times = np.linspace(0.0, horizon, n_eval)
+    times = np.linspace(0.0, horizon, 257)
     is_log_modulus = isinstance(kappa, ModulusKappaEta)
     if eps == 0.0:
         zeros = np.zeros_like(times)
@@ -350,15 +321,10 @@ def bihari_ode_check(kappa, scale: float, eps: float, horizon: float, n_eval: in
 # law-gap curves
 # ---------------------------------------------------------------------------
 
-#: relative slack of the metric sandwich lower <= upper, for rounding in the
-#: separately summed integrals of the two bounds
+#: relative slack of the metric sandwich lower <= upper, taken relative to
+#: max(1, upper), for rounding in the separately summed integrals of the
+#: two bounds
 SANDWICH_RTOL = 1e-9
-
-
-def sandwich_holds(lower, upper) -> np.ndarray:
-    """Pointwise lower <= upper, up to ``SANDWICH_RTOL`` relative to max(1, upper)."""
-    upper = np.asarray(upper, dtype=np.float64)
-    return np.asarray(lower) <= upper + SANDWICH_RTOL * np.maximum(1.0, upper)
 
 
 @dataclass(frozen=True)
@@ -369,32 +335,21 @@ class LawGapReport:
     coupling: str
 
 
-def law_gap_curve(
-    traj_a: TrajectorySet,
-    traj_b: TrajectorySet,
-    dictionary: TestFunctionDictionary | None = None,
-    coupling: str = "auto",
-) -> LawGapReport:
+def law_gap_curve(traj_a: TrajectorySet, traj_b: TrajectorySet) -> LawGapReport:
     """Two-sided law gap per record point between two equal-size ensembles.
 
-    The upper curve is a coupled mean distance; with ``coupling='auto'`` the
-    one-dimensional case uses the monotone (sorted) pairing, the tightest
-    order-one coupling available there, while higher dimensions keep the
-    index pairing.  The lower curve maximizes over the dictionary (default:
-    ``default_dictionary``).  The sandwich lower <= upper is asserted
-    pointwise, see ``sandwich_holds``.
+    The upper curve is a coupled mean distance; the one-dimensional case uses
+    the monotone (sorted) pairing, the tightest order-one coupling available
+    there, while higher dimensions keep the index pairing.  The lower curve
+    maximizes over ``default_dictionary``.  The sandwich lower <= upper is
+    asserted pointwise, up to ``SANDWICH_RTOL``.
     """
     if traj_a.n_particles != traj_b.n_particles or traj_a.dim != traj_b.dim:
         raise AnalysisError("trajectories have mismatched shapes")
     if not np.array_equal(traj_a.times, traj_b.times):
         raise AnalysisError("trajectories are recorded on different grids")
-    if coupling not in ("auto", "index", "sorted"):
-        raise AnalysisError(f"unknown coupling {coupling!r}")
-    use_sorted = coupling == "sorted" or (coupling == "auto" and traj_a.dim == 1)
-    if coupling == "sorted" and traj_a.dim != 1:
-        raise AnalysisError("sorted coupling is available in dimension 1 only")
-    if dictionary is None:
-        dictionary = default_dictionary(traj_a.dim)
+    use_sorted = traj_a.dim == 1
+    dictionary = default_dictionary(traj_a.dim)
     uppers = np.empty(traj_a.times.shape[0])
     lowers = np.empty_like(uppers)
     for j in range(traj_a.times.shape[0]):
@@ -409,7 +364,7 @@ def law_gap_curve(
             mu_c, nu_c = mu, nu
         uppers[j] = rho_upper(mu_c, nu_c)
         lowers[j] = rho_lower(mu, nu, dictionary)
-        if not sandwich_holds(lowers[j], uppers[j]):
+        if not lowers[j] <= uppers[j] + SANDWICH_RTOL * max(1.0, uppers[j]):
             raise AnalysisError(
                 f"metric sandwich violated at t={traj_a.times[j]:.6g}: "
                 f"lower {lowers[j]:.6g} > upper {uppers[j]:.6g}"

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import analysis, models
 from .config import ConfigError, ExperimentConfig, load_config
-from .measure import default_dictionary
-from .models import GrowthSampleSpec, PairSampleSpec, make_model, with_mf_ou_oracles
+from .models import make_model, with_mf_ou_oracles
 from .solver import BlowUpError, em_multilevel, run_single
 
 EXIT_OK = 0
@@ -188,10 +187,7 @@ def _analyse_rate(cfg, model, trajectories, out, gate):
         est, se = analysis.strong_error(ref, trajectories[lvl])
         errors.append(est)
         stderrs.append(se)
-    report = analysis.fit_rate(
-        cfg.levels, errors, stderrs,
-        n_particles=cfg.n_particles, seed=cfg.seed, model_id=cfg.model_id,
-    )
+    report = analysis.fit_rate(cfg.levels, errors)
     _write_csv(out / "rate.csv", ["level", "error", "stderr"], [cfg.levels, errors, stderrs])
     _write_gnuplot(
         out / "rate.gp",
@@ -268,7 +264,7 @@ def _analyse_moments(cfg, model, trajectories, out, gate):
 
 def _analyse_metric(cfg, model, trajectories, out, gate):
     traj_a, traj_b = trajectories
-    report = analysis.law_gap_curve(traj_a, traj_b, default_dictionary(cfg.dim))
+    report = analysis.law_gap_curve(traj_a, traj_b)
     _write_csv(
         out / "metric.csv",
         ["time", "rho_upper", "rho_lower"],
@@ -287,15 +283,15 @@ def _analyse_metric(cfg, model, trajectories, out, gate):
         "coupling": report.coupling,
         "max_upper": float(report.upper.max()),
         "max_lower": float(report.lower.max()),
-        "sandwich": bool(analysis.sandwich_holds(report.lower, report.upper).all()),
+        # law_gap_curve raises AnalysisError at any point where the sandwich
+        # fails, so a written summary always holds it
+        "sandwich": True,
     }
     return entries, None
 
 
 def _analyse_check(cfg, model, trajectories, out, gate):
-    growth = models.check_linear_growth(
-        model, GrowthSampleSpec(count=cfg.check_count), seed=cfg.seed
-    )
+    growth = models.check_linear_growth(model, count=cfg.check_count, seed=cfg.seed)
     rows = [("linear_growth", growth.passed, growth.fitted_l1, "", growth.failure)]
     entries = {
         "seed": cfg.seed,
@@ -306,9 +302,7 @@ def _analyse_check(cfg, model, trajectories, out, gate):
         entries["linear_growth.failure"] = growth.failure
     ok = growth.passed
     if model.assumption_class == "H1+H2'":
-        h2p = models.check_h2prime(
-            model, PairSampleSpec(count=cfg.check_pairs), seed=cfg.seed
-        )
+        h2p = models.check_h2prime(model, count=cfg.check_pairs, seed=cfg.seed)
         rows.append(("h2prime", h2p.passed, h2p.fitted_lambda1, h2p.fitted_lambda2, h2p.failure))
         entries["h2prime.passed"] = h2p.passed
         entries["h2prime.fitted_lambda1"] = h2p.fitted_lambda1
@@ -386,7 +380,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.threads is not None and args.threads < 1:
+    if args.threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return EXIT_CONFIG
     try:

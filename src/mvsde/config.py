@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .models import FIXED_DIM, PARAM_SCHEMA
-from .solver import GaussianLaw, InitialLaw, PointMass, UniformBox
+from .solver import BLOWUP_LIMIT, GaussianLaw, InitialLaw, PointMass, UniformBox
 
 __all__ = ["ConfigError", "ExperimentConfig", "KEYS", "parse_config_text", "load_config", "KINDS"]
 
@@ -62,6 +62,14 @@ def _vector(text: str):
     return float(vec[0]) if vec.size == 1 else vec
 
 
+def _location(text: str):
+    """A ``_vector`` whose components the solver's blow-up guard admits."""
+    vec = _vector(text)
+    if np.max(np.abs(vec)) > BLOWUP_LIMIT:
+        raise ValueError(f"magnitude above the blow-up limit {BLOWUP_LIMIT:g}")
+    return vec
+
+
 def _levels(text: str) -> tuple[int, ...]:
     try:
         levels = tuple(int(tok) for tok in text.replace(",", " ").split())
@@ -90,11 +98,11 @@ KEYS = {
     "sim.finest": ("finest", _integer, None),
     "sim.record_level": ("record_level", _integer, None),
     "init.law": (None, str.lower, "point"),
-    "init.x0": (None, _vector, 0.0),
-    "init.mean": (None, _vector, 0.0),
+    "init.x0": (None, _location, 0.0),
+    "init.mean": (None, _location, 0.0),
     "init.cov": (None, _vector, 1.0),
-    "init.lo": (None, _vector, -1.0),
-    "init.hi": (None, _vector, 1.0),
+    "init.lo": (None, _location, -1.0),
+    "init.hi": (None, _location, 1.0),
     "moments.p": ("moment_order", _integer, 1),
     "metric.seed_b": ("seed_b", _integer, None),
     "check.count": ("check_count", _integer, 2000),

@@ -6,8 +6,9 @@ most one; that supremum is not computable exactly, so this module brackets it:
 
 * ``rho_upper`` -- the coupled mean distance over an index-matched pair, an
   upper bound for any coupling of the two measures;
-* ``rho_lower`` -- the same supremum restricted to the default dictionary
-  of norm-one test functions, hence a lower bound.
+* ``rho_lower`` -- the same supremum restricted to a dictionary
+  ``{tag: fn}`` of norm-one test functions (``default_dictionary``), hence a
+  lower bound.
 
 All cross-particle reductions go through :func:`exact_sum`, which returns the
 correctly rounded sum (bit for bit what :func:`math.fsum` returns) and is
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -40,8 +41,6 @@ __all__ = [
     "CouplingError",
     "EmpiricalMeasure",
     "exact_sum",
-    "TestFunction",
-    "TestFunctionDictionary",
     "dirac",
     "uniform_measure",
     "rho_upper",
@@ -52,9 +51,12 @@ __all__ = [
 #: permitted deviation of the total mass from 1
 WEIGHT_TOL = 1e-12
 
+#: clip radius of the default dictionary's ramps and radial function
+CLIP_RADIUS = 10.0
+
 
 class MeasureError(ValueError):
-    """Invalid measure, dictionary or test-function input."""
+    """Invalid measure or dictionary input."""
 
 
 class CouplingError(MeasureError):
@@ -222,70 +224,39 @@ def rho_upper(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     return exact_sum(mu.weights * gaps)
 
 
-def rho_lower(mu: EmpiricalMeasure, nu: EmpiricalMeasure, dictionary: "TestFunctionDictionary") -> float:
-    """Best integral gap over a dictionary of norm-one test functions."""
-    if len(dictionary.entries) == 0:
+def rho_lower(mu: EmpiricalMeasure, nu: EmpiricalMeasure, dictionary: dict[str, Callable]) -> float:
+    """Best integral gap over a dictionary ``{tag: fn}`` of vectorized
+    norm-one test functions."""
+    if not dictionary:
         raise MeasureError("empty test-function dictionary")
     best = 0.0
-    for entry in dictionary.entries:
-        gap = abs(mu.integrate(entry.fn) - nu.integrate(entry.fn))
+    for fn in dictionary.values():
+        gap = abs(mu.integrate(fn) - nu.integrate(fn))
         if gap > best:
             best = gap
     return best
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """Vectorized test function with a declared norm bound at most one."""
+def default_dictionary(dim: int) -> dict[str, Callable]:
+    """Dictionary ``{tag: fn}`` of norm-one test functions, valid by construction.
 
-    __test__ = False  # not a pytest collection target
-
-    tag: str
-    fn: Callable[[np.ndarray], np.ndarray]
-    bound: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.bound <= 1.0):
-            raise MeasureError(f"entry {self.tag!r}: declared bound {self.bound} exceeds 1")
-
-
-@dataclass
-class TestFunctionDictionary:
-    __test__ = False  # not a pytest collection target
-
-    entries: Sequence[TestFunction]
-
-    def __post_init__(self) -> None:
-        self.entries = tuple(self.entries)
-
-
-def default_dictionary(dim: int, radius: float = 10.0) -> TestFunctionDictionary:
-    """Dictionary of norm-one test functions, valid by construction.
-
-    Coordinate projections, clipped coordinate ramps and a clipped radial
-    function, each scaled by 0.8: their Lipschitz constant is then 0.8 and the
-    weighted sup term peaks at 0.8 * 1/4 (at radius one), so the norm is
-    exactly one for any ``radius >= 1``.
+    Coordinate projections, coordinate ramps and a radial function, the last
+    two clipped at ``CLIP_RADIUS``, each scaled by 0.8: their Lipschitz
+    constant is then 0.8 and the weighted sup term peaks at 0.8 * 1/4 (at
+    radius one), so the norm is exactly one because ``CLIP_RADIUS >= 1``.
     """
     if dim < 1:
         raise MeasureError("dimension must be at least 1")
-    if radius < 1.0:
-        raise MeasureError("clip radius below 1 would change the norm calibration")
-    entries: list[TestFunction] = []
+    entries: dict[str, Callable] = {}
 
     def _coord(k: int) -> Callable[[np.ndarray], np.ndarray]:
         return lambda pts: 0.8 * pts[:, k]
 
     def _ramp(k: int) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda pts: 0.8 * np.clip(pts[:, k], -radius, radius)
+        return lambda pts: 0.8 * np.clip(pts[:, k], -CLIP_RADIUS, CLIP_RADIUS)
 
     for k in range(dim):
-        entries.append(TestFunction(tag=f"coord{k}", fn=_coord(k)))
-        entries.append(TestFunction(tag=f"ramp{k}", fn=_ramp(k)))
-    entries.append(
-        TestFunction(
-            tag="radial",
-            fn=lambda pts: 0.8 * np.minimum(np.linalg.norm(pts, axis=1), radius),
-        )
-    )
-    return TestFunctionDictionary(entries)
+        entries[f"coord{k}"] = _coord(k)
+        entries[f"ramp{k}"] = _ramp(k)
+    entries["radial"] = lambda pts: 0.8 * np.minimum(np.linalg.norm(pts, axis=1), CLIP_RADIUS)
+    return entries

@@ -46,10 +46,8 @@ __all__ = [
     "CoefficientModel",
     "drift_eval",
     "diffusion_eval",
-    "GrowthSampleSpec",
     "GrowthReport",
     "check_linear_growth",
-    "PairSampleSpec",
     "H2PrimeReport",
     "check_h2prime",
     "mf_ou",
@@ -126,11 +124,9 @@ def gamma_log(r):
 
 
 def _gamma_one(r):
-    arr = np.asarray(r, dtype=np.float64)
-    out = np.ones_like(arr)
     if np.isscalar(r) or np.ndim(r) == 0:
         return 1.0
-    return out
+    return np.ones(np.shape(r))
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +141,8 @@ class CoefficientModel:
     ``diffusion_apply`` maps them and an increment batch dw (n, d) to
     ``sigma(x, mu) @ dw`` (n, d), the only form the solver needs.  The matrix
     sigma (n, d, d) is derived from it (``_diffusion_matrix``).
-    ``gamma1``/``gamma2`` are the declared continuity
-    moduli used by :func:`check_h2prime`; ``moment_oracle(t, p)`` returns the
+    ``gamma1``/``gamma2`` are the declared continuity moduli, which
+    :func:`check_h2prime` requires; ``moment_oracle(t, p)`` returns the
     exact 2p-th absolute moment when available (order 1 only for the catalog).
     """
 
@@ -164,7 +160,7 @@ class CoefficientModel:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ModelError(f"dimension must be positive, got {self.dim}")
-        if self.assumption_class not in ("H1-only", "H1+H2", "H1+H2'"):
+        if self.assumption_class not in ("H1-only", "H1+H2'"):
             raise ModelError(f"unknown assumption class {self.assumption_class!r}")
 
 
@@ -396,19 +392,8 @@ def make_model(model_id: str, dim: int = 1, params: dict | None = None) -> Coeff
 # assumption checkers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GrowthSampleSpec:
-    """Escalating scale ladder for the growth check.
-
-    Sample i draws a state and an atom cloud at radius geomspace(base_scale,
-    max_scale)[i], so unbounded growth ratios show up as instability between
-    the two halves of the ladder.
-    """
-
-    count: int = 2000
-    base_scale: float = 1.0
-    max_scale: float = 256.0
-    measure_atoms: int = 8
+#: support size of the uniform laws both checkers sample
+_CHECK_ATOMS = 8
 
 
 @dataclass(frozen=True)
@@ -421,25 +406,23 @@ class GrowthReport:
     failure: str = ""
 
 
-def check_linear_growth(
-    model: CoefficientModel,
-    spec: GrowthSampleSpec = GrowthSampleSpec(),
-    seed: int = 0,
-) -> GrowthReport:
+def check_linear_growth(model: CoefficientModel, count: int = 2000, seed: int = 0) -> GrowthReport:
     """Sample (|b|^2 + |sigma|^2) / (1 + |x|^2 + lambda2(mu)) on a scale ladder.
 
-    Passes iff every ratio is finite and the maximum over the second (larger
-    scale) half is at most twice the maximum over the first half.  The
-    overall maximum is reported as the fitted growth constant.
+    Sample i draws a state and an atom cloud at radius geomspace(1, 256)[i],
+    so unbounded growth ratios show up as instability between the two halves
+    of the ladder.  Passes iff every ratio is finite and the maximum over the
+    second (larger scale) half is at most twice the maximum over the first
+    half.  The overall maximum is reported as the fitted growth constant.
     """
-    if spec.count < 1000:
-        raise ModelError(f"growth check needs at least 1000 samples, got {spec.count}")
+    if count < 1000:
+        raise ModelError(f"growth check needs at least 1000 samples, got {count}")
     rng = np.random.default_rng(seed)
-    scales = np.geomspace(spec.base_scale, spec.max_scale, spec.count)
-    ratios = np.empty(spec.count)
+    scales = np.geomspace(1.0, 256.0, count)
+    ratios = np.empty(count)
     for i, scale in enumerate(scales):
         x = scale * rng.uniform(-1.0, 1.0, size=model.dim)
-        atoms = scale * rng.uniform(-1.0, 1.0, size=(spec.measure_atoms, model.dim))
+        atoms = scale * rng.uniform(-1.0, 1.0, size=(_CHECK_ATOMS, model.dim))
         mu = uniform_measure(atoms)
         b = np.asarray(model.drift(x[None, :], mu))[0]
         sig = _diffusion_matrix(model, x[None, :], mu)[0]
@@ -452,11 +435,11 @@ def check_linear_growth(
                 fitted_l1=math.inf,
                 first_half_max=math.nan,
                 second_half_max=math.nan,
-                count=spec.count,
+                count=count,
                 failure=f"non-finite ratio at sample {i}: x={x}, scale={scale:.3g}",
             )
         ratios[i] = ratio
-    half = spec.count // 2
+    half = count // 2
     first = float(ratios[:half].max())
     second = float(ratios[half:].max())
     passed = second <= 2.0 * first
@@ -469,22 +452,9 @@ def check_linear_growth(
         fitted_l1=float(ratios.max()),
         first_half_max=first,
         second_half_max=second,
-        count=spec.count,
+        count=count,
         failure=failure,
     )
-
-
-@dataclass(frozen=True)
-class PairSampleSpec:
-    """Pair ladder for the continuity check: separations sweep
-    [delta_min, delta_max] from large to small, with every other base point
-    placed at the separation scale to probe behaviour near the origin."""
-
-    count: int = 2000
-    delta_min: float = 1e-10
-    delta_max: float = 1.0
-    base_scale: float = 1.0
-    measure_atoms: int = 8
 
 
 @dataclass(frozen=True)
@@ -501,17 +471,14 @@ class H2PrimeReport:
     failure: str = ""
 
 
-def check_h2prime(
-    model: CoefficientModel,
-    spec: PairSampleSpec = PairSampleSpec(),
-    seed: int = 0,
-    eta: float = DEFAULT_ETA,
-) -> H2PrimeReport:
+def check_h2prime(model: CoefficientModel, count: int = 2000, seed: int = 0) -> H2PrimeReport:
     """Sample the log-Lipschitz continuity ratios over coupled pairs.
 
     Drift ratio: |b(x1,mu1) - b(x2,mu2)| / (|dx| gamma1(|dx|) + rho_upper);
-    diffusion ratio: |sigma gap|^2 / (|dx|^2 gamma2(|dx|) + rho_upper^2).
-    Separations run from ``delta_max`` down to ``delta_min``; passing means
+    diffusion ratio: |sigma gap|^2 / (|dx|^2 gamma2(|dx|) + rho_upper^2),
+    with the model's declared moduli ``gamma1`` and ``gamma2``.
+    Separations run from 1 down to 1e-10, with every other base point placed
+    at the separation scale to probe behaviour near the origin; passing means
     both ratio maxima are finite and the small-separation half does not
     exceed twice the large-separation half.
 
@@ -522,26 +489,23 @@ def check_h2prime(
     """
     if model.assumption_class != "H1+H2'":
         raise ModelError(f"model {model.model_id!r} does not declare the continuity class")
-    if spec.count < 100:
-        raise ModelError(f"continuity check needs at least 100 samples, got {spec.count}")
-    gamma1 = model.gamma1
-    gamma2 = model.gamma2
+    gamma1, gamma2 = model.gamma1, model.gamma2
     if gamma1 is None or gamma2 is None:
-        # fall back to the concave modulus shape at the supplied knee
-        gamma1 = gamma1 or (lambda r: kappa_eta(r, eta) / r)
-        gamma2 = gamma2 or (lambda r: kappa_eta(r, eta) / r)
+        raise ModelError(f"model {model.model_id!r} declares the continuity class without gamma1 and gamma2 moduli")
+    if count < 100:
+        raise ModelError(f"continuity check needs at least 100 samples, got {count}")
     rng = np.random.default_rng(seed)
-    deltas = np.geomspace(spec.delta_max, spec.delta_min, spec.count)
-    r1 = np.empty(spec.count)
-    r2 = np.empty(spec.count)
+    deltas = np.geomspace(1.0, 1e-10, count)
+    r1 = np.empty(count)
+    r2 = np.empty(count)
     for i, delta in enumerate(deltas):
-        scale = spec.base_scale if i % 2 == 0 else delta
+        scale = 1.0 if i % 2 == 0 else delta
         x1 = scale * rng.uniform(-1.0, 1.0, size=model.dim)
         direction = rng.standard_normal(model.dim)
         direction /= np.linalg.norm(direction)
         x2 = x1 + delta * direction
-        atoms = spec.base_scale * rng.uniform(-1.0, 1.0, size=(spec.measure_atoms, model.dim))
-        mu_gap = float(np.exp(rng.uniform(math.log(spec.delta_min), math.log(spec.delta_max))))
+        atoms = rng.uniform(-1.0, 1.0, size=(_CHECK_ATOMS, model.dim))
+        mu_gap = float(np.exp(rng.uniform(math.log(1e-10), math.log(1.0))))
         shift_dir = rng.standard_normal(model.dim)
         shift_dir /= np.linalg.norm(shift_dir)
         mu1 = uniform_measure(atoms)
@@ -563,10 +527,10 @@ def check_h2prime(
                 drift_second_half_max=math.nan,
                 diffusion_first_half_max=math.nan,
                 diffusion_second_half_max=math.nan,
-                count=spec.count,
+                count=count,
                 failure=f"non-finite ratio at sample {i}: x1={x1}, separation={delta:.3g}",
             )
-    half = spec.count // 2
+    half = count // 2
     d1a, d1b = float(r1[:half].max()), float(r1[half:].max())
     d2a, d2b = float(r2[:half].max()), float(r2[half:].max())
     passed = d1b <= 2.0 * d1a and d2b <= 2.0 * d2a
@@ -582,6 +546,6 @@ def check_h2prime(
         drift_second_half_max=d1b,
         diffusion_first_half_max=d2a,
         diffusion_second_half_max=d2b,
-        count=spec.count,
+        count=count,
         failure=failure,
     )

@@ -46,13 +46,8 @@ def _rate_study(model):
             n_particles=2000,
             horizon=1.0,
         )
-        errors, stderrs = [], []
-        for lvl in LEVELS:
-            est, se = M.strong_error(runs[REFERENCE], runs[lvl])
-            errors.append(est)
-            stderrs.append(se)
-        report = M.fit_rate(LEVELS, errors, stderrs, n_particles=2000, seed=seed,
-                            model_id=model.model_id)
+        errors = [M.strong_error(runs[REFERENCE], runs[lvl])[0] for lvl in LEVELS]
+        report = M.fit_rate(LEVELS, errors)
         out[seed] = (report, errors)
     return out
 

@@ -280,8 +280,6 @@ class TestLawGapCurve:
         b = run_single(mf_ou(dim=2), GaussianLaw(0.0, 1.0), seed=2, level=3, n_particles=16)
         report = law_gap_curve(a, b)
         assert report.coupling == "index"
-        with pytest.raises(AnalysisError, match="dimension 1"):
-            law_gap_curve(a, b, coupling="sorted")
 
     def test_shape_mismatch(self):
         a = run_single(mf_ou(), PointMass(0.0), seed=1, level=3, n_particles=8)

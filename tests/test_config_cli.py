@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +266,25 @@ class TestCliSelftestAndCodes:
         path = _write(tmp_path, text)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_BLOWUP
         assert "blow-up" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1e9", "1e200"])
+    @pytest.mark.parametrize(
+        "law, key, sign",
+        [("point", "init.x0", ""), ("gaussian", "init.mean", ""), ("uniform", "init.lo", "-"), ("uniform", "init.hi", "")],
+    )
+    def test_initial_location_beyond_blowup_limit(self, tmp_path, capsys, law, key, sign, value):
+        # rejected where the config is read: not a step-0 blow-up (exit 3),
+        # and no overflow warnings from the law's mass norm
+        text = f"model.id = mf-ou\nsim.N = 4\nsim.level = 3\ninit.law = {law}\n{key} = {sign}{value}\n"
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(_write(tmp_path, text)), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"key '{key}'" in err and "blow-up limit" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_env_var_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MVSDE_OUT", str(tmp_path / "root"))

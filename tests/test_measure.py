@@ -9,8 +9,6 @@ from mvsde.measure import (
     CouplingError,
     EmpiricalMeasure,
     MeasureError,
-    TestFunction,
-    TestFunctionDictionary,
     default_dictionary,
     dirac,
     exact_sum,
@@ -148,7 +146,7 @@ class TestRhoLower:
     def test_scaled_coordinate_gap(self):
         # phi(x) = 0.8 x has norm exactly 1 (Lipschitz 0.8 plus weighted sup 0.2),
         # and separates the two point masses by 0.8
-        d = TestFunctionDictionary([TestFunction(tag="coord0", fn=lambda pts: 0.8 * pts[:, 0])])
+        d = {"coord0": lambda pts: 0.8 * pts[:, 0]}
         assert rho_lower(dirac(0.0), dirac(1.0), d) == pytest.approx(0.8, abs=1e-15)
 
     def test_sandwich_on_coupled_pairs(self, rng):
@@ -160,11 +158,7 @@ class TestRhoLower:
 
     def test_empty_dictionary_rejected(self):
         with pytest.raises(MeasureError, match="empty"):
-            rho_lower(dirac(0.0), dirac(1.0), TestFunctionDictionary([]))
-
-    def test_declared_bound_above_one_rejected(self):
-        with pytest.raises(MeasureError, match="declared bound"):
-            TestFunction(tag="steep", fn=lambda pts: pts[:, 0], bound=1.5)
+            rho_lower(dirac(0.0), dirac(1.0), {})
 
 
 class TestDefaultDictionary:
@@ -182,14 +176,14 @@ class TestDefaultDictionary:
             weight = (1.0 + np.linalg.norm(pts, axis=1)) ** 2
             near = pts + 1e-3 * rng.standard_normal(pts.shape)
             far = pts[rng.permutation(pts.shape[0])]
-            for entry in default_dictionary(dim).entries:
-                vals = entry.fn(pts)
+            for tag, fn in default_dictionary(dim).items():
+                vals = fn(pts)
                 assert np.max(np.abs(vals) / weight) <= 0.2 * (1 + 1e-12)
                 for other in (near, far):
                     gap = np.linalg.norm(pts - other, axis=1)
                     keep = gap > 0
-                    ratio = np.abs(vals - entry.fn(other))[keep] / gap[keep]
-                    assert ratio.max() <= 0.8 * (1 + 1e-9), (dim, entry.tag)
+                    ratio = np.abs(vals - fn(other))[keep] / gap[keep]
+                    assert ratio.max() <= 0.8 * (1 + 1e-9), (dim, tag)
 
 
 def _sum_outcome(fn, values):

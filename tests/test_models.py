@@ -9,10 +9,8 @@ from scipy.integrate import solve_ivp
 from mvsde.measure import dirac, rho_upper, uniform_measure
 from mvsde.models import (
     CoefficientModel,
-    GrowthSampleSpec,
     ModelError,
     ModulusKappaEta,
-    PairSampleSpec,
     check_h2prime,
     check_linear_growth,
     diffusion_eval,
@@ -174,6 +172,17 @@ class TestCatalogEvaluation:
         with pytest.raises(ModelError, match="non-finite"):
             drift_eval(bad, np.array([1.0]), dirac(0.0))
 
+    def test_undeclared_assumption_class_rejected(self):
+        # no model declares H2 without H2'; the continuity checker covers H2' only
+        with pytest.raises(ModelError, match="unknown assumption class"):
+            CoefficientModel(
+                model_id="h2",
+                dim=1,
+                drift=lambda states, mu: -states,
+                diffusion_apply=lambda states, mu, dw: np.zeros_like(dw),
+                assumption_class="H1+H2",
+            )
+
 
 class TestMakeModel:
     def test_catalog_ids(self):
@@ -272,7 +281,7 @@ class TestCheckLinearGrowth:
         # |b|^2 + |sigma|^2 <= 2 theta^2 |x|^2 + 2 alpha^2 lambda2 + s^2 d
         # gives the analytic constant max(2 theta^2, 2 alpha^2, s^2 d)
         model = mf_ou(theta=1.0, alpha=0.5, s=0.4, dim=1)
-        report = check_linear_growth(model, GrowthSampleSpec(count=2000), seed=0)
+        report = check_linear_growth(model, count=2000, seed=0)
         assert report.passed
         assert report.fitted_l1 <= max(2.0 * 1.0**2, 2.0 * 0.5**2, 0.4**2) + 1e-9
 
@@ -294,18 +303,18 @@ class TestCheckLinearGrowth:
 
     def test_sample_count_floor(self):
         with pytest.raises(ModelError, match="1000"):
-            check_linear_growth(mf_ou(), GrowthSampleSpec(count=10))
+            check_linear_growth(mf_ou(), count=10)
 
 
 class TestCheckH2Prime:
     def test_osgood_passes(self):
-        report = check_h2prime(osgood(), PairSampleSpec(count=2000), seed=0)
+        report = check_h2prime(osgood(), count=2000, seed=0)
         assert report.passed
         assert report.measure_term == "upper-bound surrogate"
         assert math.isfinite(report.fitted_lambda1) and math.isfinite(report.fitted_lambda2)
 
     def test_mf_ou_passes_with_unit_modulus(self):
-        report = check_h2prime(mf_ou(), PairSampleSpec(count=2000), seed=0)
+        report = check_h2prime(mf_ou(), count=2000, seed=0)
         assert report.passed
         # Lipschitz drift: fitted constant at most theta + alpha
         assert report.fitted_lambda1 <= 1.5 + 1e-9
@@ -320,10 +329,22 @@ class TestCheckH2Prime:
             gamma1=gamma_log,
             gamma2=gamma_log,
         )
-        report = check_h2prime(sqrt_model, PairSampleSpec(count=2000), seed=0)
+        report = check_h2prime(sqrt_model, count=2000, seed=0)
         assert not report.passed
         assert report.drift_second_half_max > 2.0 * report.drift_first_half_max
 
     def test_requires_declared_class(self):
         with pytest.raises(ModelError, match="continuity class"):
             check_h2prime(quadratic_drift_fixture())
+
+    def test_requires_declared_moduli(self):
+        model = CoefficientModel(
+            model_id="no-gamma2",
+            dim=1,
+            drift=lambda states, mu: -states,
+            diffusion_apply=lambda states, mu, dw: np.zeros_like(dw),
+            assumption_class="H1+H2'",
+            gamma1=gamma_log,
+        )
+        with pytest.raises(ModelError, match="without gamma1 and gamma2"):
+            check_h2prime(model)
