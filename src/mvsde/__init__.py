@@ -30,6 +30,7 @@ from .models import (
 from .paths import (
     BrownianLattice,
     DyadicGrid,
+    NoiseStreams,
     coarsen,
     make_grid,
     sample_lattice,

@@ -70,6 +70,14 @@ def _location(text: str):
     return vec
 
 
+def _covariance(text: str):
+    """A ``_vector`` of variances whose standard deviations the blow-up guard admits."""
+    vec = _vector(text)
+    if np.max(vec) > BLOWUP_LIMIT**2:
+        raise ValueError(f"variance above the squared blow-up limit {BLOWUP_LIMIT**2:g}")
+    return vec
+
+
 def _levels(text: str) -> tuple[int, ...]:
     try:
         levels = tuple(int(tok) for tok in text.replace(",", " ").split())
@@ -100,7 +108,7 @@ KEYS = {
     "init.law": (None, str.lower, "point"),
     "init.x0": (None, _location, 0.0),
     "init.mean": (None, _location, 0.0),
-    "init.cov": (None, _vector, 1.0),
+    "init.cov": (None, _covariance, 1.0),
     "init.lo": (None, _location, -1.0),
     "init.hi": (None, _location, 1.0),
     "moments.p": ("moment_order", _integer, 1),

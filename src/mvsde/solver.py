@@ -2,7 +2,7 @@
 
 Per step the ensemble's empirical law is computed once, before any state
 moves; drift and diffusion are then frozen at the left grid point for every
-particle.  Running several levels against one Brownian lattice (synchronous
+particle.  Running several levels against one Brownian path (synchronous
 coupling) makes the inter-level difference a pure discretization error.
 """
 
@@ -16,7 +16,17 @@ import numpy as np
 
 from .measure import EmpiricalMeasure
 from .models import CoefficientModel
-from .paths import AUX_STREAM_BASE, BrownianLattice, coarsen, make_grid, sample_lattice, _particle_rng
+from .paths import (
+    AUX_STREAM_BASE,
+    MAX_LATTICE_LEVEL,
+    BrownianLattice,
+    LatticeError,
+    NoiseStreams,
+    coarsen,
+    make_grid,
+    sample_lattice,
+    _particle_rng,
+)
 
 __all__ = [
     "SolverError",
@@ -298,6 +308,10 @@ def em_run(
     return TrajectorySet(level=level, times=record_grid.points(), states=out, meta=meta)
 
 
+#: ``em_multilevel`` blocks hold 2^BLOCK_LEVEL finest steps where the record grid allows
+BLOCK_LEVEL = 9
+
+
 def em_multilevel(
     model: CoefficientModel,
     law: InitialLaw,
@@ -309,12 +323,21 @@ def em_multilevel(
     record_level: int | None = None,
     workers: int = 1,
 ) -> dict[int, TrajectorySet]:
-    """Run every requested level plus the finest reference off one lattice.
+    """Run every requested level plus the finest reference off one Brownian path.
 
-    All levels share the initial ensemble and the Brownian lattice, and are
+    All levels share the initial ensemble and the Brownian path, and are
     recorded on a common grid (default: the coarsest requested level), so the
     returned trajectories are synchronously coupled.  The reference level
     ``finest`` is included in the result map.
+
+    The path is drawn in time blocks: the 2^c cells of level
+    ``c = min(record_level, max(0, finest - BLOCK_LEVEL))``.  Each block's
+    finest increments are drawn once; every level is stepped through the
+    block by ``em_run`` and carries its final states into the next.  The
+    states are the same floats as stepping each level through a whole-path
+    lattice, and only one block of increments is held at a time.  A
+    ``BlowUpError`` names the first blow-up in block order, on the level's
+    own grid from t = 0.
     """
     levels = sorted(set(int(v) for v in levels))
     if not levels:
@@ -323,14 +346,50 @@ def em_multilevel(
         raise SolverError("levels must be nonnegative")
     if levels[-1] >= finest:
         raise SolverError(f"max level {levels[-1]} must be below the reference level {finest}")
+    if finest > MAX_LATTICE_LEVEL:
+        raise LatticeError(f"lattice level {finest} outside the level limit [0, {MAX_LATTICE_LEVEL}]")
     if record_level is None:
         record_level = levels[0]
-    lattice = sample_lattice(seed, n_particles, model.dim, finest, horizon, workers=workers)
-    ens = sample_initial(law, n_particles, model.dim, seed)
-    result: dict[int, TrajectorySet] = {}
-    for lvl in [*levels, finest]:
-        result[lvl] = em_run(model, ens, lvl, lattice, record_level=record_level)
-    return result
+    if not (0 <= record_level <= levels[0]):
+        raise SolverError(f"record level {record_level} outside [0, {levels[0]}]")
+    run_levels = [*levels, finest]
+    c = min(record_level, max(0, finest - BLOCK_LEVEL))
+    block_horizon = horizon / (1 << c)
+    streams = NoiseStreams(seed, n_particles)
+    ensembles = dict.fromkeys(run_levels, sample_initial(law, n_particles, model.dim, seed))
+    recorded: dict[int, list[np.ndarray]] = {lvl: [ensembles[lvl].states[None]] for lvl in run_levels}
+    for b in range(1 << c):
+        block = sample_lattice(streams, model.dim, finest - c, block_horizon, workers=workers)
+        for lvl in run_levels:
+            try:
+                traj = em_run(model, ensembles[lvl], lvl - c, block, record_level=record_level - c)
+            except BlowUpError as err:
+                step = (b << (lvl - c)) + err.step
+                raise BlowUpError(
+                    level=lvl, step=step, time=make_grid(horizon, lvl).point(step + 1),
+                    particle=err.particle, state=err.state,
+                ) from None
+            recorded[lvl].append(traj.states[1:])
+            ensembles[lvl] = ParticleEnsemble(traj.states[-1])
+        del block  # released before the next block is drawn
+
+    times = make_grid(horizon, record_level).points()
+    return {
+        lvl: TrajectorySet(
+            level=lvl,
+            times=times,
+            states=np.concatenate(recorded[lvl]),
+            meta={
+                "model_id": model.model_id,
+                "seed": seed,
+                "n_particles": n_particles,
+                "horizon": horizon,
+                "level": lvl,
+                "record_level": record_level,
+            },
+        )
+        for lvl in run_levels
+    }
 
 
 def run_single(
@@ -348,6 +407,6 @@ def run_single(
     finest = level if finest is None else finest
     if finest < level:
         raise SolverError(f"finest level {finest} below run level {level}")
-    lattice = sample_lattice(seed, n_particles, model.dim, finest, horizon, workers=workers)
+    lattice = sample_lattice(NoiseStreams(seed, n_particles), model.dim, finest, horizon, workers=workers)
     ens = sample_initial(law, n_particles, model.dim, seed)
     return em_run(model, ens, level, lattice, record_level=record_level)

@@ -20,6 +20,7 @@ from mvsde.solver import (
     GaussianLaw,
     ParticleEnsemble,
     PointMass,
+    NoiseStreams,
     TrajectorySet,
     em_multilevel,
     em_run,
@@ -300,7 +301,7 @@ class TestUniquenessReplay:
         theta, alpha, horizon, delta = 1.0, 0.5, 1.0, 1e-12
         model = mf_ou(theta=theta, alpha=alpha, s=0.4)
         n, level = 64, 6
-        lat = sample_lattice(9, n, 1, level, horizon)
+        lat = sample_lattice(NoiseStreams(9, n), 1, level, horizon)
         ens = sample_initial(GaussianLaw(0.0, 1.0), n, 1, seed=9)
         base = em_run(model, ens, level, lat)
         bumped_states = ens.states.copy()

@@ -286,6 +286,20 @@ class TestCliSelftestAndCodes:
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("value", ["1e20", "1e300"])
+    def test_initial_covariance_beyond_blowup_limit(self, tmp_path, capsys, value):
+        # a standard deviation beyond the blow-up limit is a config error
+        # (exit 2), not a step-0 blow-up of a sampled particle (exit 3)
+        text = f"model.id = mf-ou\nsim.N = 4\nsim.level = 3\ninit.law = gaussian\ninit.cov = {value}\n"
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(_write(tmp_path, text)), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "line 5: key 'init.cov'" in err and "blow-up limit" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_env_var_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MVSDE_OUT", str(tmp_path / "root"))
         monkeypatch.chdir(tmp_path)

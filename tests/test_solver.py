@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from mvsde import solver
 from mvsde.measure import MeasureError, uniform_measure
 from mvsde.models import CoefficientModel, mf_ou, osgood, with_mf_ou_oracles
-from mvsde.paths import BrownianLattice, sample_lattice
+from mvsde.paths import BrownianLattice, NoiseStreams, make_grid, sample_lattice
 from mvsde.solver import (
     BlowUpError,
     GaussianLaw,
@@ -48,7 +49,7 @@ class TestSampleInitial:
 
     def test_initial_stream_disjoint_from_noise(self):
         # same seed: the initial draw must not replay particle 0's noise row
-        lat = sample_lattice(5, 4, 1, 4, 1.0)
+        lat = sample_lattice(NoiseStreams(5, 4), 1, 4, 1.0)
         ens = sample_initial(GaussianLaw(0.0, 1.0), 4, 1, seed=5)
         assert not np.allclose(ens.states[:, 0], lat.increments[0, :4, 0])
 
@@ -94,7 +95,7 @@ class TestToMeasure:
 class TestEmRun:
     def test_degenerate_coefficients_constant(self):
         model = mf_ou(theta=0.0, alpha=0.0, s=0.0, dim=2)
-        lat = sample_lattice(0, 8, 2, 5, 1.0)
+        lat = sample_lattice(NoiseStreams(0, 8), 2, 5, 1.0)
         ens = sample_initial(GaussianLaw(0.0, 1.0), 8, 2, seed=0)
         traj = em_run(model, ens, 5, lat)
         assert np.array_equal(traj.states, np.broadcast_to(ens.states, traj.states.shape))
@@ -123,7 +124,7 @@ class TestEmRun:
         # independent per-particle replay of the frozen-coefficient recursion
         model = mf_ou(theta=1.0, alpha=0.5, s=0.4, dim=2)
         n, level = 6, 4
-        lat = sample_lattice(3, n, 2, level, 1.0)
+        lat = sample_lattice(NoiseStreams(3, n), 2, level, 1.0)
         ens = sample_initial(GaussianLaw(0.0, 1.0), n, 2, seed=3)
         traj = em_run(model, ens, level, lat)
 
@@ -152,7 +153,7 @@ class TestEmRun:
             assumption_class="H1+H2'",
         )
         n, level = 4, 3
-        lat = sample_lattice(8, n, 2, level, 1.0)
+        lat = sample_lattice(NoiseStreams(8, n), 2, level, 1.0)
         ens = sample_initial(GaussianLaw(0.0, 1.0), n, 2, seed=8)
         traj = em_run(model, ens, level, lat)
         states = ens.states.copy()
@@ -169,7 +170,7 @@ class TestEmRun:
     def test_permutation_equivariance(self):
         model = mf_ou(theta=1.0, alpha=0.5, s=0.4)
         n, level = 16, 5
-        lat = sample_lattice(4, n, 1, level, 1.0)
+        lat = sample_lattice(NoiseStreams(4, n), 1, level, 1.0)
         ens = sample_initial(GaussianLaw(0.0, 1.0), n, 1, seed=4)
         traj = em_run(model, ens, level, lat)
 
@@ -192,14 +193,14 @@ class TestEmRun:
 
     def test_initial_states_are_validated(self):
         # finite, so the ensemble accepts it, but (1 + |x|)^2 overflows
-        lat = sample_lattice(0, 4, 1, 3, 1.0)
+        lat = sample_lattice(NoiseStreams(0, 4), 1, 3, 1.0)
         ens = ParticleEnsemble(np.array([[0.0], [1e200], [1.0], [2.0]]))
         with pytest.raises(MeasureError, match="not finite"):
             em_run(mf_ou(), ens, 3, lat)
 
     def test_level_and_shape_guards(self):
         model = mf_ou()
-        lat = sample_lattice(0, 4, 1, 3, 1.0)
+        lat = sample_lattice(NoiseStreams(0, 4), 1, 3, 1.0)
         ens = sample_initial(PointMass(0.0), 4, 1, seed=0)
         with pytest.raises(SolverError, match="coarser"):
             em_run(model, ens, 5, lat)
@@ -211,7 +212,88 @@ class TestEmRun:
             em_run(mf_ou(dim=2), ens, 3, lat)
 
 
+def _whole_path_multilevel(model, law, seed, levels, finest, n_particles, horizon, record_level=None):
+    """The unblocked route: one lattice over [0, T], then ``em_run`` per level."""
+    record_level = min(levels) if record_level is None else record_level
+    lattice = sample_lattice(NoiseStreams(seed, n_particles), model.dim, finest, horizon)
+    ens = sample_initial(law, n_particles, model.dim, seed)
+    return {
+        lvl: em_run(model, ens, lvl, lattice, record_level=record_level)
+        for lvl in [*sorted(levels), finest]
+    }
+
+
 class TestEmMultilevel:
+    @pytest.mark.parametrize(
+        "model, levels, finest, record_level",
+        [
+            # d = 1, blocks of level 1 although levels[0] = 3: finest - 9 < levels[0]
+            (osgood(), [3, 4], 10, None),
+            # d = 1, record level below levels[0]: blocks of the record grid
+            (osgood(), [3, 4], 12, 2),
+            # d = 2, the canonical shape: 8 blocks of 512 finest steps
+            (mf_ou(dim=2), [3, 5], 12, None),
+            # d = 2, several record points per block (record 4, blocks of level 1)
+            (mf_ou(dim=2), [4, 5], 10, None),
+            # one block: finest below the block level
+            (mf_ou(), [2], 6, None),
+        ],
+    )
+    def test_blocks_equal_whole_path_route(self, model, levels, finest, record_level):
+        law = GaussianLaw(0.0, 1.0)
+        args = (model, law, 13, levels, finest, 8, 1.0, record_level)
+        blocked = em_multilevel(*args)
+        whole = _whole_path_multilevel(*args)
+        assert sorted(blocked) == sorted(whole)
+        for lvl, traj in whole.items():
+            assert blocked[lvl].states.tobytes() == traj.states.tobytes()
+            assert blocked[lvl].times.tobytes() == traj.times.tobytes()
+            assert blocked[lvl].meta == traj.meta
+            assert blocked[lvl].level == traj.level
+
+    def test_one_block_of_increments_at_a_time(self, monkeypatch):
+        # N = 8, d = 2, finest 12, record level 3: 8 blocks of 2^9 finest steps
+        drawn = []
+
+        def recording(*args, **kwargs):
+            lattice = sample_lattice(*args, **kwargs)
+            drawn.append(lattice.increments.nbytes)
+            return lattice
+
+        monkeypatch.setattr(solver, "sample_lattice", recording)
+        em_multilevel(mf_ou(dim=2), PointMass(0.0), seed=2, levels=[3, 4], finest=12,
+                      n_particles=8, horizon=1.0)
+        assert drawn == [8 * 2**9 * 2 * 8] * 8
+        assert sum(drawn) == 8 * 2**12 * 2 * 8
+
+    def test_blowup_after_first_block_names_global_grid(self):
+        # x' = 30 x: level 12 passes the limit near t = 0.6 (block 4 of 8),
+        # level 5 only near t = 0.85, so block order meets level 12 first
+        model = mf_ou(theta=-30.0, alpha=0.0, s=0.4)
+        law = GaussianLaw(0.0, 1.0)
+        with pytest.raises(BlowUpError) as err:
+            em_multilevel(model, law, seed=3, levels=[3, 5], finest=12, n_particles=4, horizon=1.0)
+        lattice = sample_lattice(NoiseStreams(3, 4), 1, 12, 1.0)
+        with pytest.raises(BlowUpError) as ref:
+            em_run(model, sample_initial(law, 4, 1, seed=3), 12, lattice)
+        got, want = err.value, ref.value
+        assert got.level == 12
+        assert got.step >= 2**9  # after the first block
+        assert got.step == want.step
+        assert got.time == want.time == (got.step + 1) * 1.0 / 2**12
+        assert got.time == make_grid(1.0, 12).point(got.step + 1)
+        assert got.particle == want.particle
+        assert got.state.tobytes() == want.state.tobytes()
+
+    def test_record_level_and_finest_guards(self):
+        model = mf_ou()
+        with pytest.raises(SolverError, match=r"record level 3 outside \[0, 2\]"):
+            em_multilevel(model, PointMass(0.0), seed=0, levels=[2, 3], finest=7,
+                          n_particles=2, horizon=1.0, record_level=3)
+        with pytest.raises(ValueError, match="level limit"):
+            em_multilevel(model, PointMass(0.0), seed=0, levels=[22], finest=31,
+                          n_particles=2, horizon=1.0)
+
     def test_additive_noise_zero_drift_exact_across_levels(self):
         # constant coefficients: every level reproduces x0 + s*W at shared
         # grid points up to float regrouping dust
