@@ -228,18 +228,18 @@ def _halve_cells(arr: np.ndarray) -> np.ndarray:
     return arr[:, 0::2, :] + arr[:, 1::2, :]
 
 
-def coarsen(lattice: BrownianLattice, level: int) -> np.ndarray:
+def coarsen(increments: np.ndarray, level: int) -> np.ndarray:
     """Increments at a coarser level: cell j is the tree sum of its children.
 
-    Returns a fresh (N, 2^level, dim) array.  Because each halving adds
-    adjacent pairs, any two routes to the same coarse level perform the
-    identical additions, so cross-level sums agree bit for bit.
+    ``increments`` is an (N, 2^k, dim) array of level-k cells, ``level`` at
+    most k; the result is (N, 2^level, dim), fresh unless ``level`` is k, when
+    ``increments`` itself is returned.  Because each halving adds adjacent
+    pairs, any two routes to the same coarse level perform the identical
+    additions, so cross-level sums agree bit for bit.
     """
-    if not (0 <= level <= lattice.level):
-        raise LatticeError(f"target level {level} outside [0, {lattice.level}]")
-    arr = lattice.increments
-    for _ in range(lattice.level - level):
-        arr = _halve_cells(arr)
-    if arr is lattice.increments:
-        arr = lattice.increments.copy()
-    return arr
+    steps = increments.shape[1]
+    if steps & (steps - 1) or not (0 <= level < steps.bit_length()):
+        raise LatticeError(f"cannot coarsen {steps} cells to level {level}")
+    for _ in range(steps.bit_length() - 1 - level):
+        increments = _halve_cells(increments)
+    return increments

@@ -4,12 +4,16 @@ Per step the ensemble's empirical law is computed once, before any state
 moves; drift and diffusion are then frozen at the left grid point for every
 particle.  Running several levels against one Brownian path (synchronous
 coupling) makes the inter-level difference a pure discretization error.
+
+Every experiment kind draws that path the same way: in time blocks, each
+reduced once down the ladder of simulated levels and stepped through by
+``em_run`` at every level before the next block is drawn.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -19,7 +23,6 @@ from .models import CoefficientModel
 from .paths import (
     AUX_STREAM_BASE,
     MAX_LATTICE_LEVEL,
-    BrownianLattice,
     LatticeError,
     NoiseStreams,
     coarsen,
@@ -190,12 +193,10 @@ class ParticleEnsemble:
 @dataclass(frozen=True)
 class TrajectorySet:
     """States recorded on a dyadic sub-grid: ``states[j]`` is the ensemble at
-    ``times[j]``; metadata carries (model id, seed, N, horizon, levels)."""
+    ``times[j]``."""
 
-    level: int
     times: np.ndarray
     states: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=np.float64)
@@ -224,12 +225,19 @@ def sample_initial(law: InitialLaw, n: int, dim: int, seed: int) -> ParticleEnse
     """N i.i.d. draws from the initial law, deterministic in the seed.
 
     Uses a counter-based stream in the auxiliary key range so it never
-    collides with the per-particle noise streams of the same seed.
+    collides with the per-particle noise streams of the same seed.  A draw
+    with a coordinate beyond ``BLOWUP_LIMIT`` is refused: the law, not the
+    scheme, put that particle out of range.
     """
     if n < 1 or dim < 1:
         raise SolverError("need at least one particle and one dimension")
     rng = _particle_rng(seed, AUX_STREAM_BASE)
-    return ParticleEnsemble(states=law.sample(rng, n, dim))
+    states = law.sample(rng, n, dim)
+    beyond = ~(np.abs(states) <= BLOWUP_LIMIT).all(axis=1)
+    if beyond.any():
+        p = int(beyond.argmax())
+        raise SolverError(f"initial law drew particle {p} at {states[p]}, beyond the blow-up limit {BLOWUP_LIMIT:g}")
+    return ParticleEnsemble(states=states)
 
 
 def _guard(states: np.ndarray, level: int, step: int, time: float) -> None:
@@ -241,45 +249,37 @@ def _guard(states: np.ndarray, level: int, step: int, time: float) -> None:
         raise BlowUpError(level=level, step=step, time=time, particle=particle, state=states[particle])
 
 
-def _apply_noise(model, states, mu, incr):
-    return np.asarray(model.diffusion_apply(states, mu, incr), dtype=np.float64)
-
-
 def em_run(
     model: CoefficientModel,
     ensemble: ParticleEnsemble,
     level: int,
-    lattice: BrownianLattice,
+    increments: np.ndarray,
+    horizon: float,
     record_level: int | None = None,
 ) -> TrajectorySet:
-    """Advance the ensemble over the level-``level`` grid.
+    """Advance the ensemble over the level-``level`` grid of [0, horizon].
 
+    ``increments`` holds the Brownian increments of that grid's own cells,
+    shape (N, 2^level, d): row p, cell i is particle p's W(t_{i+1}) - W(t_i).
     Per cell: freeze the empirical law and the left states, then
-    ``X += b(X, mu) * h + sigma(X, mu) @ dW`` for every particle, with the
-    cell increment taken from the coarsened lattice.  Recorded states are
-    exactly the iterates of this recursion, on the level-``record_level``
-    sub-grid (``0 <= record_level <= level``).
+    ``X += b(X, mu) * h + sigma(X, mu) @ dW`` for every particle.  Recorded
+    states are exactly the iterates of this recursion, on the
+    level-``record_level`` sub-grid (``0 <= record_level <= level``).
     """
-    if lattice.level < level:
-        raise SolverError(f"lattice level {lattice.level} is coarser than requested level {level}")
-    if model.dim != lattice.dim or model.dim != ensemble.dim:
+    n, dim = ensemble.n_particles, ensemble.dim
+    if increments.shape != (n, 1 << level, model.dim) or dim != model.dim:
         raise SolverError(
-            f"dimension mismatch: model {model.dim}, lattice {lattice.dim}, ensemble {ensemble.dim}"
-        )
-    if ensemble.n_particles != lattice.n_particles:
-        raise SolverError(
-            f"particle mismatch: ensemble {ensemble.n_particles}, lattice {lattice.n_particles}"
+            f"shape mismatch: increments {increments.shape}, ensemble {ensemble.states.shape}, "
+            f"expected ({n}, {1 << level}, {model.dim}) for a level-{level} run of a {model.dim}-d model"
         )
     if record_level is None:
         record_level = level
     if not (0 <= record_level <= level):
         raise SolverError(f"record level {record_level} outside [0, {level}]")
 
-    grid = make_grid(lattice.horizon, level)
-    record_grid = make_grid(lattice.horizon, record_level)
-    dw = coarsen(lattice, level)
+    grid = make_grid(horizon, level)
+    record_grid = make_grid(horizon, record_level)
     h = grid.step
-    n, dim = ensemble.n_particles, ensemble.dim
     weights = np.full(n, 1.0 / n)
     stride = 1 << (level - record_level)
 
@@ -291,25 +291,65 @@ def em_run(
         # rebound, never written, so only the caller's step-0 states need checks
         mu = EmpiricalMeasure(states, weights, validate=i == 0)
         drift = np.asarray(model.drift(states, mu), dtype=np.float64)
-        noise = _apply_noise(model, states, mu, dw[:, i, :])
+        noise = np.asarray(model.diffusion_apply(states, mu, increments[:, i, :]), dtype=np.float64)
         states = states + h * drift + noise
         _guard(states, level=level, step=i, time=grid.point(i + 1))
         if (i + 1) % stride == 0:
             out[(i + 1) // stride] = states
 
-    meta = {
-        "model_id": model.model_id,
-        "seed": lattice.seed,
-        "n_particles": n,
-        "horizon": lattice.horizon,
-        "level": level,
-        "record_level": record_level,
-    }
-    return TrajectorySet(level=level, times=record_grid.points(), states=out, meta=meta)
+    return TrajectorySet(times=record_grid.points(), states=out)
 
 
-#: ``em_multilevel`` blocks hold 2^BLOCK_LEVEL finest steps where the record grid allows
+#: blocks hold 2^BLOCK_LEVEL finest steps where the record grid allows
 BLOCK_LEVEL = 9
+
+
+def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: list[int], finest: int,
+               n_particles: int, horizon: float, record_level: int, workers: int) -> dict[int, TrajectorySet]:
+    """Step every level of ``run_levels`` (none above ``finest``) off one
+    level-``finest`` Brownian path, drawn in time blocks.
+
+    The blocks are the 2^c cells of level
+    ``c = min(record_level, max(0, finest - BLOCK_LEVEL))``.  Each block's
+    finest increments are drawn once and reduced once down the sorted level
+    ladder, each level's increments summed from the next finer level's;
+    coarsening is one fixed tree of sums, so these are the bits of reducing
+    the whole path from the finest level.  Every level is stepped through the
+    block by ``em_run`` and carries its final states into the next block, so
+    the states are the same floats as stepping the whole path at once, and
+    only one block of increments is held at a time.  A ``BlowUpError`` names
+    the first blow-up in block order, on the level's own grid from t = 0.
+    """
+    if finest > MAX_LATTICE_LEVEL:
+        raise LatticeError(f"lattice level {finest} outside the level limit [0, {MAX_LATTICE_LEVEL}]")
+    if not (0 <= record_level <= min(run_levels)):
+        raise SolverError(f"record level {record_level} outside [0, {min(run_levels)}]")
+    ladder = sorted(run_levels, reverse=True)
+    c = min(record_level, max(0, finest - BLOCK_LEVEL))
+    block_horizon = horizon / (1 << c)
+    streams = NoiseStreams(seed, n_particles)
+    ensembles = dict.fromkeys(ladder, sample_initial(law, n_particles, model.dim, seed))
+    recorded: dict[int, list[np.ndarray]] = {lvl: [ensembles[lvl].states[None]] for lvl in ladder}
+    for b in range(1 << c):
+        increments = sample_lattice(streams, model.dim, finest - c, block_horizon, workers=workers).increments
+        for lvl in ladder:
+            # rebinding releases the finer level's array
+            increments = coarsen(increments, lvl - c)
+            try:
+                traj = em_run(model, ensembles[lvl], lvl - c, increments, block_horizon,
+                              record_level=record_level - c)
+            except BlowUpError as err:
+                step = (b << (lvl - c)) + err.step
+                raise BlowUpError(
+                    level=lvl, step=step, time=make_grid(horizon, lvl).point(step + 1),
+                    particle=err.particle, state=err.state,
+                ) from None
+            recorded[lvl].append(traj.states[1:])
+            ensembles[lvl] = ParticleEnsemble(traj.states[-1])
+        del increments  # released before the next block is drawn
+
+    times = make_grid(horizon, record_level).points()
+    return {lvl: TrajectorySet(times=times, states=np.concatenate(recorded[lvl])) for lvl in run_levels}
 
 
 def em_multilevel(
@@ -328,16 +368,9 @@ def em_multilevel(
     All levels share the initial ensemble and the Brownian path, and are
     recorded on a common grid (default: the coarsest requested level), so the
     returned trajectories are synchronously coupled.  The reference level
-    ``finest`` is included in the result map.
-
-    The path is drawn in time blocks: the 2^c cells of level
-    ``c = min(record_level, max(0, finest - BLOCK_LEVEL))``.  Each block's
-    finest increments are drawn once; every level is stepped through the
-    block by ``em_run`` and carries its final states into the next.  The
-    states are the same floats as stepping each level through a whole-path
-    lattice, and only one block of increments is held at a time.  A
-    ``BlowUpError`` names the first blow-up in block order, on the level's
-    own grid from t = 0.
+    ``finest`` is included in the result map.  The path is streamed in time
+    blocks, each reduced once down the levels, by the loop that also serves
+    ``run_single``.
     """
     levels = sorted(set(int(v) for v in levels))
     if not levels:
@@ -346,50 +379,8 @@ def em_multilevel(
         raise SolverError("levels must be nonnegative")
     if levels[-1] >= finest:
         raise SolverError(f"max level {levels[-1]} must be below the reference level {finest}")
-    if finest > MAX_LATTICE_LEVEL:
-        raise LatticeError(f"lattice level {finest} outside the level limit [0, {MAX_LATTICE_LEVEL}]")
-    if record_level is None:
-        record_level = levels[0]
-    if not (0 <= record_level <= levels[0]):
-        raise SolverError(f"record level {record_level} outside [0, {levels[0]}]")
-    run_levels = [*levels, finest]
-    c = min(record_level, max(0, finest - BLOCK_LEVEL))
-    block_horizon = horizon / (1 << c)
-    streams = NoiseStreams(seed, n_particles)
-    ensembles = dict.fromkeys(run_levels, sample_initial(law, n_particles, model.dim, seed))
-    recorded: dict[int, list[np.ndarray]] = {lvl: [ensembles[lvl].states[None]] for lvl in run_levels}
-    for b in range(1 << c):
-        block = sample_lattice(streams, model.dim, finest - c, block_horizon, workers=workers)
-        for lvl in run_levels:
-            try:
-                traj = em_run(model, ensembles[lvl], lvl - c, block, record_level=record_level - c)
-            except BlowUpError as err:
-                step = (b << (lvl - c)) + err.step
-                raise BlowUpError(
-                    level=lvl, step=step, time=make_grid(horizon, lvl).point(step + 1),
-                    particle=err.particle, state=err.state,
-                ) from None
-            recorded[lvl].append(traj.states[1:])
-            ensembles[lvl] = ParticleEnsemble(traj.states[-1])
-        del block  # released before the next block is drawn
-
-    times = make_grid(horizon, record_level).points()
-    return {
-        lvl: TrajectorySet(
-            level=lvl,
-            times=times,
-            states=np.concatenate(recorded[lvl]),
-            meta={
-                "model_id": model.model_id,
-                "seed": seed,
-                "n_particles": n_particles,
-                "horizon": horizon,
-                "level": lvl,
-                "record_level": record_level,
-            },
-        )
-        for lvl in run_levels
-    }
+    record_level = levels[0] if record_level is None else record_level
+    return _em_blocks(model, law, seed, [*levels, finest], finest, n_particles, horizon, record_level, workers)
 
 
 def run_single(
@@ -403,10 +394,14 @@ def run_single(
     record_level: int | None = None,
     workers: int = 1,
 ) -> TrajectorySet:
-    """One level against a fresh lattice (finest defaults to the run level)."""
+    """One level, driven by a level-``finest`` Brownian path (finest defaults
+    to the run level), recorded at ``record_level`` (default: every step).
+
+    The path is streamed in time blocks through the same loop as
+    ``em_multilevel``, so ``DEFAULT_MEMORY_CAP`` bounds one block here too.
+    """
     finest = level if finest is None else finest
     if finest < level:
         raise SolverError(f"finest level {finest} below run level {level}")
-    lattice = sample_lattice(NoiseStreams(seed, n_particles), model.dim, finest, horizon, workers=workers)
-    ens = sample_initial(law, n_particles, model.dim, seed)
-    return em_run(model, ens, level, lattice, record_level=record_level)
+    record_level = level if record_level is None else record_level
+    return _em_blocks(model, law, seed, [level], finest, n_particles, horizon, record_level, workers)[level]

@@ -32,12 +32,10 @@ from mvsde.solver import (
 ETA = math.exp(-2.0)
 
 
-def _make_traj(states, horizon=1.0, level=None):
+def _make_traj(states, horizon=1.0):
     states = np.asarray(states, dtype=np.float64)
-    steps = states.shape[0] - 1
-    level = level if level is not None else max(int(math.log2(max(steps, 1))), 0)
     times = np.linspace(0.0, horizon, states.shape[0])
-    return TrajectorySet(level=level, times=times, states=states, meta={})
+    return TrajectorySet(times=times, states=states)
 
 
 class TestFitRate:
@@ -182,7 +180,7 @@ class TestIncrementScaling:
 
     def test_nonuniform_grid_rejected(self):
         states = np.zeros((4, 2, 1))
-        traj = TrajectorySet(level=2, times=np.array([0.0, 0.1, 0.5, 1.0]), states=states, meta={})
+        traj = TrajectorySet(times=np.array([0.0, 0.1, 0.5, 1.0]), states=states)
         with pytest.raises(AnalysisError, match="uniform"):
             increment_scaling(traj, order=1, lags=[1, 2, 3])
 
@@ -303,10 +301,10 @@ class TestUniquenessReplay:
         n, level = 64, 6
         lat = sample_lattice(NoiseStreams(9, n), 1, level, horizon)
         ens = sample_initial(GaussianLaw(0.0, 1.0), n, 1, seed=9)
-        base = em_run(model, ens, level, lat)
+        base = em_run(model, ens, level, lat.increments, horizon)
         bumped_states = ens.states.copy()
         bumped_states[0, 0] += delta
-        bumped = em_run(model, ParticleEnsemble(bumped_states), level, lat)
+        bumped = em_run(model, ParticleEnsemble(bumped_states), level, lat.increments, horizon)
         assert base.states.tobytes() != bumped.states.tobytes()
         gap_sq = float(np.max(np.abs(base.states[-1] - bumped.states[-1]) ** 2))
         assert gap_sq <= 10.0 * delta**2 * math.exp(2.0 * (theta + alpha) * horizon)

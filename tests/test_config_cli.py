@@ -300,6 +300,16 @@ class TestCliSelftestAndCodes:
         assert "line 5: key 'init.cov'" in err and "blow-up limit" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_sampled_initial_state_beyond_blowup_limit(self, tmp_path, capsys):
+        # init.cov = 1e16 passes the key's bound, but a standard deviation of
+        # 1e8 puts sampled particles beyond the limit: the law, not the
+        # scheme, is at fault, so this is exit 2 and not a step-0 blow-up
+        text = "model.id = mf-ou\nsim.N = 4\nsim.level = 3\ninit.law = gaussian\ninit.cov = 1e16\n"
+        code = main(["run", "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "config error: initial law drew particle" in err and "blow-up limit" in err
+
     def test_env_var_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MVSDE_OUT", str(tmp_path / "root"))
         monkeypatch.chdir(tmp_path)

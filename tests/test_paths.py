@@ -11,7 +11,6 @@ from scipy import stats
 
 from mvsde import paths
 from mvsde.paths import (
-    BrownianLattice,
     GridError,
     LatticeError,
     NoiseStreams,
@@ -194,37 +193,31 @@ class TestLatticeSampling:
 class TestCoarsen:
     def test_identity_at_finest(self):
         lat = sample_lattice(NoiseStreams(1, 2), 1, 3, 1.0)
-        out = coarsen(lat, 3)
-        assert np.array_equal(out, lat.increments)
-        assert out is not lat.increments
+        assert coarsen(lat.increments, 3) is lat.increments
 
     def test_pairwise_example(self):
         vals = np.array([[[1.5], [-0.25], [2.0], [4.0]]])
-        lat = BrownianLattice(seed=0, n_particles=1, dim=1, level=2, horizon=1.0, increments=vals)
-        lvl1 = coarsen(lat, 1)
+        lvl1 = coarsen(vals, 1)
         assert np.array_equal(lvl1[0, :, 0], [1.5 + -0.25, 2.0 + 4.0])
-        lvl0 = coarsen(lat, 0)
+        lvl0 = coarsen(vals, 0)
         assert lvl0[0, 0, 0] == (1.5 + -0.25) + (2.0 + 4.0)
 
     def test_full_sum_matches_total(self):
         lat = sample_lattice(NoiseStreams(9, 3), 2, 10, 1.0)
-        total = coarsen(lat, 0)[:, 0, :]
+        total = coarsen(lat.increments, 0)[:, 0, :]
         assert np.allclose(total, lat.increments.sum(axis=1), rtol=0, atol=1e-12)
 
     def test_telescoping_exact(self):
         # re-coarsening a coarse lattice reproduces the direct route bit for bit
-        lat = sample_lattice(NoiseStreams(10, 4), 2, 9, 1.5)
+        finest = sample_lattice(NoiseStreams(10, 4), 2, 9, 1.5).increments
         for mid in (0, 3, 6, 9):
-            coarse = coarsen(lat, mid)
-            relift = BrownianLattice(
-                seed=lat.seed, n_particles=4, dim=2, level=mid, horizon=1.5, increments=coarse
-            )
+            coarse = coarsen(finest, mid)
             for target in range(mid + 1):
-                assert np.array_equal(coarsen(relift, target), coarsen(lat, target))
+                assert np.array_equal(coarsen(coarse, target), coarsen(finest, target))
 
     def test_cell_equals_child_sum(self):
         lat = sample_lattice(NoiseStreams(11, 2), 1, 6, 1.0)
-        out = coarsen(lat, 4)
+        out = coarsen(lat.increments, 4)
         children = lat.increments.reshape(2, 16, 4, 1)
         # tree order: (a+b) + (c+d)
         tree = (children[:, :, 0] + children[:, :, 1]) + (children[:, :, 2] + children[:, :, 3])
@@ -233,4 +226,4 @@ class TestCoarsen:
     def test_target_above_finest(self):
         lat = sample_lattice(NoiseStreams(1, 1), 1, 3, 1.0)
         with pytest.raises(LatticeError):
-            coarsen(lat, 4)
+            coarsen(lat.increments, 4)

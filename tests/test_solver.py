@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mvsde import solver
+from mvsde import paths, solver
 from mvsde.measure import MeasureError, uniform_measure
 from mvsde.models import CoefficientModel, mf_ou, osgood, with_mf_ou_oracles
-from mvsde.paths import BrownianLattice, NoiseStreams, make_grid, sample_lattice
+from mvsde.paths import LatticeError, NoiseStreams, coarsen, make_grid, sample_lattice
 from mvsde.solver import (
     BlowUpError,
     GaussianLaw,
@@ -97,7 +97,7 @@ class TestEmRun:
         model = mf_ou(theta=0.0, alpha=0.0, s=0.0, dim=2)
         lat = sample_lattice(NoiseStreams(0, 8), 2, 5, 1.0)
         ens = sample_initial(GaussianLaw(0.0, 1.0), 8, 2, seed=0)
-        traj = em_run(model, ens, 5, lat)
+        traj = em_run(model, ens, 5, lat.increments, 1.0)
         assert np.array_equal(traj.states, np.broadcast_to(ens.states, traj.states.shape))
 
     def test_exponential_decay_oracle(self):
@@ -126,7 +126,7 @@ class TestEmRun:
         n, level = 6, 4
         lat = sample_lattice(NoiseStreams(3, n), 2, level, 1.0)
         ens = sample_initial(GaussianLaw(0.0, 1.0), n, 2, seed=3)
-        traj = em_run(model, ens, level, lat)
+        traj = em_run(model, ens, level, lat.increments, 1.0)
 
         theta, alpha, s = 1.0, 0.5, 0.4
         states = ens.states.copy()
@@ -155,7 +155,7 @@ class TestEmRun:
         n, level = 4, 3
         lat = sample_lattice(NoiseStreams(8, n), 2, level, 1.0)
         ens = sample_initial(GaussianLaw(0.0, 1.0), n, 2, seed=8)
-        traj = em_run(model, ens, level, lat)
+        traj = em_run(model, ens, level, lat.increments, 1.0)
         states = ens.states.copy()
         h = 1.0 / 2**level
         replay = [states.copy()]
@@ -172,14 +172,10 @@ class TestEmRun:
         n, level = 16, 5
         lat = sample_lattice(NoiseStreams(4, n), 1, level, 1.0)
         ens = sample_initial(GaussianLaw(0.0, 1.0), n, 1, seed=4)
-        traj = em_run(model, ens, level, lat)
+        traj = em_run(model, ens, level, lat.increments, 1.0)
 
         perm = np.random.default_rng(0).permutation(n)
-        lat_perm = BrownianLattice(
-            seed=lat.seed, n_particles=n, dim=1, level=level, horizon=1.0,
-            increments=lat.increments[perm],
-        )
-        traj_perm = em_run(model, ParticleEnsemble(ens.states[perm]), level, lat_perm)
+        traj_perm = em_run(model, ParticleEnsemble(ens.states[perm]), level, lat.increments[perm], 1.0)
         assert traj_perm.states.tobytes() == traj.states[:, perm, :].tobytes()
 
     def test_blowup_diagnostics(self):
@@ -196,20 +192,20 @@ class TestEmRun:
         lat = sample_lattice(NoiseStreams(0, 4), 1, 3, 1.0)
         ens = ParticleEnsemble(np.array([[0.0], [1e200], [1.0], [2.0]]))
         with pytest.raises(MeasureError, match="not finite"):
-            em_run(mf_ou(), ens, 3, lat)
+            em_run(mf_ou(), ens, 3, lat.increments, 1.0)
 
     def test_level_and_shape_guards(self):
         model = mf_ou()
-        lat = sample_lattice(NoiseStreams(0, 4), 1, 3, 1.0)
+        dw = sample_lattice(NoiseStreams(0, 4), 1, 3, 1.0).increments
         ens = sample_initial(PointMass(0.0), 4, 1, seed=0)
-        with pytest.raises(SolverError, match="coarser"):
-            em_run(model, ens, 5, lat)
+        with pytest.raises(SolverError, match="shape mismatch"):
+            em_run(model, ens, 5, dw, 1.0)
         with pytest.raises(SolverError, match="record level"):
-            em_run(model, ens, 3, lat, record_level=4)
-        with pytest.raises(SolverError, match="particle"):
-            em_run(model, ParticleEnsemble(np.zeros((5, 1))), 3, lat)
-        with pytest.raises(SolverError, match="dimension"):
-            em_run(mf_ou(dim=2), ens, 3, lat)
+            em_run(model, ens, 3, dw, 1.0, record_level=4)
+        with pytest.raises(SolverError, match="shape mismatch"):
+            em_run(model, ParticleEnsemble(np.zeros((5, 1))), 3, dw, 1.0)
+        with pytest.raises(SolverError, match="shape mismatch"):
+            em_run(mf_ou(dim=2), ens, 3, dw, 1.0)
 
 
 def _whole_path_multilevel(model, law, seed, levels, finest, n_particles, horizon, record_level=None):
@@ -218,9 +214,68 @@ def _whole_path_multilevel(model, law, seed, levels, finest, n_particles, horizo
     lattice = sample_lattice(NoiseStreams(seed, n_particles), model.dim, finest, horizon)
     ens = sample_initial(law, n_particles, model.dim, seed)
     return {
-        lvl: em_run(model, ens, lvl, lattice, record_level=record_level)
+        lvl: em_run(model, ens, lvl, coarsen(lattice.increments, lvl), horizon, record_level=record_level)
         for lvl in [*sorted(levels), finest]
     }
+
+
+def _count_draws(monkeypatch):
+    drawn = []
+
+    def recording(*args, **kwargs):
+        lattice = sample_lattice(*args, **kwargs)
+        drawn.append(lattice.increments.nbytes)
+        return lattice
+
+    monkeypatch.setattr(solver, "sample_lattice", recording)
+    return drawn
+
+
+class TestRunSingleBlocks:
+    @pytest.mark.parametrize(
+        "model, level, finest, record_level",
+        [
+            # every step recorded: 8 blocks of 512 steps
+            (mf_ou(dim=2), 12, None, 12),
+            # a level-5 run driven by a level-12 path: 8 blocks of 512 finest steps
+            (osgood(), 5, 12, None),
+        ],
+    )
+    def test_blocks_equal_whole_path_route(self, monkeypatch, model, level, finest, record_level):
+        law = GaussianLaw(0.0, 1.0)
+        drawn = _count_draws(monkeypatch)
+        blocked = run_single(model, law, 13, level, finest=finest, n_particles=8, horizon=1.0,
+                             record_level=record_level)
+        assert len(drawn) == 8
+        whole = _whole_path_multilevel(model, law, 13, [level], finest or level, 8, 1.0, record_level)[level]
+        assert blocked.states.tobytes() == whole.states.tobytes()
+        assert blocked.times.tobytes() == whole.times.tobytes()
+
+    @pytest.mark.parametrize("level, finest", [(12, None), (10, 12)])
+    def test_blowup_after_first_block_names_global_grid(self, level, finest):
+        # x' = 30 x passes the limit near t = 0.6, in block 4 of 8
+        model = mf_ou(theta=-30.0, alpha=0.0, s=0.4)
+        law = GaussianLaw(0.0, 1.0)
+        with pytest.raises(BlowUpError) as err:
+            run_single(model, law, seed=3, level=level, finest=finest, n_particles=4, horizon=1.0)
+        lattice = sample_lattice(NoiseStreams(3, 4), 1, finest or level, 1.0)
+        with pytest.raises(BlowUpError) as ref:
+            em_run(model, sample_initial(law, 4, 1, seed=3), level, coarsen(lattice.increments, level), 1.0)
+        got, want = err.value, ref.value
+        assert got.level == want.level == level
+        assert got.step >= 2 ** (level - 3)  # after the first block
+        assert got.step == want.step
+        assert got.time == want.time == make_grid(1.0, level).point(got.step + 1)
+        assert got.particle == want.particle
+        assert got.state.tobytes() == want.state.tobytes()
+
+    def test_whole_lattice_above_memory_cap_runs(self, monkeypatch):
+        # N = 8, level 12: one block of 512 steps is 32 KB, the whole path 256 KB
+        monkeypatch.setattr(paths, "DEFAULT_MEMORY_CAP", 8 * 2**9 * 8 + 1)
+        with pytest.raises(LatticeError, match="memory limit"):
+            sample_lattice(NoiseStreams(1, 8), 1, 12, 1.0)
+        traj = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=1, level=12, n_particles=8, horizon=1.0)
+        assert traj.states.shape == (2**12 + 1, 8, 1)
 
 
 class TestEmMultilevel:
@@ -248,23 +303,28 @@ class TestEmMultilevel:
         for lvl, traj in whole.items():
             assert blocked[lvl].states.tobytes() == traj.states.tobytes()
             assert blocked[lvl].times.tobytes() == traj.times.tobytes()
-            assert blocked[lvl].meta == traj.meta
-            assert blocked[lvl].level == traj.level
 
     def test_one_block_of_increments_at_a_time(self, monkeypatch):
         # N = 8, d = 2, finest 12, record level 3: 8 blocks of 2^9 finest steps
-        drawn = []
-
-        def recording(*args, **kwargs):
-            lattice = sample_lattice(*args, **kwargs)
-            drawn.append(lattice.increments.nbytes)
-            return lattice
-
-        monkeypatch.setattr(solver, "sample_lattice", recording)
+        drawn = _count_draws(monkeypatch)
         em_multilevel(mf_ou(dim=2), PointMass(0.0), seed=2, levels=[3, 4], finest=12,
                       n_particles=8, horizon=1.0)
         assert drawn == [8 * 2**9 * 2 * 8] * 8
         assert sum(drawn) == 8 * 2**12 * 2 * 8
+
+    def test_each_level_coarsened_from_the_next_finer(self, monkeypatch):
+        # finest 12, record level 3: 8 blocks of level 9; per block the ladder
+        # 12 -> 5 -> 4 -> 3, as block-local levels 9 -> 2 -> 1 -> 0
+        reduced = []
+
+        def recording(increments, level):
+            reduced.append((increments.shape[1], level))
+            return coarsen(increments, level)
+
+        monkeypatch.setattr(solver, "coarsen", recording)
+        em_multilevel(mf_ou(), PointMass(0.0), seed=2, levels=[4, 3, 5], finest=12,
+                      n_particles=4, horizon=1.0)
+        assert reduced == [(2**9, 9), (2**9, 2), (2**2, 1), (2**1, 0)] * 8
 
     def test_blowup_after_first_block_names_global_grid(self):
         # x' = 30 x: level 12 passes the limit near t = 0.6 (block 4 of 8),
@@ -275,7 +335,7 @@ class TestEmMultilevel:
             em_multilevel(model, law, seed=3, levels=[3, 5], finest=12, n_particles=4, horizon=1.0)
         lattice = sample_lattice(NoiseStreams(3, 4), 1, 12, 1.0)
         with pytest.raises(BlowUpError) as ref:
-            em_run(model, sample_initial(law, 4, 1, seed=3), 12, lattice)
+            em_run(model, sample_initial(law, 4, 1, seed=3), 12, lattice.increments, 1.0)
         got, want = err.value, ref.value
         assert got.level == 12
         assert got.step >= 2**9  # after the first block
@@ -313,7 +373,6 @@ class TestEmMultilevel:
         assert np.array_equal(runs[2].times, runs[3].times)
         assert np.array_equal(runs[2].times, runs[6].times)
         assert np.array_equal(runs[2].states[0], runs[6].states[0])
-        assert runs[3].meta["seed"] == 1
 
     def test_deterministic_error_decay_for_ode(self):
         # sigma = 0 reduces to explicit Euler: halving the step halves the error

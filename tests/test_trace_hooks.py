@@ -1,6 +1,7 @@
 """The benchmark's trace wraps names of ``mvsde`` modules from outside the
 package (``mvbench/spans.py``).  A rename or a call that bypasses one of them
-leaves a traced layer reading zero, so a tiny ``rate`` run checks that every
+leaves a traced layer reading zero, so tiny ``rate`` and ``run`` runs (one
+through each driver, ``em_multilevel`` and ``run_single``) check that every
 hook still fires and that the exact counts still add up."""
 
 import importlib
@@ -21,6 +22,19 @@ sim.seed = 5
 init.law = gaussian
 """
 
+RUN_LEVEL, RUN_FINEST = 10, 11
+
+RUN_CFG = f"""
+model.id = mf-ou
+sim.d = {DIM}
+sim.N = {N}
+sim.level = {RUN_LEVEL}
+sim.finest = {RUN_FINEST}
+sim.record_level = 4
+sim.seed = 5
+init.law = gaussian
+"""
+
 
 @pytest.fixture()
 def bench(monkeypatch, request):
@@ -29,15 +43,20 @@ def bench(monkeypatch, request):
     return importlib.import_module("spans"), importlib.import_module("run")
 
 
-def test_traced_rate_run_fires_every_hook(bench, tmp_path):
-    spans, run = bench
-    path = tmp_path / "rate.cfg"
-    path.write_text(RATE_CFG)
+def _traced(spans, tmp_path, kind, text):
+    path = tmp_path / f"{kind}.cfg"
+    path.write_text(text)
     tracer = spans.Tracer()
     tracer.experiment = 0
     with spans.installed(tracer, cli, solver, analysis):
-        code = cli.main(["rate", "--config", str(path), "--out", str(tmp_path / "out"), "--threads", "1"])
+        code = cli.main([kind, "--config", str(path), "--out", str(tmp_path / "out"), "--threads", "1"])
     assert code == cli.EXIT_OK
+    return tracer
+
+
+def test_traced_rate_run_fires_every_hook(bench, tmp_path):
+    spans, run = bench
+    tracer = _traced(spans, tmp_path, "rate", RATE_CFG)
 
     calls = tracer.calls_by_name()
     assert [name for name in run.MOST_WORK["rate-osgood"] if calls[name] == 0] == []
@@ -47,3 +66,18 @@ def test_traced_rate_run_fires_every_hook(bench, tmp_path):
     # blocks of level min(record level 2, finest - 9) = 2: four blocks, each
     # coarsened once per simulated level
     assert metrics["paths.coarsen_calls"] == 4 * (len(LEVELS) + 1)
+
+
+def test_traced_run_fires_the_simulation_hooks(bench, tmp_path):
+    # the dump-csv and lawgap-wide workloads simulate through run_single
+    spans, _ = bench
+    tracer = _traced(spans, tmp_path, "run", RUN_CFG)
+
+    calls = tracer.calls_by_name()
+    assert [name for name in ("paths.lattice", "paths.coarsen", "solver.step") if calls[name] == 0] == []
+    metrics = tracer.layer_metrics(0)
+    assert metrics["solver.steps"] == 2**RUN_LEVEL
+    assert metrics["paths.lattice_bytes"] == N * 2**RUN_FINEST * DIM * 8
+    # blocks of level min(record level 4, finest - 9) = 2: four blocks, each
+    # coarsened once, straight to the run level
+    assert metrics["paths.coarsen_calls"] == 4
