@@ -47,34 +47,34 @@ def _fmt(value) -> str:
     return str(value)
 
 
-#: rows formatted and written per block, bounding the writer's memory
+#: rows formatted and written at a time, bounding the writer's memory
 _CSV_BLOCK_ROWS = 4096
 
 
 def _format_column(values) -> list[str]:
     """Strings equal to ``_fmt`` of each value, formatted a column at a time."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
-        # tolist() gives Python floats and ints, whose repr is _fmt's output
-        return [repr(v) for v in values.tolist()]
-    return [_fmt(v) for v in values]
+        # tolist() gives Python floats and ints, whose repr is _fmt's output;
+        # one list repr formats them all, and repr([]) would give one empty cell
+        return repr(values.tolist())[1:-1].split(", ") if values.size else []
+    # _fmt of a str is the str itself, so formatted cells pass through
+    return [v if type(v) is str else _fmt(v) for v in values]
 
 
-def _write_csv(path: Path, header: list[str], columns: list, n_rows: int | None = None) -> None:
-    """Write equal-length columns as CSV rows, streamed in fixed blocks.
+def _write_csv(path: Path, header: list[str], blocks) -> None:
+    """Write CSV rows given as an iterable of blocks of equal-length columns.
 
-    A column is a sequence of ``n_rows`` values (default: the length of the
-    first column) or a function mapping an index array of rows to their
-    values, so derived columns are built one block at a time.
+    Consecutive blocks continue the table.  Each block is formatted and
+    written ``_CSV_BLOCK_ROWS`` rows at a time, so only that much text is
+    held at once.
     """
-    if n_rows is None:
-        n_rows = len(columns[0])
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
-            hi = min(lo + _CSV_BLOCK_ROWS, n_rows)
-            rows = np.arange(lo, hi)
-            cells = [_format_column(c(rows) if callable(c) else c[lo:hi]) for c in columns]
-            fh.write("\n".join(",".join(row) for row in zip(*cells)) + "\n")
+        for columns in blocks:
+            for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+                hi = lo + _CSV_BLOCK_ROWS
+                cells = [_format_column(c[lo:hi]) for c in columns]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _write_summary(path: Path, mapping: dict) -> None:
@@ -150,18 +150,14 @@ def _pipeline(analyse, cfg: ExperimentConfig, out: Path, threads: int, gate: boo
 
 def _analyse_run(cfg, model, trajectories, out, gate):
     (traj,) = trajectories
-    # row r holds time index r // (N d), particle (r // d) % N, dim r % d
-    n, dim = traj.n_particles, traj.dim
+    # one block per time slice, its rows particle-major; the times and the
+    # "particle,dim" labels are formatted once
+    times = _format_column(traj.times)
+    labels = [f"{p},{k}" for p in range(traj.n_particles) for k in range(traj.dim)]
     _write_csv(
         out / "trajectories.csv",
         ["time", "particle", "dim", "value"],
-        [
-            lambda r: traj.times[r // (n * dim)],
-            lambda r: (r // dim) % n,
-            lambda r: r % dim,
-            traj.states.reshape(-1),
-        ],
-        n_rows=traj.states.size,
+        ([[t] * len(labels), labels, state.reshape(-1)] for t, state in zip(times, traj.states)),
     )
 
     means = traj.states.mean(axis=1)
@@ -188,7 +184,7 @@ def _analyse_rate(cfg, model, trajectories, out, gate):
         errors.append(est)
         stderrs.append(se)
     report = analysis.fit_rate(cfg.levels, errors)
-    _write_csv(out / "rate.csv", ["level", "error", "stderr"], [cfg.levels, errors, stderrs])
+    _write_csv(out / "rate.csv", ["level", "error", "stderr"], [[cfg.levels, errors, stderrs]])
     _write_gnuplot(
         out / "rate.gp",
         "set logscale y 2\nset xlabel 'level n'\nset ylabel 'mean squared sup gap'\n"
@@ -234,7 +230,7 @@ def _analyse_moments(cfg, model, trajectories, out, gate):
     if oracle_vals is not None:
         header.append("oracle")
         columns.append(oracle_vals)
-    _write_csv(out / "moments.csv", header, columns)
+    _write_csv(out / "moments.csv", header, [columns])
     _write_gnuplot(
         out / "moments.gp",
         "set xlabel 'time'\nset ylabel 'moment'\n"
@@ -268,7 +264,7 @@ def _analyse_metric(cfg, model, trajectories, out, gate):
     _write_csv(
         out / "metric.csv",
         ["time", "rho_upper", "rho_lower"],
-        [report.times, report.upper, report.lower],
+        [[report.times, report.upper, report.lower]],
     )
     _write_gnuplot(
         out / "metric.gp",
@@ -309,7 +305,7 @@ def _analyse_check(cfg, model, trajectories, out, gate):
         entries["h2prime.fitted_lambda2"] = h2p.fitted_lambda2
         entries["h2prime.measure_term"] = h2p.measure_term
         ok = ok and h2p.passed
-    _write_csv(out / "check.csv", ["check", "passed", "fitted_1", "fitted_2", "note"], list(zip(*rows)))
+    _write_csv(out / "check.csv", ["check", "passed", "fitted_1", "fitted_2", "note"], [list(zip(*rows))])
     return entries, None if ok or not gate else "assumption check failed; see check.csv"
 
 
@@ -318,7 +314,7 @@ def cmd_selftest(out: Path) -> dict:
     levels = [1, 2, 3, 4, 5, 6]
     errors = [2.0 ** (-n) for n in levels]
     report = analysis.fit_rate(levels, errors)
-    _write_csv(out / "rate.csv", ["level", "error", "stderr"], [levels, errors, [0.0] * len(levels)])
+    _write_csv(out / "rate.csv", ["level", "error", "stderr"], [[levels, errors, [0.0] * len(levels)]])
 
     kappa = models.ModulusKappaEta()
     knee_gap = abs(

@@ -21,10 +21,10 @@ step, zero totals (whose sign ``math.fsum`` defines) and N >= 2^26 are handed
 to ``math.fsum`` itself.
 
 ``EmpiricalMeasure`` validates its input unless built with ``validate=False``.
-That form exists for the solver's per-step law: the caller guarantees a
-finite (N, d) float64 support and uniform float64 weights 1/N, and must not
-mutate either array afterwards, because the measure stores them as given,
-without copies or read-only flags.
+That form exists for the solver's per-step law and for ``law_gap_curve``: the
+caller guarantees a finite (N, d) float64 support and uniform float64 weights
+1/N, and must not mutate either array afterwards, because the measure stores
+them as given, without copies or read-only flags.
 """
 
 from __future__ import annotations

@@ -94,29 +94,10 @@ def make_grid(horizon: float, level: int) -> DyadicGrid:
 
 @dataclass(frozen=True)
 class BrownianLattice:
-    """Finest-level increments for all particles: shape (N, 2^level, dim),
-    each entry Normal(0, horizon / 2^level)."""
+    """Finest-level increments for all particles: a read-only array of shape
+    (N, 2^level, dim), each entry Normal(0, horizon / 2^level)."""
 
-    seed: int
-    n_particles: int
-    dim: int
-    level: int
-    horizon: float
     increments: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.n_particles < 1 or self.dim < 1:
-            raise LatticeError("need at least one particle and one dimension")
-        if not (0 <= self.level <= MAX_LATTICE_LEVEL):
-            raise LatticeError(f"lattice level must lie in [0, {MAX_LATTICE_LEVEL}], got {self.level}")
-        if not (np.isfinite(self.horizon) and self.horizon > 0):
-            raise LatticeError(f"horizon must be positive and finite, got {self.horizon}")
-        expected = (self.n_particles, 1 << self.level, self.dim)
-        arr = np.asarray(self.increments, dtype=np.float64)
-        if arr.shape != expected:
-            raise LatticeError(f"increments shape {arr.shape}, expected {expected}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "increments", arr)
 
 
 def _particle_rng(seed: int, stream: int) -> np.random.Generator:
@@ -196,6 +177,8 @@ def sample_lattice(
         raise LatticeError("need at least one particle and one dimension")
     if not (0 <= level <= MAX_LATTICE_LEVEL):
         raise LatticeError(f"lattice level {level} outside the level limit [0, {MAX_LATTICE_LEVEL}]")
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise LatticeError(f"horizon must be positive and finite, got {horizon}")
     steps = 1 << level
     nbytes = n_particles * steps * dim * 8
     if nbytes > DEFAULT_MEMORY_CAP:
@@ -218,9 +201,8 @@ def sample_lattice(
     else:
         streams.draw(out, 0, n_particles)
     out *= scale
-    return BrownianLattice(
-        seed=streams.seed, n_particles=n_particles, dim=dim, level=level, horizon=horizon, increments=out
-    )
+    out.flags.writeable = False
+    return BrownianLattice(out)
 
 
 def _halve_cells(arr: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from mvsde.analysis import (
     osgood_integral,
     strong_error,
 )
+from mvsde.measure import default_dictionary, rho_lower, rho_upper, uniform_measure
 from mvsde.models import ModulusKappaEta, mf_ou
 from mvsde.solver import (
     GaussianLaw,
@@ -279,6 +280,26 @@ class TestLawGapCurve:
         b = run_single(mf_ou(dim=2), GaussianLaw(0.0, 1.0), seed=2, level=3, n_particles=16)
         report = law_gap_curve(a, b)
         assert report.coupling == "index"
+
+    @pytest.mark.parametrize("dim, coupling", [(1, "sorted"), (2, "index")])
+    def test_equals_validated_measures(self, dim, coupling):
+        # law_gap_curve skips validation; the curves are the bits of building
+        # every measure with the validated uniform_measure
+        a = run_single(mf_ou(dim=dim), GaussianLaw(0.0, 1.0), seed=5, level=4, n_particles=301)
+        b = run_single(mf_ou(dim=dim), GaussianLaw(0.0, 1.0), seed=6, level=4, n_particles=301)
+        dictionary = default_dictionary(dim)
+        upper, lower = [], []
+        for x, y in zip(a.states, b.states):
+            mu, nu = uniform_measure(x), uniform_measure(y)
+            if coupling == "sorted":
+                upper.append(rho_upper(uniform_measure(np.sort(x, axis=0)), uniform_measure(np.sort(y, axis=0))))
+            else:
+                upper.append(rho_upper(mu, nu))
+            lower.append(rho_lower(mu, nu, dictionary))
+        report = law_gap_curve(a, b)
+        assert report.coupling == coupling
+        assert np.array_equal(report.upper, np.array(upper))
+        assert np.array_equal(report.lower, np.array(lower))
 
     def test_shape_mismatch(self):
         a = run_single(mf_ou(), PointMass(0.0), seed=1, level=3, n_particles=8)

@@ -6,7 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvsde.cli import EXIT_ANALYSIS, EXIT_BLOWUP, EXIT_CONFIG, EXIT_GATE, EXIT_OK, _fmt, _write_csv, main
+from mvsde import cli
+from mvsde.cli import (
+    _CSV_BLOCK_ROWS,
+    EXIT_ANALYSIS,
+    EXIT_BLOWUP,
+    EXIT_CONFIG,
+    EXIT_GATE,
+    EXIT_OK,
+    _fmt,
+    _format_column,
+    _write_csv,
+    main,
+)
 from mvsde.config import KEYS, REQUIRED, ConfigError, load_config, parse_config_text
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -349,25 +361,62 @@ def _write_csv_per_value(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _run_csv(tmp_path, n, dim, level):
+    """trajectories.csv of a fully recorded `run` and the per-value writer's
+    bytes for the same trajectories."""
+    text = RUN_CFG.replace("sim.d = 1", f"sim.d = {dim}").replace("sim.N = 32", f"sim.N = {n}")
+    text = text.replace("sim.level = 4", f"sim.level = {level}").replace("sim.record_level = 2\n", "")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == EXIT_OK
+    import mvsde
+
+    model = mvsde.mf_ou(theta=1.0, alpha=0.5, s=0.4, dim=dim)
+    traj = mvsde.run_single(model, mvsde.PointMass(1.0), seed=7, level=level, n_particles=n, horizon=1.0)
+    rows = (
+        (traj.times[j], p, k, traj.states[j, p, k])
+        for j in range(traj.times.shape[0])
+        for p in range(traj.n_particles)
+        for k in range(traj.dim)
+    )
+    _write_csv_per_value(tmp_path / "ref.csv", ["time", "particle", "dim", "value"], rows)
+    return (out / "trajectories.csv").read_bytes(), (tmp_path / "ref.csv").read_bytes()
+
+
 class TestCsvWriter:
     def test_run_trajectories_match_per_value_writer(self, tmp_path):
-        # d = 2 and 33 * 300 * 2 rows: several full blocks plus a partial one
-        text = RUN_CFG.replace("sim.d = 1", "sim.d = 2").replace("sim.N = 32", "sim.N = 300")
-        text = text.replace("sim.level = 4", "sim.level = 5").replace("sim.record_level = 2\n", "")
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == EXIT_OK
-        import mvsde
+        # d = 2 and 33 * 300 * 2 rows: one block per time slice
+        new, ref = _run_csv(tmp_path, n=300, dim=2, level=5)
+        assert new == ref
 
-        model = mvsde.mf_ou(theta=1.0, alpha=0.5, s=0.4, dim=2)
-        traj = mvsde.run_single(model, mvsde.PointMass(1.0), seed=7, level=5, n_particles=300, horizon=1.0)
-        rows = (
-            (traj.times[j], p, k, traj.states[j, p, k])
-            for j in range(traj.times.shape[0])
-            for p in range(traj.n_particles)
-            for k in range(traj.dim)
-        )
-        _write_csv_per_value(tmp_path / "ref.csv", ["time", "particle", "dim", "value"], rows)
-        assert (out / "trajectories.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    def test_run_single_particle_matches_per_value_writer(self, tmp_path):
+        new, ref = _run_csv(tmp_path, n=1, dim=1, level=4)
+        assert new == ref
+
+    def test_run_slice_above_block_rows_is_split(self, tmp_path, monkeypatch):
+        # d = 3: each time slice holds 1400 * 3 rows, more than one block, and
+        # no single write may cover more than a block
+        assert 1400 * 3 > _CSV_BLOCK_ROWS
+        rows_per_write = []
+
+        class RecordingFile:
+            def __init__(self, *args, **kwargs):
+                self.fh = open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                rows_per_write.append(text.count("\n"))
+                return self.fh.write(text)
+
+        monkeypatch.setattr(cli, "open", RecordingFile, raising=False)
+        new, ref = _run_csv(tmp_path, n=1400, dim=3, level=2)
+        assert new == ref
+        assert sum(rows_per_write) > 5 * 1400 * 3
+        assert max(rows_per_write) <= _CSV_BLOCK_ROWS
 
     def test_mixed_columns_match_per_value_writer(self, tmp_path):
         # check.csv mixes bools, floats, empty cells and text
@@ -377,8 +426,16 @@ class TestCsvWriter:
             ("h2prime", np.bool_(False), np.float64(1e-300), np.float32(0.1), "ratio 2.5 at x=-0.0"),
             ("count", 3, np.int64(-7), -0.0, None),
         ]
-        _write_csv(tmp_path / "new.csv", header, list(zip(*rows)))
+        _write_csv(tmp_path / "new.csv", header, [list(zip(*rows))])
         _write_csv_per_value(tmp_path / "ref.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_tuple_of_ints_column_matches_per_value_writer(self, tmp_path):
+        # rate.csv's level column is the config's tuple of levels
+        header = ["level", "error", "stderr"]
+        columns = [(3, 4, 12), [0.5, 0.25, 1e-17], np.array([0.1, 0.0, 2.5])]
+        _write_csv(tmp_path / "new.csv", header, [columns])
+        _write_csv_per_value(tmp_path / "ref.csv", header, zip(*columns))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_array_columns_match_per_value_writer(self, tmp_path):
@@ -392,10 +449,18 @@ class TestCsvWriter:
             rng.standard_normal(n).astype(np.float32),
         ]
         header = ["f64", "i64", "u64", "bool", "f32"]
-        _write_csv(tmp_path / "new.csv", header, columns)
+        _write_csv(tmp_path / "new.csv", header, [columns])
         _write_csv_per_value(tmp_path / "ref.csv", header, zip(*columns))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    def test_empty_numeric_column_matches_per_value_writer(self, tmp_path):
+        for empty in (np.empty(0), np.empty(0, dtype=np.int64)):
+            assert _format_column(empty) == []
+        blocks = [[np.array([1.5])], [np.empty(0)], [np.array([-0.0])]]
+        _write_csv(tmp_path / "new.csv", ["x"], blocks)
+        _write_csv_per_value(tmp_path / "ref.csv", ["x"], [(1.5,), (-0.0,)])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_empty_table_is_header_only(self, tmp_path):
-        _write_csv(tmp_path / "new.csv", ["a", "b"], [[], np.empty(0)])
+        _write_csv(tmp_path / "new.csv", ["a", "b"], [[[], np.empty(0)]])
         assert (tmp_path / "new.csv").read_bytes() == b"a,b\n"

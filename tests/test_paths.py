@@ -162,6 +162,16 @@ class TestLatticeSampling:
         with pytest.raises(LatticeError, match="level limit"):
             sample_lattice(NoiseStreams(0, 1), 1, 31, 1.0)
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+    def test_horizon_guard(self, horizon):
+        with pytest.raises(LatticeError, match="horizon must be positive and finite"):
+            sample_lattice(NoiseStreams(0, 2), 1, 3, horizon)
+
+    def test_increments_read_only(self):
+        lat = sample_lattice(NoiseStreams(0, 2), 1, 3, 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            lat.increments[0, 0, 0] = 1.0
+
     def test_marginal_variance(self):
         # pooled sample variance of >= 1e6 increments within 3 standard errors
         # of horizon / 2^level (se of a normal sample variance: var*sqrt(2/M))
