@@ -12,20 +12,17 @@ from .measure import (
     uniform_measure,
 )
 from .models import (
-    CATALOG,
+    MODELS,
     CoefficientModel,
     ModulusKappaEta,
     check_h2prime,
     check_linear_growth,
-    diffusion_eval,
-    drift_eval,
     gamma_log,
     kappa_eta,
     make_model,
     mf_ou,
     osgood,
     sznitman,
-    with_mf_ou_oracles,
 )
 from .paths import (
     BrownianLattice,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis, models
 from .config import ConfigError, ExperimentConfig, load_config
-from .models import make_model, with_mf_ou_oracles
+from .models import make_model
 from .solver import BlowUpError, em_multilevel, run_single
 
 EXIT_OK = 0
@@ -102,15 +102,6 @@ def _out_dir(cfg_out: Path | None, cli_out: str | None, kind: str) -> Path:
     return out
 
 
-def _build_model(cfg: ExperimentConfig):
-    model = make_model(cfg.model_id, dim=cfg.dim, params=cfg.model_params)
-    if model.model_id == "mf-ou":
-        model = with_mf_ou_oracles(
-            model, cfg.law.mean(cfg.dim), cfg.law.second_moment(cfg.dim)
-        )
-    return model
-
-
 # ---------------------------------------------------------------------------
 # the experiment pipeline: build model -> simulate -> analyse -> write -> gate
 # ---------------------------------------------------------------------------
@@ -142,7 +133,7 @@ def _pipeline(analyse, cfg: ExperimentConfig, out: Path, threads: int, gate: boo
     """One experiment.  ``analyse(cfg, model, trajectories, out, gate)``
     writes the kind's data files and returns its summary entries and its gate
     failure (None when the gate is off or passes)."""
-    model = _build_model(cfg)
+    model = make_model(cfg.model_id, dim=cfg.dim, params=cfg.model_params)
     trajectories = _simulate(cfg, model, threads, runs)
     entries, failure = analyse(cfg, model, trajectories, out, gate)
     return _report(out, {"experiment": cfg.kind, "model": cfg.model_id, **entries}, failure)
@@ -223,8 +214,12 @@ def _analyse_moments(cfg, model, trajectories, out, gate):
     (traj,) = trajectories
     report = analysis.moment_curve(traj, cfg.moment_order)
     oracle_vals = None
-    if model.moment_oracle is not None and cfg.moment_order == 1:
-        oracle_vals = np.array([model.moment_oracle(t, 1) for t in report.times])
+    if model.model_id == "mf-ou" and cfg.moment_order == 1:
+        d = cfg.dim
+        _, moment_fn = models.mf_ou_oracles(
+            **model.parameters, dim=d, m0=cfg.law.mean(d), u0=cfg.law.second_moment(d)
+        )
+        oracle_vals = np.array([moment_fn(t, 1) for t in report.times])
     header = ["time", "moment", "stderr", "envelope"]
     columns = [report.times, report.moments, report.stderrs, report.envelope]
     if oracle_vals is not None:
@@ -297,13 +292,13 @@ def _analyse_check(cfg, model, trajectories, out, gate):
     if growth.failure:
         entries["linear_growth.failure"] = growth.failure
     ok = growth.passed
-    if model.assumption_class == "H1+H2'":
+    if model.moduli is not None:
         h2p = models.check_h2prime(model, count=cfg.check_pairs, seed=cfg.seed)
         rows.append(("h2prime", h2p.passed, h2p.fitted_lambda1, h2p.fitted_lambda2, h2p.failure))
         entries["h2prime.passed"] = h2p.passed
         entries["h2prime.fitted_lambda1"] = h2p.fitted_lambda1
         entries["h2prime.fitted_lambda2"] = h2p.fitted_lambda2
-        entries["h2prime.measure_term"] = h2p.measure_term
+        entries["h2prime.measure_term"] = models.MEASURE_TERM
         ok = ok and h2p.passed
     _write_csv(out / "check.csv", ["check", "passed", "fitted_1", "fitted_2", "note"], [list(zip(*rows))])
     return entries, None if ok or not gate else "assumption check failed; see check.csv"

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import FIXED_DIM, PARAM_SCHEMA
+from .models import GROWTH_MIN_COUNT, H2PRIME_MIN_COUNT, MODELS
 from .solver import BLOWUP_LIMIT, GaussianLaw, InitialLaw, PointMass, UniformBox
 
 __all__ = ["ConfigError", "ExperimentConfig", "KEYS", "parse_config_text", "load_config", "KINDS"]
@@ -191,9 +191,9 @@ def _build_law(values: dict) -> InitialLaw:
 def _validate(cfg: ExperimentConfig, seed_source: str) -> None:
     if cfg.dim < 1:
         raise ConfigError("sim.d must be at least 1")
-    fixed = FIXED_DIM.get(cfg.model_id)
-    if fixed is not None and cfg.dim != fixed:
-        raise ConfigError(f"model {cfg.model_id!r} is {fixed}-dimensional; set sim.d = {fixed}")
+    _, _, pinned = MODELS[cfg.model_id]
+    if pinned is not None and cfg.dim != pinned:
+        raise ConfigError(f"model {cfg.model_id!r} is {pinned}-dimensional; set sim.d = {pinned}")
     if cfg.n_particles < 1:
         raise ConfigError("sim.N must be at least 1")
     if cfg.horizon <= 0:
@@ -229,10 +229,10 @@ def _validate(cfg: ExperimentConfig, seed_source: str) -> None:
 
     if cfg.moment_order < 1:
         raise ConfigError("moments.p must be at least 1")
-    if cfg.check_count < 1000:
-        raise ConfigError("check.count must be at least 1000")
-    if cfg.check_pairs < 100:
-        raise ConfigError("check.pairs must be at least 100")
+    if cfg.check_count < GROWTH_MIN_COUNT:
+        raise ConfigError(f"check.count must be at least {GROWTH_MIN_COUNT}")
+    if cfg.check_pairs < H2PRIME_MIN_COUNT:
+        raise ConfigError(f"check.pairs must be at least {H2PRIME_MIN_COUNT}")
     if cfg.gate_slope_min >= cfg.gate_slope_max:
         raise ConfigError("gate.slope_min must be below gate.slope_max")
 
@@ -263,16 +263,17 @@ def load_config(path, kind: str, seed_override: int | None = None) -> Experiment
     if declared is not None and declared != kind:
         raise ConfigError(f"config declares experiment.kind = {declared!r} but the {kind!r} command was invoked")
     model_id = values["model.id"]
-    if model_id not in PARAM_SCHEMA:
-        raise ConfigError(f"unknown model id {model_id!r}; known: {sorted(PARAM_SCHEMA)}")
+    if model_id not in MODELS:
+        raise ConfigError(f"unknown model id {model_id!r}; known: {sorted(MODELS)}")
+    _, names, _ = MODELS[model_id]
     params: dict[str, float] = {}
     for key in raw:
         if key.startswith("model.") and key != "model.id":
             name = key.split(".", 1)[1]
-            if name not in PARAM_SCHEMA[model_id]:
+            if name not in names:
                 raise ConfigError(
                     f"line {raw[key][0]}: model {model_id!r} has no parameter {name!r}; "
-                    f"schema: {sorted(PARAM_SCHEMA[model_id])}"
+                    f"schema: {sorted(names)}"
                 )
             params[name] = _parse(raw, key, _number)
 

@@ -145,7 +145,10 @@ class EmpiricalMeasure:
         weights.flags.writeable = False
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "weights", weights)
-        if not np.isfinite(self.lambda2):
+        # a support far out overflows the norms to inf, which is the error
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(self.lambda2)
+        if not finite:
             raise MeasureError("weighted mass norm is not finite")
 
     @property

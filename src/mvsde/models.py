@@ -1,13 +1,14 @@
 """Coefficient models, concave moduli, and sampling-based assumption checkers.
 
 A model is a drift/diffusion pair evaluated against a state batch and an
-empirical law.  The built-in catalog spans the assumption classes exercised
-by the test-suite:
+empirical law.  Linear growth (H1) is checked for every model; a model
+declares the log-Lipschitz class (H2') by giving its continuity moduli.
+``MODELS`` is the catalog:
 
 ``mf-ou``
     Linear mean-field Ornstein-Uhlenbeck: ``b(x, mu) = -theta*x + alpha*mean(mu)``
     and ``sigma = s*I``.  Globally Lipschitz, with closed-form mean and
-    second-moment oracles.
+    second-moment oracles (``mf_ou_oracles``).
 
 ``osgood``
     Scalar model that is log-Lipschitz but genuinely non-Lipschitz at the
@@ -20,6 +21,10 @@ by the test-suite:
     Convolution drift ``b(x, mu) = mean(mu) - x`` (the kernel ``y - x``
     integrated against the law) with constant diffusion ``s*I``.
 
+``x2-fixture``
+    Growth-violating drift ``b = x^2`` that declares no moduli, for the
+    checkers' failure path.
+
 Checkers are falsifiers, not proofs: they sample state/measure pairs on an
 escalating scale ladder and certify "no violation found", reporting the
 fitted constants.  The measure argument of the continuity check uses the
@@ -31,7 +36,7 @@ where the surrogate bound is valid analytically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -44,8 +49,6 @@ __all__ = [
     "ModulusKappaEta",
     "gamma_log",
     "CoefficientModel",
-    "drift_eval",
-    "diffusion_eval",
     "GrowthReport",
     "check_linear_growth",
     "H2PrimeReport",
@@ -55,9 +58,7 @@ __all__ = [
     "sznitman",
     "quadratic_drift_fixture",
     "mf_ou_oracles",
-    "with_mf_ou_oracles",
-    "CATALOG",
-    "PARAM_SCHEMA",
+    "MODELS",
     "make_model",
 ]
 
@@ -135,40 +136,27 @@ def _gamma_one(r):
 
 @dataclass(frozen=True)
 class CoefficientModel:
-    """Immutable drift/diffusion pair with a declared assumption class.
+    """Immutable drift/diffusion pair.
 
     ``drift`` maps a state batch (n, d) and a law to (n, d);
     ``diffusion_apply`` maps them and an increment batch dw (n, d) to
     ``sigma(x, mu) @ dw`` (n, d), the only form the solver needs.  The matrix
     sigma (n, d, d) is derived from it (``_diffusion_matrix``).
-    ``gamma1``/``gamma2`` are the declared continuity moduli, which
-    :func:`check_h2prime` requires; ``moment_oracle(t, p)`` returns the
-    exact 2p-th absolute moment when available (order 1 only for the catalog).
+    ``moduli`` is ``(gamma1, gamma2)``, the continuity moduli by which the
+    model declares H2' and which :func:`check_h2prime` reads; ``None``
+    declares linear growth only.
     """
 
     model_id: str
     dim: int
     drift: Callable[[np.ndarray, EmpiricalMeasure], np.ndarray]
     diffusion_apply: Callable[[np.ndarray, EmpiricalMeasure, np.ndarray], np.ndarray]
-    assumption_class: str
     parameters: dict = field(default_factory=dict)
-    gamma1: Callable | None = None
-    gamma2: Callable | None = None
-    moment_oracle: Callable[[float, int], float] | None = None
-    mean_oracle: Callable[[float], np.ndarray] | None = None
+    moduli: tuple[Callable, Callable] | None = None
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ModelError(f"dimension must be positive, got {self.dim}")
-        if self.assumption_class not in ("H1-only", "H1+H2'"):
-            raise ModelError(f"unknown assumption class {self.assumption_class!r}")
-
-
-def _as_batch(x: np.ndarray, dim: int) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape != (dim,):
-        raise ModelError(f"state has shape {arr.shape}, model dimension is {dim}")
-    return arr[None, :]
 
 
 def _diffusion_matrix(model: CoefficientModel, states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
@@ -177,28 +165,6 @@ def _diffusion_matrix(model: CoefficientModel, states: np.ndarray, mu: Empirical
     n = states.shape[0]
     columns = [model.diffusion_apply(states, mu, np.tile(unit, (n, 1))) for unit in np.eye(model.dim)]
     return np.stack([np.asarray(c, dtype=np.float64) for c in columns], axis=2)
-
-
-def drift_eval(model: CoefficientModel, x: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
-    """Evaluate the drift at a single state; errors echo the offending input."""
-    if mu.dim != model.dim:
-        raise ModelError(f"measure dimension {mu.dim} does not match model dimension {model.dim}")
-    out = np.asarray(model.drift(_as_batch(x, model.dim), mu), dtype=np.float64)[0]
-    if not np.isfinite(out).all():
-        raise ModelError(f"drift returned non-finite value {out} at x={np.asarray(x)}")
-    return out
-
-
-def diffusion_eval(model: CoefficientModel, x: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
-    """Evaluate the diffusion matrix at a single state."""
-    if mu.dim != model.dim:
-        raise ModelError(f"measure dimension {mu.dim} does not match model dimension {model.dim}")
-    out = _diffusion_matrix(model, _as_batch(x, model.dim), mu)[0]
-    if out.shape != (model.dim, model.dim):
-        raise ModelError(f"diffusion returned shape {out.shape}, expected ({model.dim}, {model.dim})")
-    if not np.isfinite(out).all():
-        raise ModelError(f"diffusion returned non-finite value at x={np.asarray(x)}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +185,8 @@ def mf_ou(theta: float = 1.0, alpha: float = 0.5, s: float = 0.4, dim: int = 1) 
         dim=dim,
         drift=drift,
         diffusion_apply=diffusion_apply,
-        assumption_class="H1+H2'",
         parameters={"theta": theta, "alpha": alpha, "s": s},
-        gamma1=_gamma_one,
-        gamma2=_gamma_one,
+        moduli=(_gamma_one, _gamma_one),
     )
 
 
@@ -253,15 +217,6 @@ def mf_ou_oracles(theta: float, alpha: float, s: float, dim: int, m0, u0: float)
         return second_moment(t)
 
     return mean_fn, moment_fn
-
-
-def with_mf_ou_oracles(model: CoefficientModel, m0, u0: float) -> CoefficientModel:
-    """Attach the exact moment oracles for a given initial law to ``mf-ou``."""
-    if model.model_id != "mf-ou":
-        raise ModelError("oracles are available for the mf-ou model only")
-    p = model.parameters
-    mean_fn, moment_fn = mf_ou_oracles(p["theta"], p["alpha"], p["s"], model.dim, m0, u0)
-    return replace(model, mean_oracle=mean_fn, moment_oracle=moment_fn)
 
 
 def _sqrtlog_profile(r: np.ndarray, eta: float) -> np.ndarray:
@@ -299,10 +254,8 @@ def osgood(c: float = 1.0, beta: float = 0.25, s: float = 0.3, eta: float = DEFA
         dim=1,
         drift=drift,
         diffusion_apply=diffusion_apply,
-        assumption_class="H1+H2'",
         parameters={"c": c, "beta": beta, "s": s, "eta": eta},
-        gamma1=gamma_log,
-        gamma2=gamma_log,
+        moduli=(gamma_log, gamma_log),
     )
 
 
@@ -320,10 +273,8 @@ def sznitman(s: float = 0.4, dim: int = 1) -> CoefficientModel:
         dim=dim,
         drift=drift,
         diffusion_apply=diffusion_apply,
-        assumption_class="H1+H2'",
         parameters={"s": s},
-        gamma1=_gamma_one,
-        gamma2=_gamma_one,
+        moduli=(_gamma_one, _gamma_one),
     )
 
 
@@ -338,54 +289,35 @@ def quadratic_drift_fixture() -> CoefficientModel:
         dim=1,
         drift=drift,
         diffusion_apply=lambda states, mu, dw: np.zeros_like(dw),
-        assumption_class="H1-only",
-        parameters={},
     )
 
 
-CATALOG: dict[str, Callable[..., CoefficientModel]] = {
-    "mf-ou": mf_ou,
-    "osgood": osgood,
-    "sznitman": sznitman,
+#: the catalog: id -> (factory, parameter names, pinned dimension or None)
+MODELS: dict[str, tuple[Callable[..., CoefficientModel], frozenset[str], int | None]] = {
+    "mf-ou": (mf_ou, frozenset({"theta", "alpha", "s"}), None),
+    "osgood": (osgood, frozenset({"c", "beta", "s", "eta"}), 1),
+    "sznitman": (sznitman, frozenset({"s"}), None),
+    "x2-fixture": (quadratic_drift_fixture, frozenset(), 1),
 }
-
-FIXTURES: dict[str, Callable[..., CoefficientModel]] = {
-    "x2-fixture": quadratic_drift_fixture,
-}
-
-PARAM_SCHEMA: dict[str, frozenset[str]] = {
-    "mf-ou": frozenset({"theta", "alpha", "s"}),
-    "osgood": frozenset({"c", "beta", "s", "eta"}),
-    "sznitman": frozenset({"s"}),
-    "x2-fixture": frozenset(),
-}
-
-#: models whose construction pins the dimension
-FIXED_DIM: dict[str, int] = {"osgood": 1, "x2-fixture": 1}
 
 
 def make_model(model_id: str, dim: int = 1, params: dict | None = None) -> CoefficientModel:
     """Build a catalog model by id, validating parameter names and dimension."""
     params = dict(params or {})
-    if model_id in CATALOG:
-        factory = CATALOG[model_id]
-    elif model_id in FIXTURES:
-        factory = FIXTURES[model_id]
-    else:
-        known = sorted(CATALOG) + sorted(FIXTURES)
-        raise ModelError(f"unknown model id {model_id!r}; known ids: {known}")
-    unknown = set(params) - PARAM_SCHEMA[model_id]
+    if model_id not in MODELS:
+        raise ModelError(f"unknown model id {model_id!r}; known ids: {sorted(MODELS)}")
+    factory, names, pinned = MODELS[model_id]
+    unknown = set(params) - names
     if unknown:
         raise ModelError(
             f"unknown parameter(s) {sorted(unknown)} for model {model_id!r}; "
-            f"schema: {sorted(PARAM_SCHEMA[model_id])}"
+            f"schema: {sorted(names)}"
         )
-    fixed = FIXED_DIM.get(model_id)
-    if fixed is not None:
-        if dim != fixed:
-            raise ModelError(f"model {model_id!r} is {fixed}-dimensional, got d={dim}")
-        return factory(**params)
-    return factory(dim=dim, **params)
+    if pinned is None:
+        return factory(dim=dim, **params)
+    if dim != pinned:
+        raise ModelError(f"model {model_id!r} is {pinned}-dimensional, got d={dim}")
+    return factory(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -395,14 +327,18 @@ def make_model(model_id: str, dim: int = 1, params: dict | None = None) -> Coeff
 #: support size of the uniform laws both checkers sample
 _CHECK_ATOMS = 8
 
+#: fewest samples each checker accepts
+GROWTH_MIN_COUNT = 1000
+H2PRIME_MIN_COUNT = 100
+
+#: how the continuity check bounds the law metric (see ``check_h2prime``)
+MEASURE_TERM = "upper-bound surrogate"
+
 
 @dataclass(frozen=True)
 class GrowthReport:
     passed: bool
     fitted_l1: float
-    first_half_max: float
-    second_half_max: float
-    count: int
     failure: str = ""
 
 
@@ -415,8 +351,8 @@ def check_linear_growth(model: CoefficientModel, count: int = 2000, seed: int = 
     second (larger scale) half is at most twice the maximum over the first
     half.  The overall maximum is reported as the fitted growth constant.
     """
-    if count < 1000:
-        raise ModelError(f"growth check needs at least 1000 samples, got {count}")
+    if count < GROWTH_MIN_COUNT:
+        raise ModelError(f"growth check needs at least {GROWTH_MIN_COUNT} samples, got {count}")
     rng = np.random.default_rng(seed)
     scales = np.geomspace(1.0, 256.0, count)
     ratios = np.empty(count)
@@ -433,9 +369,6 @@ def check_linear_growth(model: CoefficientModel, count: int = 2000, seed: int = 
             return GrowthReport(
                 passed=False,
                 fitted_l1=math.inf,
-                first_half_max=math.nan,
-                second_half_max=math.nan,
-                count=count,
                 failure=f"non-finite ratio at sample {i}: x={x}, scale={scale:.3g}",
             )
         ratios[i] = ratio
@@ -447,14 +380,7 @@ def check_linear_growth(model: CoefficientModel, count: int = 2000, seed: int = 
         f"ratio grows along the scale ladder: max {second:.6g} on the large-scale half "
         f"vs {first:.6g} on the small-scale half"
     )
-    return GrowthReport(
-        passed=passed,
-        fitted_l1=float(ratios.max()),
-        first_half_max=first,
-        second_half_max=second,
-        count=count,
-        failure=failure,
-    )
+    return GrowthReport(passed=passed, fitted_l1=float(ratios.max()), failure=failure)
 
 
 @dataclass(frozen=True)
@@ -462,12 +388,6 @@ class H2PrimeReport:
     passed: bool
     fitted_lambda1: float
     fitted_lambda2: float
-    drift_first_half_max: float
-    drift_second_half_max: float
-    diffusion_first_half_max: float
-    diffusion_second_half_max: float
-    count: int
-    measure_term: str = "upper-bound surrogate"
     failure: str = ""
 
 
@@ -483,17 +403,15 @@ def check_h2prime(model: CoefficientModel, count: int = 2000, seed: int = 0) -> 
     exceed twice the large-separation half.
 
     The measure term uses the coupled upper bound in place of the exact law
-    metric (flagged in the report's ``measure_term``); for models whose
+    metric (flagged as ``MEASURE_TERM`` in the summary); for models whose
     measure dependence is through the mean this substitution is an analytic
     upper bound.
     """
-    if model.assumption_class != "H1+H2'":
+    if model.moduli is None:
         raise ModelError(f"model {model.model_id!r} does not declare the continuity class")
-    gamma1, gamma2 = model.gamma1, model.gamma2
-    if gamma1 is None or gamma2 is None:
-        raise ModelError(f"model {model.model_id!r} declares the continuity class without gamma1 and gamma2 moduli")
-    if count < 100:
-        raise ModelError(f"continuity check needs at least 100 samples, got {count}")
+    gamma1, gamma2 = model.moduli
+    if count < H2PRIME_MIN_COUNT:
+        raise ModelError(f"continuity check needs at least {H2PRIME_MIN_COUNT} samples, got {count}")
     rng = np.random.default_rng(seed)
     deltas = np.geomspace(1.0, 1e-10, count)
     r1 = np.empty(count)
@@ -523,11 +441,6 @@ def check_h2prime(model: CoefficientModel, count: int = 2000, seed: int = 0) -> 
                 passed=False,
                 fitted_lambda1=math.inf,
                 fitted_lambda2=math.inf,
-                drift_first_half_max=math.nan,
-                drift_second_half_max=math.nan,
-                diffusion_first_half_max=math.nan,
-                diffusion_second_half_max=math.nan,
-                count=count,
                 failure=f"non-finite ratio at sample {i}: x1={x1}, separation={delta:.3g}",
             )
     half = count // 2
@@ -539,13 +452,5 @@ def check_h2prime(model: CoefficientModel, count: int = 2000, seed: int = 0) -> 
         f"diffusion {d2a:.6g} -> {d2b:.6g}"
     )
     return H2PrimeReport(
-        passed=passed,
-        fitted_lambda1=float(r1.max()),
-        fitted_lambda2=float(r2.max()),
-        drift_first_half_max=d1a,
-        drift_second_half_max=d1b,
-        diffusion_first_half_max=d2a,
-        diffusion_second_half_max=d2b,
-        count=count,
-        failure=failure,
+        passed=passed, fitted_lambda1=float(r1.max()), fitted_lambda2=float(r2.max()), failure=failure
     )

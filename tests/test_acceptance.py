@@ -99,11 +99,12 @@ def test_criterion_3_moment_oracle():
     """mf-ou, N=10^4, p=1, x0 = 0: empirical second moment within 3 standard
     errors of the closed-form oracle everywhere; fitted envelope dominates."""
     n = 10_000
-    model = M.with_mf_ou_oracles(M.mf_ou(), m0=0.0, u0=0.0)
+    model = M.mf_ou()
+    _, moment_fn = M.models.mf_ou_oracles(**model.parameters, dim=1, m0=0.0, u0=0.0)
     traj = M.run_single(model, M.PointMass(0.0), seed=1, level=10, n_particles=n,
                         horizon=1.0, record_level=5)
     report = M.moment_curve(traj, order=1)
-    oracle = np.array([model.moment_oracle(t, 1) for t in report.times])
+    oracle = np.array([moment_fn(t, 1) for t in report.times])
     dev = np.abs(report.moments - oracle)
     within = bool(np.all(dev <= np.maximum(3.0 * report.stderrs, 1e-12)))
     converged = math.isfinite(report.envelope_constant)

@@ -16,7 +16,7 @@ from mvsde.analysis import (
     strong_error,
 )
 from mvsde.measure import default_dictionary, rho_lower, rho_upper, uniform_measure
-from mvsde.models import ModulusKappaEta, mf_ou
+from mvsde.models import ModulusKappaEta, mf_ou, mf_ou_oracles
 from mvsde.solver import (
     GaussianLaw,
     ParticleEnsemble,
@@ -135,15 +135,14 @@ class TestMomentCurve:
         assert report.dominated
 
     def test_mf_ou_matches_oracle(self):
-        from mvsde.models import with_mf_ou_oracles
-
         n = 10_000
-        model = with_mf_ou_oracles(mf_ou(), m0=0.0, u0=0.0)
+        model = mf_ou()
+        _, moment_fn = mf_ou_oracles(**model.parameters, dim=1, m0=0.0, u0=0.0)
         traj = run_single(model, PointMass(0.0), seed=5, level=10, n_particles=n,
                           horizon=1.0, record_level=5)
         report = moment_curve(traj, order=1)
         for j, t in enumerate(report.times):
-            dev = abs(report.moments[j] - model.moment_oracle(t, 1))
+            dev = abs(report.moments[j] - moment_fn(t, 1))
             assert dev <= max(3.0 * report.stderrs[j], 1e-12)
         assert report.dominated
 

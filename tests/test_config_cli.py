@@ -20,6 +20,7 @@ from mvsde.cli import (
     main,
 )
 from mvsde.config import KEYS, REQUIRED, ConfigError, load_config, parse_config_text
+from mvsde.models import MODELS, ModelError, make_model
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -125,6 +126,32 @@ class TestConfigParsing:
         explicit = _write(tmp_path, RUN_CFG.replace("experiment.kind = run\n", "metric.seed_b = 3\n"), "b.cfg")
         assert load_config(explicit, "metric", seed_override=20).seed_b == 3
 
+    @pytest.mark.parametrize("model_id", sorted(MODELS))
+    def test_config_and_make_model_agree_on_the_catalog(self, tmp_path, model_id):
+        _, names, pinned = MODELS[model_id]
+        dim = pinned or 2
+        params = {name: 0.1 for name in sorted(names)}
+        text = f"model.id = {model_id}\nsim.N = 4\nsim.level = 2\nsim.d = {dim}\n"
+        text += "".join(f"model.{name} = {value}\n" for name, value in params.items())
+        cfg = load_config(_write(tmp_path, text), "run")
+        assert cfg.model_params == params
+        model = make_model(model_id, dim=cfg.dim, params=cfg.model_params)
+        assert (model.model_id, model.dim, model.parameters) == (model_id, dim, params)
+
+        unknown = text + "model.zeta = 1\n"
+        lineno = len(unknown.splitlines())
+        with pytest.raises(ConfigError, match=f"line {lineno}: model '{model_id}' has no parameter 'zeta'"):
+            load_config(_write(tmp_path, unknown, "unknown.cfg"), "run")
+        with pytest.raises(ModelError, match="zeta"):
+            make_model(model_id, dim=dim, params={**params, "zeta": 1.0})
+
+        if pinned is not None:
+            wrong = text.replace(f"sim.d = {dim}", f"sim.d = {pinned + 1}")
+            with pytest.raises(ConfigError, match=f"{pinned}-dimensional"):
+                load_config(_write(tmp_path, wrong, "wrong.cfg"), "run")
+            with pytest.raises(ModelError, match=f"{pinned}-dimensional"):
+                make_model(model_id, dim=pinned + 1, params=params)
+
     def test_readme_key_table_matches_keys(self):
         section = (ROOT / "README.md").read_text().split("### Config format", 1)[1].split("\n## ", 1)[0]
         rows = dict(re.findall(r"^\| `([^`]+)` \| ([^|]+?) \|", section, flags=re.M))
@@ -215,6 +242,19 @@ class TestCliMomentsMetricCheck:
         assert main(["moments", "--config", str(path), "--out", str(out), "--gate"]) == EXIT_OK
         header = (out / "moments.csv").read_text().splitlines()[0]
         assert header == "time,moment,stderr,envelope,oracle"
+
+    def test_moments_without_oracle(self, tmp_path):
+        # only mf-ou has a closed-form moment curve
+        text = (
+            "model.id = osgood\nsim.N = 64\nsim.level = 4\n"
+            "moments.p = 1\ninit.law = point\ninit.x0 = 0.5\n"
+        )
+        path = _write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["moments", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        header = (out / "moments.csv").read_text().splitlines()[0]
+        assert header == "time,moment,stderr,envelope"
+        assert "oracle" not in (out / "summary.txt").read_text()
 
     def test_metric_zero_curves_for_identical_seeds(self, tmp_path):
         text = (

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from scipy.integrate import solve_ivp
 
 from mvsde.measure import dirac, rho_upper, uniform_measure
 from mvsde.models import (
+    MEASURE_TERM,
     CoefficientModel,
     ModelError,
     ModulusKappaEta,
+    _diffusion_matrix,
     check_h2prime,
     check_linear_growth,
-    diffusion_eval,
-    drift_eval,
     gamma_log,
     kappa_eta,
     make_model,
@@ -23,7 +24,6 @@ from mvsde.models import (
     osgood,
     quadratic_drift_fixture,
     sznitman,
-    with_mf_ou_oracles,
 )
 
 from conftest import random_coupled_pair
@@ -108,20 +108,20 @@ class TestGammaLog:
 class TestCatalogEvaluation:
     def test_mf_ou_drift_examples(self):
         model = mf_ou(theta=1.0, alpha=0.5, s=0.4, dim=1)
-        assert drift_eval(model, np.array([0.0]), dirac(0.0)) == pytest.approx(0.0)
-        assert drift_eval(model, np.array([1.0]), dirac(0.0))[0] == pytest.approx(-1.0)
-        assert drift_eval(model, np.array([0.0]), dirac(2.0))[0] == pytest.approx(1.0)
+        assert model.drift(np.array([[0.0]]), dirac(0.0))[0] == pytest.approx(0.0)
+        assert model.drift(np.array([[1.0]]), dirac(0.0))[0, 0] == pytest.approx(-1.0)
+        assert model.drift(np.array([[0.0]]), dirac(2.0))[0, 0] == pytest.approx(1.0)
 
     def test_mf_ou_diffusion_constant(self):
         model = mf_ou(theta=1.0, alpha=0.5, s=0.4, dim=1)
-        assert np.array_equal(diffusion_eval(model, np.array([3.0]), dirac(0.0)), [[0.4]])
+        assert np.array_equal(_diffusion_matrix(model, np.array([[3.0]]), dirac(0.0))[0], [[0.4]])
         degenerate = mf_ou(s=0.0)
-        assert np.array_equal(diffusion_eval(degenerate, np.array([3.0]), dirac(0.0)), [[0.0]])
+        assert np.array_equal(_diffusion_matrix(degenerate, np.array([[3.0]]), dirac(0.0))[0], [[0.0]])
 
     def test_osgood_vanishes_at_origin(self):
         model = osgood()
-        assert np.array_equal(diffusion_eval(model, np.array([0.0]), dirac(0.0)), [[0.0]])
-        assert drift_eval(model, np.array([0.0]), dirac(0.0))[0] == 0.0
+        assert np.array_equal(_diffusion_matrix(model, np.array([[0.0]]), dirac(0.0))[0], [[0.0]])
+        assert model.drift(np.array([[0.0]]), dirac(0.0))[0, 0] == 0.0
 
     def test_osgood_drift_closed_form(self):
         # independent statement of the drift: -c * sign(x) * kappa(|x|) + beta * mean
@@ -129,59 +129,26 @@ class TestCatalogEvaluation:
         mu = uniform_measure(np.array([[0.2], [0.8]]))
         for x in (-2.0, -0.1, 0.05, ETA, 0.9):
             expected = -1.3 * math.copysign(kappa_eta(abs(x), ETA), x) + 0.25 * 0.5
-            assert drift_eval(model, np.array([x]), mu)[0] == pytest.approx(expected, rel=1e-14)
+            assert model.drift(np.array([[x]]), mu)[0, 0] == pytest.approx(expected, rel=1e-14)
 
     def test_osgood_diffusion_closed_form(self):
         model = osgood(c=1.0, beta=0.25, s=0.3, eta=ETA)
         mu = dirac(0.0)
         for x in (1e-4, 0.05, ETA):
             expected = 0.3 * x * math.sqrt(math.log(1.0 / x))
-            assert diffusion_eval(model, np.array([x]), mu)[0, 0] == pytest.approx(expected, rel=1e-14)
-            assert diffusion_eval(model, np.array([-x]), mu)[0, 0] == pytest.approx(-expected, rel=1e-14)
+            assert _diffusion_matrix(model, np.array([[x]]), mu)[0, 0, 0] == pytest.approx(expected, rel=1e-14)
+            assert _diffusion_matrix(model, np.array([[-x]]), mu)[0, 0, 0] == pytest.approx(-expected, rel=1e-14)
         # constant-slope continuation beyond the knee
         log_eta = math.log(1.0 / ETA)
         slope = math.sqrt(log_eta) - 0.5 / math.sqrt(log_eta)
         expected = 0.3 * (ETA * math.sqrt(log_eta) + slope * (0.9 - ETA))
-        assert diffusion_eval(model, np.array([0.9]), mu)[0, 0] == pytest.approx(expected, rel=1e-14)
+        assert _diffusion_matrix(model, np.array([[0.9]]), mu)[0, 0, 0] == pytest.approx(expected, rel=1e-14)
 
     def test_sznitman_drift(self):
         model = sznitman(s=0.4, dim=2)
         mu = uniform_measure(np.array([[1.0, 0.0], [3.0, 2.0]]))
-        out = drift_eval(model, np.array([1.0, 1.0]), mu)
+        out = model.drift(np.array([[1.0, 1.0]]), mu)[0]
         assert out == pytest.approx([1.0, 0.0])
-
-    def test_dimension_mismatch(self):
-        model = mf_ou(dim=2)
-        with pytest.raises(ModelError, match="dimension"):
-            drift_eval(model, np.array([1.0]), dirac([0.0, 0.0]))
-        with pytest.raises(ModelError, match="dimension"):
-            drift_eval(model, np.array([1.0, 0.0]), dirac(0.0))
-
-    def test_nonfinite_output_echoes_input(self):
-        def bad_drift(states, mu):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return states / 0.0
-
-        bad = CoefficientModel(
-            model_id="bad",
-            dim=1,
-            drift=bad_drift,
-            diffusion_apply=lambda states, mu, dw: np.zeros_like(dw),
-            assumption_class="H1-only",
-        )
-        with pytest.raises(ModelError, match="non-finite"):
-            drift_eval(bad, np.array([1.0]), dirac(0.0))
-
-    def test_undeclared_assumption_class_rejected(self):
-        # no model declares H2 without H2'; the continuity checker covers H2' only
-        with pytest.raises(ModelError, match="unknown assumption class"):
-            CoefficientModel(
-                model_id="h2",
-                dim=1,
-                drift=lambda states, mu: -states,
-                diffusion_apply=lambda states, mu, dw: np.zeros_like(dw),
-                assumption_class="H1+H2",
-            )
 
 
 class TestMakeModel:
@@ -234,10 +201,6 @@ class TestOracles:
         with pytest.raises(ModelError):
             moment_fn(1.0, 2)
 
-    def test_attach_requires_mf_ou(self):
-        with pytest.raises(ModelError):
-            with_mf_ou_oracles(osgood(), 0.0, 0.0)
-
 
 class TestPairwiseBounds:
     def test_mf_ou_global_lipschitz(self, rng):
@@ -248,7 +211,7 @@ class TestPairwiseBounds:
             mu1, mu2 = random_coupled_pair(rng, int(rng.integers(1, 7)), 2)
             x1 = rng.uniform(-5, 5, size=2)
             x2 = rng.uniform(-5, 5, size=2)
-            db = drift_eval(model, x1, mu1) - drift_eval(model, x2, mu2)
+            db = model.drift(x1[None], mu1)[0] - model.drift(x2[None], mu2)[0]
             bound = (theta + alpha) * (np.linalg.norm(x1 - x2) + rho_upper(mu1, mu2))
             assert np.linalg.norm(db) <= bound + 1e-12
 
@@ -266,8 +229,8 @@ class TestPairwiseBounds:
             x2 = x1 + delta * rng.choice([-1.0, 1.0])
             mu1, mu2 = random_coupled_pair(rng, 4, 1, scale=1.0)
             rho_bar = rho_upper(mu1, mu2)
-            db = drift_eval(model, x2, mu1) - drift_eval(model, x1, mu1)
-            dsig = diffusion_eval(model, x2, mu2) - diffusion_eval(model, x1, mu1)
+            db = model.drift(x2[None], mu1)[0] - model.drift(x1[None], mu1)[0]
+            dsig = _diffusion_matrix(model, x2[None], mu2)[0] - _diffusion_matrix(model, x1[None], mu1)[0]
             lhs = 2.0 * float(np.dot(x2 - x1, db)) + float(np.sum(dsig * dsig))
             den = kap(float(np.dot(x2 - x1, x2 - x1))) + kap(rho_bar * rho_bar)
             ratios[i] = max(lhs, 0.0) / den
@@ -292,7 +255,8 @@ class TestCheckLinearGrowth:
     def test_quadratic_drift_fails(self):
         report = check_linear_growth(quadratic_drift_fixture(), seed=0)
         assert not report.passed
-        assert report.second_half_max > 2.0 * report.first_half_max
+        second, first = map(float, re.search(r"max (\S+) on .* vs (\S+) on", report.failure).groups())
+        assert second > 2.0 * first
         assert "scale ladder" in report.failure
 
     def test_zero_model_passes_with_tiny_constant(self):
@@ -310,7 +274,7 @@ class TestCheckH2Prime:
     def test_osgood_passes(self):
         report = check_h2prime(osgood(), count=2000, seed=0)
         assert report.passed
-        assert report.measure_term == "upper-bound surrogate"
+        assert MEASURE_TERM == "upper-bound surrogate"
         assert math.isfinite(report.fitted_lambda1) and math.isfinite(report.fitted_lambda2)
 
     def test_mf_ou_passes_with_unit_modulus(self):
@@ -325,26 +289,13 @@ class TestCheckH2Prime:
             dim=1,
             drift=lambda states, mu: np.sqrt(np.abs(states)),
             diffusion_apply=lambda states, mu, dw: np.zeros_like(dw),
-            assumption_class="H1+H2'",
-            gamma1=gamma_log,
-            gamma2=gamma_log,
+            moduli=(gamma_log, gamma_log),
         )
         report = check_h2prime(sqrt_model, count=2000, seed=0)
         assert not report.passed
-        assert report.drift_second_half_max > 2.0 * report.drift_first_half_max
+        first, second = map(float, re.search(r"drift (\S+) -> (\S+),", report.failure).groups())
+        assert second > 2.0 * first
 
     def test_requires_declared_class(self):
         with pytest.raises(ModelError, match="continuity class"):
             check_h2prime(quadratic_drift_fixture())
-
-    def test_requires_declared_moduli(self):
-        model = CoefficientModel(
-            model_id="no-gamma2",
-            dim=1,
-            drift=lambda states, mu: -states,
-            diffusion_apply=lambda states, mu, dw: np.zeros_like(dw),
-            assumption_class="H1+H2'",
-            gamma1=gamma_log,
-        )
-        with pytest.raises(ModelError, match="without gamma1 and gamma2"):
-            check_h2prime(model)

@@ -5,7 +5,7 @@ import pytest
 
 from mvsde import paths, solver
 from mvsde.measure import MeasureError, uniform_measure
-from mvsde.models import CoefficientModel, mf_ou, osgood, with_mf_ou_oracles
+from mvsde.models import CoefficientModel, mf_ou, mf_ou_oracles, osgood
 from mvsde.paths import LatticeError, NoiseStreams, coarsen, make_grid, sample_lattice
 from mvsde.solver import (
     BlowUpError,
@@ -112,13 +112,14 @@ class TestEmRun:
     def test_mean_path_tracks_oracle(self):
         # empirical mean within 3 standard errors of m0*exp((alpha-theta) t)
         n = 10_000
-        model = with_mf_ou_oracles(mf_ou(theta=1.0, alpha=0.5, s=0.4), m0=1.0, u0=1.0)
+        model = mf_ou(theta=1.0, alpha=0.5, s=0.4)
+        mean_fn, _ = mf_ou_oracles(**model.parameters, dim=1, m0=1.0, u0=1.0)
         traj = run_single(model, PointMass(1.0), seed=7, level=10, n_particles=n,
                           horizon=1.0, record_level=4)
         for j, t in enumerate(traj.times):
             emp = traj.states[j, :, 0].mean()
             se = traj.states[j, :, 0].std(ddof=1) / math.sqrt(n)
-            assert abs(emp - model.mean_oracle(t)[0]) <= max(3.0 * se, 1e-12)
+            assert abs(emp - mean_fn(t)[0]) <= max(3.0 * se, 1e-12)
 
     def test_replay_matches_scalar_recursion(self):
         # independent per-particle replay of the frozen-coefficient recursion
@@ -150,7 +151,6 @@ class TestEmRun:
             dim=2,
             drift=lambda states, mu: -states,
             diffusion_apply=lambda states, mu, dw: np.einsum("ij,nj->ni", mat, dw),
-            assumption_class="H1+H2'",
         )
         n, level = 4, 3
         lat = sample_lattice(NoiseStreams(8, n), 2, level, 1.0)
