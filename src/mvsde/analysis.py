@@ -108,7 +108,6 @@ class MomentReport:
     times: np.ndarray
     moments: np.ndarray
     stderrs: np.ndarray
-    order: int
     envelope_constant: float
     envelope: np.ndarray
 
@@ -163,7 +162,6 @@ def moment_curve(traj: TrajectorySet, order: int = 1) -> MomentReport:
         times=times,
         moments=moments,
         stderrs=stderrs,
-        order=order,
         envelope_constant=fitted,
         envelope=envelope,
     )
@@ -172,10 +170,7 @@ def moment_curve(traj: TrajectorySet, order: int = 1) -> MomentReport:
 @dataclass(frozen=True)
 class IncrementReport:
     exponent: float | None
-    lags: tuple[int, ...]
-    lag_times: np.ndarray
     values: np.ndarray
-    order: int
     degenerate: bool = False
 
 
@@ -204,17 +199,11 @@ def increment_scaling(traj: TrajectorySet, order: int, lags) -> IncrementReport:
         values[k] = exact_sum(sq) / sq.size
     lag_times = np.asarray(lags, dtype=np.float64) * dt
     if np.all(values == 0.0):
-        return IncrementReport(
-            exponent=None, lags=tuple(lags), lag_times=lag_times, values=values,
-            order=order, degenerate=True,
-        )
+        return IncrementReport(exponent=None, values=values, degenerate=True)
     if (values <= 0.0).any():
         raise AnalysisError("some lags have zero mean increment; cannot take logs")
     slope, _ = np.polyfit(np.log(lag_times), np.log(values), 1)
-    return IncrementReport(
-        exponent=float(slope), lags=tuple(lags), lag_times=lag_times, values=values,
-        order=order, degenerate=False,
-    )
+    return IncrementReport(exponent=float(slope), values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +244,9 @@ def osgood_integral(kappa, eps: float, upper: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class BihariReport:
-    times: np.ndarray
     path: np.ndarray
-    closed_form: np.ndarray | None
     max_rel_gap: float | None
     in_branch: bool
-    numeric_only: bool
 
 
 def bihari_ode_check(kappa, scale: float, eps: float, horizon: float) -> BihariReport:
@@ -269,8 +255,9 @@ def bihari_ode_check(kappa, scale: float, eps: float, horizon: float) -> BihariR
 
     eps = 0 returns the identically-zero path (the comparison argument pins
     the trivial solution).  When ``kappa`` is the concave log modulus and the
-    path stays below its knee, the exact solution eps**exp(-scale*t) is
-    attached for comparison; leaving the log branch flips ``numeric_only``.
+    path stays below its knee, ``max_rel_gap`` compares the path with the
+    exact solution eps**exp(-scale*t); leaving the log branch clears
+    ``in_branch``.
     """
     from scipy.integrate import solve_ivp  # imported on first use, see osgood_integral
 
@@ -281,14 +268,8 @@ def bihari_ode_check(kappa, scale: float, eps: float, horizon: float) -> BihariR
     times = np.linspace(0.0, horizon, 257)
     is_log_modulus = isinstance(kappa, ModulusKappaEta)
     if eps == 0.0:
-        zeros = np.zeros_like(times)
         return BihariReport(
-            times=times,
-            path=zeros,
-            closed_form=zeros.copy() if is_log_modulus else None,
-            max_rel_gap=0.0 if is_log_modulus else None,
-            in_branch=True,
-            numeric_only=False,
+            path=np.zeros_like(times), max_rel_gap=0.0 if is_log_modulus else None, in_branch=True
         )
     sol = solve_ivp(
         lambda t, z: scale * np.asarray(kappa(z), dtype=np.float64),
@@ -303,22 +284,12 @@ def bihari_ode_check(kappa, scale: float, eps: float, horizon: float) -> BihariR
         raise AnalysisError(f"comparison ODE integration failed: {sol.message}")
     path = sol.y[0]
     if not is_log_modulus:
-        return BihariReport(
-            times=times, path=path, closed_form=None, max_rel_gap=None,
-            in_branch=False, numeric_only=True,
-        )
+        return BihariReport(path=path, max_rel_gap=None, in_branch=False)
     closed = eps ** np.exp(-scale * times)
-    in_branch = bool(closed[-1] <= kappa.eta and eps <= kappa.eta)
-    if not in_branch:
-        return BihariReport(
-            times=times, path=path, closed_form=None, max_rel_gap=None,
-            in_branch=False, numeric_only=True,
-        )
+    if not (closed[-1] <= kappa.eta and eps <= kappa.eta):
+        return BihariReport(path=path, max_rel_gap=None, in_branch=False)
     rel = np.abs(path - closed) / closed
-    return BihariReport(
-        times=times, path=path, closed_form=closed, max_rel_gap=float(rel.max()),
-        in_branch=True, numeric_only=False,
-    )
+    return BihariReport(path=path, max_rel_gap=float(rel.max()), in_branch=True)
 
 
 # ---------------------------------------------------------------------------

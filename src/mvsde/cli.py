@@ -106,7 +106,7 @@ def _out_dir(cfg_out: Path | None, cli_out: str | None, kind: str) -> Path:
 # the experiment pipeline: build model -> simulate -> analyse -> write -> gate
 # ---------------------------------------------------------------------------
 
-def _simulate(cfg: ExperimentConfig, model, threads: int, runs: int):
+def _simulate(cfg: ExperimentConfig, model, runs: int):
     """Every level of a rate study off one lattice; for the other kinds,
     ``runs`` runs at ``sim.level`` seeded by ``sim.seed``, then ``metric.seed_b``."""
     shared = {
@@ -114,7 +114,6 @@ def _simulate(cfg: ExperimentConfig, model, threads: int, runs: int):
         "n_particles": cfg.n_particles,
         "horizon": cfg.horizon,
         "record_level": cfg.record_level,
-        "workers": threads,
     }
     if cfg.kind == "rate":
         return em_multilevel(model, cfg.law, cfg.seed, list(cfg.levels), **shared)
@@ -129,12 +128,12 @@ def _report(out: Path, summary: dict, failure: str | None) -> dict:
     return summary
 
 
-def _pipeline(analyse, cfg: ExperimentConfig, out: Path, threads: int, gate: bool, runs: int = 0) -> dict:
+def _pipeline(analyse, cfg: ExperimentConfig, out: Path, gate: bool, runs: int = 0) -> dict:
     """One experiment.  ``analyse(cfg, model, trajectories, out, gate)``
     writes the kind's data files and returns its summary entries and its gate
     failure (None when the gate is off or passes)."""
     model = make_model(cfg.model_id, dim=cfg.dim, params=cfg.model_params)
-    trajectories = _simulate(cfg, model, threads, runs)
+    trajectories = _simulate(cfg, model, runs)
     entries, failure = analyse(cfg, model, trajectories, out, gate)
     return _report(out, {"experiment": cfg.kind, "model": cfg.model_id, **entries}, failure)
 
@@ -364,7 +363,7 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="path to a key=value config file")
         p.add_argument("--out", default=None, help="output directory (default: config, then $MVSDE_OUT)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker cap (at most the CPU count); never changes results")
+        p.add_argument("--threads", type=int, default=1, help="accepted for compatibility (at least 1); changes nothing")
         p.add_argument("--gate", action="store_true", help="enable acceptance thresholds (exit 4 on failure)")
     return parser
 
@@ -382,7 +381,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         cfg = load_config(args.config, args.command, seed_override=args.seed)
         out = _out_dir(cfg.out_dir, args.out, args.command)
-        summary = _COMMANDS[args.command](cfg, out, args.threads, args.gate)
+        summary = _COMMANDS[args.command](cfg, out, args.gate)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -198,8 +198,13 @@ def _validate(cfg: ExperimentConfig, seed_source: str) -> None:
         raise ConfigError("sim.N must be at least 1")
     if cfg.horizon <= 0:
         raise ConfigError("sim.T must be positive")
-    if cfg.seed < 0:
-        raise ConfigError(f"{seed_source} must be nonnegative, got {cfg.seed}")
+    # seeds key 64-bit Philox streams; only a metric study reads seed_b
+    seeds = [(seed_source, cfg.seed)]
+    if cfg.kind == "metric":
+        seeds.append(("metric.seed_b", cfg.seed_b))
+    for key, seed in seeds:
+        if not 0 <= seed < 2**64:
+            raise ConfigError(f"{key} must be nonnegative and below 2^64, got {seed}")
 
     level, levels, finest = cfg.level, cfg.levels, cfg.finest
     if cfg.kind == "rate":

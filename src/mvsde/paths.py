@@ -7,19 +7,21 @@ addition tree over the finest increments: coarsening commutes with itself
 bit-exactly (L -> n -> m performs the identical float additions as L -> m).
 
 Increments are a pure function of (seed, particle, step, dim) through a
-counter-based generator keyed per particle, so a particle's row depends on
-neither the particle count nor the parallel schedule.  ``NoiseStreams``
-records where each particle's stream stands, so the finest increments can be
-drawn in time blocks: consecutive ``sample_lattice`` calls continue every
-stream, and the blocks concatenate to the single draw bit for bit.  A block
-that starts on a grid point of a coarser level holds whole subtrees of the
-coarsening tree, so its tree sums are the global ones.
+counter-based generator keyed per particle, so a particle's row does not
+depend on the particle count.  ``NoiseStreams`` records where each
+particle's stream stands, so the finest increments can be drawn in time
+blocks: consecutive ``sample_lattice`` calls continue every stream, and the
+blocks concatenate to the single draw bit for bit.  A block that starts on a
+grid point of a coarser level holds whole subtrees of the coarsening tree,
+so its tree sums are the global ones.
+
+The draw is one serial loop over the particles.  It holds the GIL while it
+moves one Philox state from particle to particle, so worker threads would
+only add overhead.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,18 +130,18 @@ class NoiseStreams:
     def n_particles(self) -> int:
         return self.buffer_pos.shape[0]
 
-    def draw(self, out: np.ndarray, lo: int, hi: int) -> None:
-        """Continue the streams of particles ``lo..hi-1``: row p of ``out``
-        gets particle p's next ``out[p].size`` standard normals."""
+    def draw(self, out: np.ndarray) -> None:
+        """Continue every stream: row p of ``out`` gets particle p's next
+        ``out[p].size`` standard normals."""
         # one generator whose state is moved from particle to particle
         bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         gen = np.random.Generator(bitgen)
         state = bitgen.state
-        keys = np.empty((hi - lo, 2), dtype=np.uint64)
+        keys = np.empty((self.n_particles, 2), dtype=np.uint64)
         keys[:, 0] = self.seed & _MASK64
-        keys[:, 1] = np.arange(lo, hi, dtype=np.uint64)
-        for p in range(lo, hi):
-            state["state"]["key"] = keys[p - lo]
+        keys[:, 1] = np.arange(self.n_particles, dtype=np.uint64)
+        for p in range(self.n_particles):
+            state["state"]["key"] = keys[p]
             state["state"]["counter"] = self.counter[p]
             state["buffer"] = self.buffer[p]
             state["buffer_pos"] = int(self.buffer_pos[p])
@@ -156,7 +158,6 @@ def sample_lattice(
     dim: int,
     level: int,
     horizon: float,
-    workers: int = 1,
 ) -> BrownianLattice:
     """Draw the next 2^level increments of every particle's stream.
 
@@ -166,11 +167,9 @@ def sample_lattice(
     the bytes of one call of level ``L`` and horizon ``T`` (a division by a
     power of two is exact, so the scale is the same float).
 
-    Deterministic in (seed, particle, step, dim) and independent of
-    ``workers``: every particle row comes from its own keyed counter-based
-    stream and is written to a disjoint slice.  At most ``os.cpu_count()``
-    threads run, whatever ``workers`` asks for.  ``DEFAULT_MEMORY_CAP``
-    bounds the bytes of the returned array.
+    Deterministic in (seed, particle, step, dim): every particle row comes
+    from its own keyed counter-based stream.  ``DEFAULT_MEMORY_CAP`` bounds
+    the bytes of the returned array.
     """
     n_particles = streams.n_particles
     if dim < 1:
@@ -187,19 +186,7 @@ def sample_lattice(
         )
     scale = np.sqrt(horizon / steps)
     out = np.empty((n_particles, steps, dim))
-
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and n_particles > 1:
-        n_chunks = min(workers * 4, n_particles)
-        bounds = np.linspace(0, n_particles, n_chunks + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(streams.draw, out, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])
-            ]
-            for fut in futures:
-                fut.result()
-    else:
-        streams.draw(out, 0, n_particles)
+    streams.draw(out)
     out *= scale
     out.flags.writeable = False
     return BrownianLattice(out)

@@ -22,6 +22,7 @@ from .measure import EmpiricalMeasure
 from .models import CoefficientModel
 from .paths import (
     AUX_STREAM_BASE,
+    DEFAULT_MEMORY_CAP,
     MAX_LATTICE_LEVEL,
     LatticeError,
     NoiseStreams,
@@ -91,10 +92,14 @@ class PointMass:
 
 @dataclass(frozen=True)
 class GaussianLaw:
-    """Gaussian with mean vector and scalar / diagonal / full covariance."""
+    """Gaussian with mean vector and scalar or diagonal covariance."""
 
     mean_vec: object = 0.0
     cov: object = 1.0
+
+    def __post_init__(self) -> None:
+        if np.ndim(self.cov) > 1:
+            raise SolverError(f"covariance must be a number or a diagonal, got shape {np.shape(self.cov)}")
 
     def _factor(self, dim: int) -> np.ndarray:
         cov = np.asarray(self.cov, dtype=np.float64)
@@ -102,18 +107,9 @@ class GaussianLaw:
             if cov < 0:
                 raise SolverError(f"negative covariance {cov}")
             return math.sqrt(float(cov)) * np.eye(dim)
-        if cov.ndim == 1:
-            if cov.shape != (dim,) or (cov < 0).any():
-                raise SolverError("diagonal covariance must be nonnegative with length d")
-            return np.diag(np.sqrt(cov))
-        if cov.shape != (dim, dim):
-            raise SolverError(f"covariance shape {cov.shape}, expected ({dim}, {dim})")
-        sym = 0.5 * (cov + cov.T)
-        eigvals, eigvecs = np.linalg.eigh(sym)
-        tol = 1e-12 * max(1.0, float(np.abs(eigvals).max()))
-        if eigvals.min() < -tol:
-            raise SolverError(f"covariance is not positive semidefinite (min eigenvalue {eigvals.min():.3g})")
-        return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+        if cov.shape != (dim,) or (cov < 0).any():
+            raise SolverError("diagonal covariance must be nonnegative with length d")
+        return np.diag(np.sqrt(cov))
 
     def sample(self, rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
         factor = self._factor(dim)
@@ -126,12 +122,7 @@ class GaussianLaw:
     def second_moment(self, dim: int) -> float:
         m = self.mean(dim)
         cov = np.asarray(self.cov, dtype=np.float64)
-        if cov.ndim == 0:
-            trace = dim * float(cov)
-        elif cov.ndim == 1:
-            trace = float(cov.sum())
-        else:
-            trace = float(np.trace(cov))
+        trace = dim * float(cov) if cov.ndim == 0 else float(cov.sum())
         return float(np.dot(m, m)) + trace
 
 
@@ -305,7 +296,7 @@ BLOCK_LEVEL = 9
 
 
 def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: list[int], finest: int,
-               n_particles: int, horizon: float, record_level: int, workers: int) -> dict[int, TrajectorySet]:
+               n_particles: int, horizon: float, record_level: int) -> dict[int, TrajectorySet]:
     """Step every level of ``run_levels`` (none above ``finest``) off one
     level-``finest`` Brownian path, drawn in time blocks.
 
@@ -319,11 +310,18 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
     the states are the same floats as stepping the whole path at once, and
     only one block of increments is held at a time.  A ``BlowUpError`` names
     the first blow-up in block order, on the level's own grid from t = 0.
+    ``DEFAULT_MEMORY_CAP`` bounds the returned trajectories as well as each
+    block; a request above it is refused before anything is drawn.
     """
     if finest > MAX_LATTICE_LEVEL:
         raise LatticeError(f"lattice level {finest} outside the level limit [0, {MAX_LATTICE_LEVEL}]")
     if not (0 <= record_level <= min(run_levels)):
         raise SolverError(f"record level {record_level} outside [0, {min(run_levels)}]")
+    nbytes = len(run_levels) * ((1 << record_level) + 1) * n_particles * model.dim * 8
+    if nbytes > DEFAULT_MEMORY_CAP:
+        raise SolverError(
+            f"recorded trajectories need {nbytes} bytes, above the memory limit of {DEFAULT_MEMORY_CAP} bytes"
+        )
     ladder = sorted(run_levels, reverse=True)
     c = min(record_level, max(0, finest - BLOCK_LEVEL))
     block_horizon = horizon / (1 << c)
@@ -331,7 +329,7 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
     ensembles = dict.fromkeys(ladder, sample_initial(law, n_particles, model.dim, seed))
     recorded: dict[int, list[np.ndarray]] = {lvl: [ensembles[lvl].states[None]] for lvl in ladder}
     for b in range(1 << c):
-        increments = sample_lattice(streams, model.dim, finest - c, block_horizon, workers=workers).increments
+        increments = sample_lattice(streams, model.dim, finest - c, block_horizon).increments
         for lvl in ladder:
             # rebinding releases the finer level's array
             increments = coarsen(increments, lvl - c)
@@ -361,7 +359,6 @@ def em_multilevel(
     n_particles: int,
     horizon: float,
     record_level: int | None = None,
-    workers: int = 1,
 ) -> dict[int, TrajectorySet]:
     """Run every requested level plus the finest reference off one Brownian path.
 
@@ -380,7 +377,7 @@ def em_multilevel(
     if levels[-1] >= finest:
         raise SolverError(f"max level {levels[-1]} must be below the reference level {finest}")
     record_level = levels[0] if record_level is None else record_level
-    return _em_blocks(model, law, seed, [*levels, finest], finest, n_particles, horizon, record_level, workers)
+    return _em_blocks(model, law, seed, [*levels, finest], finest, n_particles, horizon, record_level)
 
 
 def run_single(
@@ -392,7 +389,6 @@ def run_single(
     n_particles: int = 1000,
     horizon: float = 1.0,
     record_level: int | None = None,
-    workers: int = 1,
 ) -> TrajectorySet:
     """One level, driven by a level-``finest`` Brownian path (finest defaults
     to the run level), recorded at ``record_level`` (default: every step).
@@ -404,4 +400,4 @@ def run_single(
     if finest < level:
         raise SolverError(f"finest level {finest} below run level {level}")
     record_level = level if record_level is None else record_level
-    return _em_blocks(model, law, seed, [level], finest, n_particles, horizon, record_level, workers)[level]
+    return _em_blocks(model, law, seed, [level], finest, n_particles, horizon, record_level)[level]

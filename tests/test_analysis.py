@@ -227,20 +227,20 @@ class TestBihari:
 
     def test_log_modulus_closed_form(self):
         report = bihari_ode_check(ModulusKappaEta(ETA), scale=1.0, eps=1e-8, horizon=1.0)
-        assert report.in_branch and not report.numeric_only
+        assert report.in_branch
         exact_final = 1e-8 ** math.exp(-1.0)
         assert report.path[-1] == pytest.approx(exact_final, rel=1e-6)
         assert report.max_rel_gap <= 1e-6
 
     def test_linear_modulus(self):
         report = bihari_ode_check(lambda z: z, scale=1.0, eps=1e-8, horizon=1.0)
-        assert report.numeric_only
+        assert not report.in_branch
         assert report.path[-1] == pytest.approx(1e-8 * math.e, rel=1e-6)
 
     def test_branch_exit_flag(self):
         # starting near the knee with a long horizon leaves the log branch
         report = bihari_ode_check(ModulusKappaEta(ETA), scale=1.0, eps=0.1, horizon=10.0)
-        assert report.numeric_only and not report.in_branch
+        assert not report.in_branch
 
     def test_validation(self):
         with pytest.raises(AnalysisError):

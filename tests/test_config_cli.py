@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvsde import cli
+from mvsde import cli, solver
 from mvsde.cli import (
     _CSV_BLOCK_ROWS,
     EXIT_ANALYSIS,
@@ -109,6 +109,7 @@ class TestConfigParsing:
     def test_seed_override(self, tmp_path):
         cfg = load_config(_write(tmp_path, RUN_CFG), "run", seed_override=99)
         assert cfg.seed == 99
+        assert load_config(_write(tmp_path, RUN_CFG), "run", seed_override=2**64 - 1).seed == 2**64 - 1
 
     def test_negative_seed_override_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="nonnegative"):
@@ -209,6 +210,19 @@ class TestCliRun:
             t, p, k, v = line.split(",")
             j = int(np.nonzero(traj.times == float(t))[0][0])
             assert float(v) == traj.states[j, int(p), int(k)]
+
+    def test_recorded_trajectories_above_memory_limit(self, tmp_path, monkeypatch, capsys):
+        # 2^24 + 1 recorded states of 64 particles would take 8.6 GB; the
+        # refusal comes before any lattice is drawn
+        def no_draw(*args):
+            raise AssertionError("lattice drawn")
+
+        monkeypatch.setattr(solver, "sample_lattice", no_draw)
+        text = "model.id = mf-ou\nsim.N = 64\nsim.level = 24\n"
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == EXIT_CONFIG
+        assert "memory limit" in capsys.readouterr().err
+        assert not (out / "trajectories.csv").exists()
 
 
 class TestCliRate:
@@ -382,6 +396,32 @@ class TestCliSelftestAndCodes:
         assert main(["run", "--config", str(path), "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
         assert "--seed must be nonnegative" in capsys.readouterr().err
         assert not (out / "trajectories.csv").exists()
+
+    @pytest.mark.parametrize(
+        "kind, lines, flags, key",
+        [
+            ("metric", "metric.seed_b = -1\n", [], "metric.seed_b"),
+            ("run", f"sim.seed = {2**64}\n", [], "sim.seed"),
+            ("run", "", ["--seed", str(2**64)], "--seed"),
+            # the default metric.seed_b is the seed plus one
+            ("metric", f"sim.seed = {2**64 - 1}\n", [], "metric.seed_b"),
+        ],
+        ids=["negative-seed_b", "sim.seed-2^64", "flag-2^64", "default-seed_b-2^64"],
+    )
+    def test_seed_outside_64_bits_is_config_error(self, tmp_path, capsys, kind, lines, flags, key):
+        # the streams key on the seed mod 2^64, so 2^64 would replay seed 0
+        text = RUN_CFG.replace("experiment.kind = run\n", "").replace("sim.seed = 7\n", lines)
+        out = tmp_path / "o"
+        assert main([kind, "--config", str(_write(tmp_path, text)), "--out", str(out), *flags]) == EXIT_CONFIG
+        assert f"config error: {key} must be nonnegative and below 2^64" in capsys.readouterr().err
+        assert not (out / "summary.txt").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_config_error(self, tmp_path, capsys, threads):
+        path, out = _write(tmp_path, RUN_CFG), tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out), "--threads", threads]) == EXIT_CONFIG
+        assert "--threads must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_threads_never_change_bytes(self, tmp_path):
         path = _write(tmp_path, RUN_CFG)

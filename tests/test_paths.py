@@ -1,7 +1,4 @@
 import math
-import os
-import sys
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -9,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from mvsde import paths
 from mvsde.paths import (
     GridError,
     LatticeError,
@@ -56,12 +52,6 @@ class TestLatticeSampling:
         b = sample_lattice(NoiseStreams(42, 5), 2, 6, 1.0)
         assert a.increments.tobytes() == b.increments.tobytes()
 
-    def test_workers_do_not_change_bytes(self):
-        a = sample_lattice(NoiseStreams(11, 37), 1, 8, 1.0, workers=1)
-        b = sample_lattice(NoiseStreams(11, 37), 1, 8, 1.0, workers=4)
-        c = sample_lattice(NoiseStreams(11, 37), 1, 8, 1.0, workers=8)
-        assert a.increments.tobytes() == b.increments.tobytes() == c.increments.tobytes()
-
     def test_collision_smoke(self):
         base = sample_lattice(NoiseStreams(1, 3), 1, 4, 1.0)
         assert not np.array_equal(
@@ -74,33 +64,6 @@ class TestLatticeSampling:
         # extending the particle count preserves existing rows
         wider = sample_lattice(NoiseStreams(1, 4), 1, 4, 1.0)
         assert np.array_equal(wider.increments[:3], base.increments)
-
-    def test_thread_pool_capped_at_cpu_count(self, monkeypatch):
-        # an inline stand-in for the pool records its size and runs every
-        # chunk on the calling thread, so no thread is started
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                done = Future()
-                done.set_result(fn(*args))
-                return done
-
-        monkeypatch.setattr(paths, "ThreadPoolExecutor", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        wide = sample_lattice(NoiseStreams(11, 37), 1, 6, 1.0, workers=10**6)
-        assert sizes == [3]
-        single = sample_lattice(NoiseStreams(11, 37), 1, 6, 1.0, workers=1)
-        assert wide.increments.tobytes() == single.increments.tobytes()
 
     def test_new_streams_start_at_the_beginning(self):
         streams = NoiseStreams(7, 3)
@@ -118,37 +81,22 @@ class TestLatticeSampling:
         dim=st.integers(1, 3),
         level=st.integers(0, 8),
         data=st.data(),
-        workers=st.sampled_from([1, 3]),
         seed=st.integers(0, 2**64 - 1),
         horizon=st.floats(0.01, 100.0),
     )
-    def test_blocks_concatenate_to_one_draw(self, n, dim, level, data, workers, seed, horizon):
+    def test_blocks_concatenate_to_one_draw(self, n, dim, level, data, seed, horizon):
         # 2^k consecutive blocks of level L - k over horizon T / 2^k are the
-        # bytes of one level-L draw over T
+        # bytes of one level-L draw over T, and leave every stream where that
+        # draw leaves it
         k = data.draw(st.integers(0, level), label="k")
-        whole = sample_lattice(NoiseStreams(seed, n), dim, level, horizon)
+        serial = NoiseStreams(seed, n)
+        whole = sample_lattice(serial, dim, level, horizon)
         streams = NoiseStreams(seed, n)
         blocks = [
-            sample_lattice(streams, dim, level - k, horizon / 2**k, workers=workers).increments
+            sample_lattice(streams, dim, level - k, horizon / 2**k).increments
             for _ in range(2**k)
         ]
         assert np.concatenate(blocks, axis=1).tobytes() == whole.increments.tobytes()
-
-    def test_blocks_under_fast_thread_switching(self, monkeypatch):
-        # more threads than cores, switching every microsecond: every row and
-        # every stream position must still land exactly once
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        whole = sample_lattice(NoiseStreams(21, 37), 2, 7, 1.0)
-        streams = NoiseStreams(21, 37)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            blocks = [sample_lattice(streams, 2, 5, 0.25, workers=8).increments for _ in range(4)]
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.concatenate(blocks, axis=1).tobytes() == whole.increments.tobytes()
-        serial = NoiseStreams(21, 37)
-        sample_lattice(serial, 2, 7, 1.0)
         for name in ("counter", "buffer", "buffer_pos"):
             assert np.array_equal(getattr(streams, name), getattr(serial, name))
 
