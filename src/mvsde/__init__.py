@@ -26,10 +26,8 @@ from .models import (
 )
 from .paths import (
     BrownianLattice,
-    DyadicGrid,
     NoiseStreams,
     coarsen,
-    make_grid,
     sample_lattice,
 )
 from .solver import (

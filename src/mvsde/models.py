@@ -36,7 +36,7 @@ where the surrogate bound is valid analytically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -260,22 +260,9 @@ def osgood(c: float = 1.0, beta: float = 0.25, s: float = 0.3, eta: float = DEFA
 
 
 def sznitman(s: float = 0.4, dim: int = 1) -> CoefficientModel:
-    """Convolution drift mean(mu) - x with constant diffusion s*I."""
-
-    def drift(states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
-        return mu.mean[None, :] - states
-
-    def diffusion_apply(states, mu, dw):
-        return s * dw
-
-    return CoefficientModel(
-        model_id="sznitman",
-        dim=dim,
-        drift=drift,
-        diffusion_apply=diffusion_apply,
-        parameters={"s": s},
-        moduli=(_gamma_one, _gamma_one),
-    )
+    """Convolution drift mean(mu) - x with constant diffusion s*I: ``mf-ou``
+    at theta = alpha = 1, whose drift -1.0*x + 1.0*m rounds to m - x."""
+    return replace(mf_ou(1.0, 1.0, s, dim), model_id="sznitman", parameters={"s": s})
 
 
 def quadratic_drift_fixture() -> CoefficientModel:

@@ -1,19 +1,22 @@
-"""Dyadic time grids and refinement-consistent Brownian increments.
+"""Refinement-consistent Brownian increments on dyadic time grids.
 
-Every discretization level of a coupled experiment is driven by one Brownian
-path on the finest grid.  Coarser increments are produced by adjacent-pair
-tree reduction, so a level-n increment is literally a node of one fixed
-addition tree over the finest increments: coarsening commutes with itself
-bit-exactly (L -> n -> m performs the identical float additions as L -> m).
+The level-n grid of [0, T] is t_i = i * (T / 2^n); callers compute its
+points from the level and the horizon.  Every discretization level of a
+coupled experiment is driven by one Brownian path on the finest grid.
+Coarser increments are produced by adjacent-pair tree reduction, so a
+level-n increment is literally a node of one fixed addition tree over the
+finest increments: coarsening commutes with itself bit-exactly (L -> n -> m
+performs the identical float additions as L -> m).
 
 Increments are a pure function of (seed, particle, step, dim) through a
-counter-based generator keyed per particle, so a particle's row does not
-depend on the particle count.  ``NoiseStreams`` records where each
-particle's stream stands, so the finest increments can be drawn in time
-blocks: consecutive ``sample_lattice`` calls continue every stream, and the
-blocks concatenate to the single draw bit for bit.  A block that starts on a
-grid point of a coarser level holds whole subtrees of the coarsening tree,
-so its tree sums are the global ones.
+counter-based generator keyed by (seed, particle), so a particle's row does
+not depend on the particle count.  Seeds must lie in [0, 2^64): a key word
+holds 64 bits, and a seed outside them would replay another seed's bytes.
+``NoiseStreams`` records where each particle's stream stands, so the finest
+increments can be drawn in time blocks: consecutive ``sample_lattice`` calls
+continue every stream, and the blocks concatenate to the single draw bit for
+bit.  A block that starts on a grid point of a coarser level holds whole
+subtrees of the coarsening tree, so its tree sums are the global ones.
 
 The draw is one serial loop over the particles.  It holds the GIL while it
 moves one Philox state from particle to particle, so worker threads would
@@ -27,71 +30,22 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "GridError",
     "LatticeError",
-    "DyadicGrid",
-    "make_grid",
     "BrownianLattice",
     "NoiseStreams",
     "sample_lattice",
     "coarsen",
 ]
 
-_MASK64 = (1 << 64) - 1
-
 #: second key word reserved for non-noise streams (initial-ensemble sampling)
 AUX_STREAM_BASE = 1 << 63
 
-MAX_GRID_LEVEL = 62
 MAX_LATTICE_LEVEL = 30
 DEFAULT_MEMORY_CAP = 2**31  # bytes
 
 
-class GridError(ValueError):
-    pass
-
-
 class LatticeError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class DyadicGrid:
-    """Uniform grid t_i = i * T / 2^level on [0, T]."""
-
-    horizon: float
-    level: int
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.horizon) and self.horizon > 0):
-            raise GridError(f"horizon must be positive and finite, got {self.horizon}")
-        if not (0 <= self.level <= MAX_GRID_LEVEL):
-            raise GridError(f"level must lie in [0, {MAX_GRID_LEVEL}], got {self.level}")
-
-    @property
-    def num_cells(self) -> int:
-        return 1 << self.level
-
-    @property
-    def step(self) -> float:
-        # division by a power of two is exact in binary floating point
-        return self.horizon / self.num_cells
-
-    def point(self, i: int) -> float:
-        if not (0 <= i <= self.num_cells):
-            raise GridError(f"index {i} outside [0, {self.num_cells}]")
-        return i * self.step
-
-    def points(self) -> np.ndarray:
-        if self.level > MAX_LATTICE_LEVEL:
-            raise GridError(f"refusing to materialize 2^{self.level} + 1 points")
-        pts = np.arange(self.num_cells + 1, dtype=np.float64) * self.step
-        pts.flags.writeable = False
-        return pts
-
-
-def make_grid(horizon: float, level: int) -> DyadicGrid:
-    return DyadicGrid(horizon=float(horizon), level=int(level))
 
 
 @dataclass(frozen=True)
@@ -102,8 +56,15 @@ class BrownianLattice:
     increments: np.ndarray
 
 
+def _check_seed(seed: int) -> None:
+    # a seed outside 64 bits would alias one inside them
+    if not (0 <= seed < 1 << 64):
+        raise LatticeError(f"seed must lie in [0, 2^64), got {seed}")
+
+
 def _particle_rng(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+    _check_seed(seed)
+    key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -119,8 +80,9 @@ class NoiseStreams:
     """
 
     def __init__(self, seed: int, n_particles: int) -> None:
+        _check_seed(seed)
         if n_particles < 1:
-            raise LatticeError("need at least one particle and one dimension")
+            raise LatticeError("need at least one particle")
         self.seed = seed
         self.counter = np.zeros((n_particles, 4), dtype=np.uint64)
         self.buffer = np.zeros((n_particles, 4), dtype=np.uint64)
@@ -138,7 +100,7 @@ class NoiseStreams:
         gen = np.random.Generator(bitgen)
         state = bitgen.state
         keys = np.empty((self.n_particles, 2), dtype=np.uint64)
-        keys[:, 0] = self.seed & _MASK64
+        keys[:, 0] = self.seed
         keys[:, 1] = np.arange(self.n_particles, dtype=np.uint64)
         for p in range(self.n_particles):
             state["state"]["key"] = keys[p]
@@ -173,7 +135,7 @@ def sample_lattice(
     """
     n_particles = streams.n_particles
     if dim < 1:
-        raise LatticeError("need at least one particle and one dimension")
+        raise LatticeError("need at least one dimension")
     if not (0 <= level <= MAX_LATTICE_LEVEL):
         raise LatticeError(f"lattice level {level} outside the level limit [0, {MAX_LATTICE_LEVEL}]")
     if not (np.isfinite(horizon) and horizon > 0):

@@ -7,7 +7,8 @@ coupling) makes the inter-level difference a pure discretization error.
 
 Every experiment kind draws that path the same way: in time blocks, each
 reduced once down the ladder of simulated levels and stepped through by
-``em_run`` at every level before the next block is drawn.
+``em_run`` at every level before the next block is drawn.  ``em_run`` writes
+each block's recorded rows in place into its level's one trajectory array.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .paths import (
     LatticeError,
     NoiseStreams,
     coarsen,
-    make_grid,
     sample_lattice,
     _particle_rng,
 )
@@ -240,6 +240,12 @@ def _guard(states: np.ndarray, level: int, step: int, time: float) -> None:
         raise BlowUpError(level=level, step=step, time=time, particle=particle, state=states[particle])
 
 
+def _grid_times(horizon: float, level: int) -> np.ndarray:
+    """The points t_i = i * (horizon / 2^level) of the level-``level`` grid;
+    dividing by a power of two is exact, so every caller gets the same floats."""
+    return np.arange((1 << level) + 1, dtype=np.float64) * (horizon / (1 << level))
+
+
 def em_run(
     model: CoefficientModel,
     ensemble: ParticleEnsemble,
@@ -247,6 +253,7 @@ def em_run(
     increments: np.ndarray,
     horizon: float,
     record_level: int | None = None,
+    out: np.ndarray | None = None,
 ) -> TrajectorySet:
     """Advance the ensemble over the level-``level`` grid of [0, horizon].
 
@@ -256,6 +263,10 @@ def em_run(
     ``X += b(X, mu) * h + sigma(X, mu) @ dW`` for every particle.  Recorded
     states are exactly the iterates of this recursion, on the
     level-``record_level`` sub-grid (``0 <= record_level <= level``).
+
+    The recorded states go into ``out`` when it is given, a float64 array of
+    shape (2^record_level + 1, N, d), and the result is a view of it; the
+    bytes are the same either way.
     """
     n, dim = ensemble.n_particles, ensemble.dim
     if increments.shape != (n, 1 << level, model.dim) or dim != model.dim:
@@ -267,28 +278,32 @@ def em_run(
         record_level = level
     if not (0 <= record_level <= level):
         raise SolverError(f"record level {record_level} outside [0, {level}]")
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise SolverError(f"horizon must be positive and finite, got {horizon}")
+    rows = (1 << record_level) + 1
+    if out is None:
+        out = np.empty((rows, n, dim))
+    elif out.shape != (rows, n, dim) or out.dtype != np.float64:
+        raise SolverError(f"out is {out.dtype} {out.shape}, expected float64 {(rows, n, dim)}")
 
-    grid = make_grid(horizon, level)
-    record_grid = make_grid(horizon, record_level)
-    h = grid.step
+    h = horizon / (1 << level)
     weights = np.full(n, 1.0 / n)
     stride = 1 << (level - record_level)
 
     states = ensemble.states.copy()
-    out = np.empty((record_grid.num_cells + 1, n, dim))
     out[0] = states
-    for i in range(grid.num_cells):
+    for i in range(1 << level):
         # later states passed _guard (finite, |x| <= BLOWUP_LIMIT) and are
         # rebound, never written, so only the caller's step-0 states need checks
         mu = EmpiricalMeasure(states, weights, validate=i == 0)
         drift = np.asarray(model.drift(states, mu), dtype=np.float64)
         noise = np.asarray(model.diffusion_apply(states, mu, increments[:, i, :]), dtype=np.float64)
         states = states + h * drift + noise
-        _guard(states, level=level, step=i, time=grid.point(i + 1))
+        _guard(states, level=level, step=i, time=(i + 1) * h)
         if (i + 1) % stride == 0:
             out[(i + 1) // stride] = states
 
-    return TrajectorySet(times=record_grid.points(), states=out)
+    return TrajectorySet(times=_grid_times(horizon, record_level), states=out)
 
 
 #: blocks hold 2^BLOCK_LEVEL finest steps where the record grid allows
@@ -305,13 +320,15 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
     finest increments are drawn once and reduced once down the sorted level
     ladder, each level's increments summed from the next finer level's;
     coarsening is one fixed tree of sums, so these are the bits of reducing
-    the whole path from the finest level.  Every level is stepped through the
-    block by ``em_run`` and carries its final states into the next block, so
-    the states are the same floats as stepping the whole path at once, and
-    only one block of increments is held at a time.  A ``BlowUpError`` names
-    the first blow-up in block order, on the level's own grid from t = 0.
-    ``DEFAULT_MEMORY_CAP`` bounds the returned trajectories as well as each
-    block; a request above it is refused before anything is drawn.
+    the whole path from the finest level.  Each level's trajectory is
+    allocated once; ``em_run`` steps the level through a block starting from
+    the record row the block begins on and writes the block's rows in place.
+    So the states are the same floats as stepping the whole path at once, and
+    the peak memory is the returned trajectories plus one block of
+    increments.  A ``BlowUpError`` names the first blow-up in block order, on
+    the level's own grid from t = 0.  ``DEFAULT_MEMORY_CAP`` bounds the
+    returned trajectories as well as each block; a request above it is
+    refused before anything is drawn.
     """
     if finest > MAX_LATTICE_LEVEL:
         raise LatticeError(f"lattice level {finest} outside the level limit [0, {MAX_LATTICE_LEVEL}]")
@@ -325,29 +342,31 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
     ladder = sorted(run_levels, reverse=True)
     c = min(record_level, max(0, finest - BLOCK_LEVEL))
     block_horizon = horizon / (1 << c)
+    block_rows = 1 << (record_level - c)
     streams = NoiseStreams(seed, n_particles)
-    ensembles = dict.fromkeys(ladder, sample_initial(law, n_particles, model.dim, seed))
-    recorded: dict[int, list[np.ndarray]] = {lvl: [ensembles[lvl].states[None]] for lvl in ladder}
+    initial = sample_initial(law, n_particles, model.dim, seed).states
+    recorded = {lvl: np.empty(((1 << record_level) + 1, n_particles, model.dim)) for lvl in ladder}
+    for states in recorded.values():
+        states[0] = initial
     for b in range(1 << c):
         increments = sample_lattice(streams, model.dim, finest - c, block_horizon).increments
         for lvl in ladder:
             # rebinding releases the finer level's array
             increments = coarsen(increments, lvl - c)
+            block = recorded[lvl][b * block_rows:(b + 1) * block_rows + 1]
             try:
-                traj = em_run(model, ensembles[lvl], lvl - c, increments, block_horizon,
-                              record_level=record_level - c)
+                em_run(model, ParticleEnsemble(block[0]), lvl - c, increments, block_horizon,
+                       record_level=record_level - c, out=block)
             except BlowUpError as err:
                 step = (b << (lvl - c)) + err.step
                 raise BlowUpError(
-                    level=lvl, step=step, time=make_grid(horizon, lvl).point(step + 1),
+                    level=lvl, step=step, time=(step + 1) * (horizon / (1 << lvl)),
                     particle=err.particle, state=err.state,
                 ) from None
-            recorded[lvl].append(traj.states[1:])
-            ensembles[lvl] = ParticleEnsemble(traj.states[-1])
         del increments  # released before the next block is drawn
 
-    times = make_grid(horizon, record_level).points()
-    return {lvl: TrajectorySet(times=times, states=np.concatenate(recorded[lvl])) for lvl in run_levels}
+    times = _grid_times(horizon, record_level)
+    return {lvl: TrajectorySet(times=times, states=recorded[lvl]) for lvl in run_levels}
 
 
 def em_multilevel(

@@ -7,43 +7,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from mvsde.paths import (
-    GridError,
     LatticeError,
     NoiseStreams,
     coarsen,
-    make_grid,
     sample_lattice,
 )
-
-
-class TestDyadicGrid:
-    def test_level_zero_points(self):
-        grid = make_grid(1.0, 0)
-        assert np.array_equal(grid.points(), [0.0, 1.0])
-
-    def test_endpoints_exact(self):
-        for horizon in (1.0, 2.0, 0.7, 3.25):
-            for level in (0, 1, 5, 11):
-                pts = make_grid(horizon, level).points()
-                assert pts[0] == 0.0
-                assert pts[-1] == horizon
-                assert (np.diff(pts) > 0).all()
-
-    def test_level_bounds(self):
-        with pytest.raises(GridError):
-            make_grid(1.0, 63)
-        with pytest.raises(GridError):
-            make_grid(1.0, -1)
-        with pytest.raises(GridError):
-            make_grid(0.0, 3)
-
-    def test_out_of_range_time(self):
-        grid = make_grid(1.0, 2)
-        assert grid.point(4) == 1.0
-        with pytest.raises(GridError):
-            grid.point(5)
-        with pytest.raises(GridError):
-            grid.point(-1)
 
 
 class TestLatticeSampling:
@@ -114,6 +82,17 @@ class TestLatticeSampling:
     def test_horizon_guard(self, horizon):
         with pytest.raises(LatticeError, match="horizon must be positive and finite"):
             sample_lattice(NoiseStreams(0, 2), 1, 3, horizon)
+
+    def test_particle_and_dimension_guards(self):
+        with pytest.raises(LatticeError, match=r"^need at least one particle$"):
+            NoiseStreams(0, 0)
+        with pytest.raises(LatticeError, match=r"^need at least one dimension$"):
+            sample_lattice(NoiseStreams(0, 1), 0, 3, 1.0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits(self, seed):
+        with pytest.raises(LatticeError, match=r"seed must lie in \[0, 2\^64\)"):
+            NoiseStreams(seed, 2)
 
     def test_increments_read_only(self):
         lat = sample_lattice(NoiseStreams(0, 2), 1, 3, 1.0)

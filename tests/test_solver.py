@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from mvsde import paths, solver
 from mvsde.measure import MeasureError, uniform_measure
 from mvsde.models import CoefficientModel, mf_ou, mf_ou_oracles, osgood
-from mvsde.paths import LatticeError, NoiseStreams, coarsen, make_grid, sample_lattice
+from mvsde.paths import LatticeError, NoiseStreams, coarsen, sample_lattice
 from mvsde.solver import (
     BlowUpError,
     GaussianLaw,
@@ -202,6 +203,61 @@ class TestEmRun:
             em_run(model, ParticleEnsemble(np.zeros((5, 1))), 3, dw, 1.0)
         with pytest.raises(SolverError, match="shape mismatch"):
             em_run(mf_ou(dim=2), ens, 3, dw, 1.0)
+        for out in (np.empty((8, 4, 1)), np.empty((9, 4, 2)), np.empty((9, 4, 1), dtype=np.float32)):
+            with pytest.raises(SolverError, match="out is"):
+                em_run(model, ens, 3, dw, 1.0, out=out)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+    def test_horizon_guard(self, horizon):
+        dw = np.zeros((4, 8, 1))
+        ens = sample_initial(PointMass(0.0), 4, 1, seed=0)
+        with pytest.raises(SolverError, match="horizon must be positive and finite"):
+            em_run(mf_ou(), ens, 3, dw, horizon)
+
+    def test_out_buffer_holds_the_same_bytes(self):
+        model = mf_ou(dim=2)
+        dw = sample_lattice(NoiseStreams(4, 6), 2, 5, 1.0).increments
+        ens = sample_initial(GaussianLaw(0.0, 1.0), 6, 2, seed=4)
+        fresh = em_run(model, ens, 5, dw, 1.0, record_level=3)
+        out = np.empty((2**3 + 1, 6, 2))
+        into = em_run(model, ens, 5, dw, 1.0, record_level=3, out=out)
+        assert into.states.tobytes() == fresh.states.tobytes()
+        assert into.times.tobytes() == fresh.times.tobytes()
+        assert np.shares_memory(into.states, out)
+
+
+class TestGridTimes:
+    """Recorded times are t_i = i * (T / 2^level), the same floats on every route."""
+
+    def test_level_zero_points(self):
+        traj = run_single(mf_ou(), PointMass(0.0), seed=0, level=0, n_particles=1, horizon=1.0)
+        assert np.array_equal(traj.times, [0.0, 1.0])
+
+    def test_endpoints_exact(self):
+        model, ens = mf_ou(), sample_initial(PointMass(0.0), 1, 1, seed=0)
+        for horizon in (1.0, 2.0, 0.7, 3.25):
+            for level in range(12):
+                pts = run_single(model, PointMass(0.0), seed=0, level=level, n_particles=1,
+                                 horizon=horizon).times
+                direct = em_run(model, ens, level, np.zeros((1, 2**level, 1)), horizon).times
+                assert pts.tobytes() == direct.tobytes()
+                assert pts.tobytes() == (np.arange(2**level + 1) * (horizon / 2**level)).tobytes()
+                assert pts[0] == 0.0
+                assert pts[-1] == horizon
+                assert (np.diff(pts) > 0).all()
+
+
+def _peak_bytes(fn):
+    """``fn()`` and the peak bytes Python allocated while it ran."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before
 
 
 def _whole_path_multilevel(model, law, seed, levels, finest, n_particles, horizon, record_level=None):
@@ -261,7 +317,7 @@ class TestRunSingleBlocks:
         assert got.level == want.level == level
         assert got.step >= 2 ** (level - 3)  # after the first block
         assert got.step == want.step
-        assert got.time == want.time == make_grid(1.0, level).point(got.step + 1)
+        assert got.time == want.time == (got.step + 1) * (1.0 / 2**level)
         assert got.particle == want.particle
         assert got.state.tobytes() == want.state.tobytes()
 
@@ -272,6 +328,21 @@ class TestRunSingleBlocks:
             sample_lattice(NoiseStreams(1, 8), 1, 12, 1.0)
         traj = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=1, level=12, n_particles=8, horizon=1.0)
         assert traj.states.shape == (2**12 + 1, 8, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_refused(self, seed):
+        # a 64-bit key word would fold -1 onto 2^64 - 1 and 2^64 onto 0
+        with pytest.raises(LatticeError, match="seed must lie"):
+            run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=seed, level=4, n_particles=8)
+        with pytest.raises(LatticeError, match="seed must lie"):
+            sample_initial(GaussianLaw(0.0, 1.0), 8, 1, seed=seed)
+
+    def test_peak_memory_is_the_trajectory_plus_one_block(self):
+        # level 12, N = 200: 6.6 MB of states, blocks of 512 steps (0.8 MB)
+        traj, peak = _peak_bytes(
+            lambda: run_single(mf_ou(), PointMass(0.0), seed=1, level=12, n_particles=200)
+        )
+        assert peak < 1.5 * traj.states.nbytes
 
 
 class TestEmMultilevel:
@@ -337,7 +408,6 @@ class TestEmMultilevel:
         assert got.step >= 2**9  # after the first block
         assert got.step == want.step
         assert got.time == want.time == (got.step + 1) * 1.0 / 2**12
-        assert got.time == make_grid(1.0, 12).point(got.step + 1)
         assert got.particle == want.particle
         assert got.state.tobytes() == want.state.tobytes()
 
@@ -362,6 +432,15 @@ class TestEmMultilevel:
         with pytest.raises(SolverError, match="memory limit"):
             em_multilevel(mf_ou(dim=2), PointMass(0.0), **args)
         assert drawn == []
+
+    def test_peak_memory_is_the_trajectories_plus_one_block(self):
+        # levels 11 and reference 12 recorded at 11 for N = 200: 6.6 MB of
+        # states, blocks of 512 finest steps (0.8 MB)
+        runs, peak = _peak_bytes(
+            lambda: em_multilevel(mf_ou(), PointMass(0.0), seed=1, levels=[11], finest=12,
+                                  n_particles=200, horizon=1.0)
+        )
+        assert peak < 1.5 * sum(traj.states.nbytes for traj in runs.values())
 
     def test_additive_noise_zero_drift_exact_across_levels(self):
         # constant coefficients: every level reproduces x0 + s*W at shared

@@ -1,8 +1,9 @@
 """The benchmark's trace wraps names of ``mvsde`` modules from outside the
 package (``mvbench/spans.py``).  A rename or a call that bypasses one of them
-leaves a traced layer reading zero, so tiny ``rate`` and ``run`` runs (one
-through each driver, ``em_multilevel`` and ``run_single``) check that every
-hook still fires and that the exact counts still add up."""
+leaves a traced layer reading zero, so tiny ``rate``, ``run`` and ``metric``
+runs (one per benchmark workload, through both drivers, ``em_multilevel`` and
+``run_single``) check that every hook still fires and that the exact counts
+still add up."""
 
 import importlib
 
@@ -31,6 +32,15 @@ sim.N = {N}
 sim.level = {RUN_LEVEL}
 sim.finest = {RUN_FINEST}
 sim.record_level = 4
+sim.seed = 5
+init.law = gaussian
+"""
+
+METRIC_CFG = f"""
+model.id = mf-ou
+sim.d = {DIM}
+sim.N = {N}
+sim.level = 3
 sim.seed = 5
 init.law = gaussian
 """
@@ -70,14 +80,26 @@ def test_traced_rate_run_fires_every_hook(bench, tmp_path):
 
 def test_traced_run_fires_the_simulation_hooks(bench, tmp_path):
     # the dump-csv and lawgap-wide workloads simulate through run_single
-    spans, _ = bench
+    spans, run = bench
     tracer = _traced(spans, tmp_path, "run", RUN_CFG)
 
     calls = tracer.calls_by_name()
     assert [name for name in ("paths.lattice", "paths.coarsen", "solver.step") if calls[name] == 0] == []
+    assert [name for name in run.MOST_WORK["dump-csv"] if calls[name] == 0] == []
     metrics = tracer.layer_metrics(0)
     assert metrics["solver.steps"] == 2**RUN_LEVEL
     assert metrics["paths.lattice_bytes"] == N * 2**RUN_FINEST * DIM * 8
     # blocks of level min(record level 4, finest - 9) = 2: four blocks, each
     # coarsened once, straight to the run level
     assert metrics["paths.coarsen_calls"] == 4
+
+
+def test_traced_metric_run_fires_the_law_gap_hooks(bench, tmp_path):
+    # the lawgap-wide workload's layers: the law-gap curve and its integrals
+    spans, run = bench
+    tracer = _traced(spans, tmp_path, "metric", METRIC_CFG)
+
+    calls = tracer.calls_by_name()
+    assert [name for name in run.MOST_WORK["lawgap-wide"] if calls[name] == 0] == []
+    # two runs (seed and seed_b) through run_single, one level-3 block each
+    assert tracer.layer_metrics(0)["solver.steps"] == 2 * 2**3
