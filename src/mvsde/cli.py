@@ -218,7 +218,7 @@ def _analyse_moments(cfg, model, trajectories, out, gate):
         _, moment_fn = models.mf_ou_oracles(
             **model.parameters, dim=d, m0=cfg.law.mean(d), u0=cfg.law.second_moment(d)
         )
-        oracle_vals = np.array([moment_fn(t, 1) for t in report.times])
+        oracle_vals = np.array([moment_fn(t) for t in report.times])
     header = ["time", "moment", "stderr", "envelope"]
     columns = [report.times, report.moments, report.stderrs, report.envelope]
     if oracle_vals is not None:
@@ -281,7 +281,7 @@ def _analyse_metric(cfg, model, trajectories, out, gate):
 
 
 def _analyse_check(cfg, model, trajectories, out, gate):
-    growth = models.check_linear_growth(model, count=cfg.check_count, seed=cfg.seed)
+    growth = models.check_linear_growth(model, seed=cfg.seed)
     rows = [("linear_growth", growth.passed, growth.fitted_l1, "", growth.failure)]
     entries = {
         "seed": cfg.seed,
@@ -292,7 +292,7 @@ def _analyse_check(cfg, model, trajectories, out, gate):
         entries["linear_growth.failure"] = growth.failure
     ok = growth.passed
     if model.moduli is not None:
-        h2p = models.check_h2prime(model, count=cfg.check_pairs, seed=cfg.seed)
+        h2p = models.check_h2prime(model, seed=cfg.seed)
         rows.append(("h2prime", h2p.passed, h2p.fitted_lambda1, h2p.fitted_lambda2, h2p.failure))
         entries["h2prime.passed"] = h2p.passed
         entries["h2prime.fitted_lambda1"] = h2p.fitted_lambda1

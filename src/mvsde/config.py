@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import GROWTH_MIN_COUNT, H2PRIME_MIN_COUNT, MODELS
+from .models import MODELS
 from .solver import BLOWUP_LIMIT, GaussianLaw, InitialLaw, PointMass, UniformBox
 
 __all__ = ["ConfigError", "ExperimentConfig", "KEYS", "parse_config_text", "load_config", "KINDS"]
@@ -71,8 +71,11 @@ def _location(text: str):
 
 
 def _covariance(text: str):
-    """A ``_vector`` of variances whose standard deviations the blow-up guard admits."""
+    """A ``_vector`` of nonnegative variances whose standard deviations the
+    blow-up guard admits."""
     vec = _vector(text)
+    if np.min(vec) < 0:
+        raise ValueError("variance must be nonnegative")
     if np.max(vec) > BLOWUP_LIMIT**2:
         raise ValueError(f"variance above the squared blow-up limit {BLOWUP_LIMIT**2:g}")
     return vec
@@ -113,8 +116,6 @@ KEYS = {
     "init.hi": (None, _location, 1.0),
     "moments.p": ("moment_order", _integer, 1),
     "metric.seed_b": ("seed_b", _integer, None),
-    "check.count": ("check_count", _integer, 2000),
-    "check.pairs": ("check_pairs", _integer, 2000),
     "gate.slope_min": ("gate_slope_min", _number, -1.4),
     "gate.slope_max": ("gate_slope_max", _number, -0.6),
     "gate.monotone": ("gate_monotone", _boolean, False),
@@ -141,8 +142,6 @@ class ExperimentConfig:
     record_level: int | None
     moment_order: int
     seed_b: int
-    check_count: int
-    check_pairs: int
     gate_slope_min: float
     gate_slope_max: float
     gate_monotone: bool
@@ -177,15 +176,26 @@ def _parse(raw: dict[str, tuple[int, str]], key: str, parser):
         raise ConfigError(f"line {lineno}: key {key!r}: {exc}") from None
 
 
+#: each initial law and the init keys it reads, in constructor order
+_LAWS = {
+    "point": (PointMass, ("init.x0",)),
+    "gaussian": (GaussianLaw, ("init.mean", "init.cov")),
+    "uniform": (UniformBox, ("init.lo", "init.hi")),
+}
+
+
 def _build_law(values: dict) -> InitialLaw:
     law_name = values["init.law"]
-    if law_name == "point":
-        return PointMass(x0=values["init.x0"])
-    if law_name == "gaussian":
-        return GaussianLaw(mean_vec=values["init.mean"], cov=values["init.cov"])
-    if law_name == "uniform":
-        return UniformBox(lo=values["init.lo"], hi=values["init.hi"])
-    raise ConfigError(f"init.law must be point, gaussian or uniform, got {law_name!r}")
+    if law_name not in _LAWS:
+        raise ConfigError(f"init.law must be point, gaussian or uniform, got {law_name!r}")
+    law, keys = _LAWS[law_name]
+    for key in keys:
+        size = np.size(values[key])
+        if size not in (1, values["sim.d"]):
+            raise ConfigError(f"key {key!r}: {size} components, expected 1 or sim.d = {values['sim.d']}")
+    if law_name == "uniform" and np.any(np.less_equal(values["init.hi"], values["init.lo"])):
+        raise ConfigError("key 'init.lo': must lie below init.hi in every coordinate")
+    return law(*(values[key] for key in keys))
 
 
 def _validate(cfg: ExperimentConfig, seed_source: str) -> None:
@@ -234,10 +244,6 @@ def _validate(cfg: ExperimentConfig, seed_source: str) -> None:
 
     if cfg.moment_order < 1:
         raise ConfigError("moments.p must be at least 1")
-    if cfg.check_count < GROWTH_MIN_COUNT:
-        raise ConfigError(f"check.count must be at least {GROWTH_MIN_COUNT}")
-    if cfg.check_pairs < H2PRIME_MIN_COUNT:
-        raise ConfigError(f"check.pairs must be at least {H2PRIME_MIN_COUNT}")
     if cfg.gate_slope_min >= cfg.gate_slope_max:
         raise ConfigError("gate.slope_min must be below gate.slope_max")
 

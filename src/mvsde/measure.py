@@ -106,10 +106,10 @@ def exact_sum(values) -> float:
 class EmpiricalMeasure:
     """Probability measure with finite support ``support`` and ``weights``.
 
-    ``support`` has shape (N, d); a 1-d array is interpreted as N scalar
-    atoms.  Weights must be nonnegative and sum to one within ``WEIGHT_TOL``.
-    ``validate=False`` stores both arrays as given and checks nothing; see the
-    module docstring for what the caller then guarantees.
+    ``support`` has shape (N, d).  Weights must be nonnegative and sum to one
+    within ``WEIGHT_TOL``.  ``validate=False`` stores both arrays as given and
+    checks nothing; see the module docstring for what the caller then
+    guarantees.
     """
 
     support: np.ndarray
@@ -120,8 +120,6 @@ class EmpiricalMeasure:
         if not validate:
             return
         support = np.asarray(self.support, dtype=np.float64)
-        if support.ndim == 1:
-            support = support[:, None]
         if support.ndim != 2 or support.shape[0] < 1 or support.shape[1] < 1:
             raise MeasureError(f"support must be (N, d) with N,d >= 1, got shape {support.shape}")
         weights = np.asarray(self.weights, dtype=np.float64)
@@ -201,7 +199,7 @@ def dirac(x) -> EmpiricalMeasure:
 
 
 def uniform_measure(points: np.ndarray) -> EmpiricalMeasure:
-    """Uniform weights 1/N on the given support points."""
+    """Uniform weights 1/N on the given (N, d) support points."""
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     return EmpiricalMeasure(points, np.full(n, 1.0 / n))

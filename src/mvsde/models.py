@@ -25,12 +25,13 @@ declares the log-Lipschitz class (H2') by giving its continuity moduli.
     Growth-violating drift ``b = x^2`` that declares no moduli, for the
     checkers' failure path.
 
-Checkers are falsifiers, not proofs: they sample state/measure pairs on an
-escalating scale ladder and certify "no violation found", reporting the
-fitted constants.  The measure argument of the continuity check uses the
-coupled upper bound of the law metric as a surrogate, which is flagged in
-the report; for catalog models the measure dependence is through the mean,
-where the surrogate bound is valid analytically.
+Checkers are falsifiers, not proofs: each samples ``CHECK_SAMPLES``
+state/measure pairs on an escalating scale ladder and certifies "no violation
+found", reporting the fitted constants.  The measure argument of the
+continuity check uses the coupled upper bound of the law metric as a
+surrogate, which is flagged in the report; for catalog models the measure
+dependence is through the mean, where the surrogate bound is valid
+analytically.
 """
 
 from __future__ import annotations
@@ -113,21 +114,15 @@ class ModulusKappaEta:
         return kappa_eta(x, self.eta)
 
 
-def gamma_log(r):
+def gamma_log(r: float) -> float:
     """Log modulus ``max(log(1/r), 1)``: positive, continuous, bounded on [1, inf)."""
-    arr = np.asarray(r, dtype=np.float64)
-    if (arr <= 0).any():
+    if r <= 0:
         raise ModelError("gamma modulus is defined on (0, inf) only")
-    out = np.maximum(-np.log(arr), 1.0)
-    if np.isscalar(r) or np.ndim(r) == 0:
-        return float(out)
-    return out
+    return float(max(-np.log(r), 1.0))
 
 
-def _gamma_one(r):
-    if np.isscalar(r) or np.ndim(r) == 0:
-        return 1.0
-    return np.ones(np.shape(r))
+def _gamma_one(r: float) -> float:
+    return 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +190,8 @@ def mf_ou_oracles(theta: float, alpha: float, s: float, dim: int, m0, u0: float)
 
     ``m0`` is the initial mean vector, ``u0`` the initial second absolute
     moment E|X_0|^2.  The mean solves m' = (alpha - theta) m, the second
-    moment u' = -2 theta u + 2 alpha |m(t)|^2 + s^2 d.
+    moment u' = -2 theta u + 2 alpha |m(t)|^2 + s^2 d.  Returns
+    ``(mean_fn, second_moment)``, both functions of t.
     """
     m0 = np.broadcast_to(np.asarray(m0, dtype=np.float64), (dim,)).copy()
     m0_sq = float(np.dot(m0, m0))
@@ -211,12 +207,7 @@ def mf_ou_oracles(theta: float, alpha: float, s: float, dim: int, m0, u0: float)
             noise = s * s * dim * t
         return u0 * decay + m0_sq * decay * math.expm1(2.0 * alpha * t) + noise
 
-    def moment_fn(t: float, order: int) -> float:
-        if order != 1:
-            raise ModelError("mf-ou oracle covers order p=1 (second absolute moment) only")
-        return second_moment(t)
-
-    return mean_fn, moment_fn
+    return mean_fn, second_moment
 
 
 def _sqrtlog_profile(r: np.ndarray, eta: float) -> np.ndarray:
@@ -314,9 +305,8 @@ def make_model(model_id: str, dim: int = 1, params: dict | None = None) -> Coeff
 #: support size of the uniform laws both checkers sample
 _CHECK_ATOMS = 8
 
-#: fewest samples each checker accepts
-GROWTH_MIN_COUNT = 1000
-H2PRIME_MIN_COUNT = 100
+#: samples each checker draws: growth states, or continuity pairs
+CHECK_SAMPLES = 2000
 
 #: how the continuity check bounds the law metric (see ``check_h2prime``)
 MEASURE_TERM = "upper-bound surrogate"
@@ -329,7 +319,7 @@ class GrowthReport:
     failure: str = ""
 
 
-def check_linear_growth(model: CoefficientModel, count: int = 2000, seed: int = 0) -> GrowthReport:
+def check_linear_growth(model: CoefficientModel, seed: int = 0) -> GrowthReport:
     """Sample (|b|^2 + |sigma|^2) / (1 + |x|^2 + lambda2(mu)) on a scale ladder.
 
     Sample i draws a state and an atom cloud at radius geomspace(1, 256)[i],
@@ -338,11 +328,9 @@ def check_linear_growth(model: CoefficientModel, count: int = 2000, seed: int = 
     second (larger scale) half is at most twice the maximum over the first
     half.  The overall maximum is reported as the fitted growth constant.
     """
-    if count < GROWTH_MIN_COUNT:
-        raise ModelError(f"growth check needs at least {GROWTH_MIN_COUNT} samples, got {count}")
     rng = np.random.default_rng(seed)
-    scales = np.geomspace(1.0, 256.0, count)
-    ratios = np.empty(count)
+    scales = np.geomspace(1.0, 256.0, CHECK_SAMPLES)
+    ratios = np.empty(CHECK_SAMPLES)
     for i, scale in enumerate(scales):
         x = scale * rng.uniform(-1.0, 1.0, size=model.dim)
         atoms = scale * rng.uniform(-1.0, 1.0, size=(_CHECK_ATOMS, model.dim))
@@ -359,7 +347,7 @@ def check_linear_growth(model: CoefficientModel, count: int = 2000, seed: int = 
                 failure=f"non-finite ratio at sample {i}: x={x}, scale={scale:.3g}",
             )
         ratios[i] = ratio
-    half = count // 2
+    half = CHECK_SAMPLES // 2
     first = float(ratios[:half].max())
     second = float(ratios[half:].max())
     passed = second <= 2.0 * first
@@ -378,7 +366,7 @@ class H2PrimeReport:
     failure: str = ""
 
 
-def check_h2prime(model: CoefficientModel, count: int = 2000, seed: int = 0) -> H2PrimeReport:
+def check_h2prime(model: CoefficientModel, seed: int = 0) -> H2PrimeReport:
     """Sample the log-Lipschitz continuity ratios over coupled pairs.
 
     Drift ratio: |b(x1,mu1) - b(x2,mu2)| / (|dx| gamma1(|dx|) + rho_upper);
@@ -397,12 +385,10 @@ def check_h2prime(model: CoefficientModel, count: int = 2000, seed: int = 0) -> 
     if model.moduli is None:
         raise ModelError(f"model {model.model_id!r} does not declare the continuity class")
     gamma1, gamma2 = model.moduli
-    if count < H2PRIME_MIN_COUNT:
-        raise ModelError(f"continuity check needs at least {H2PRIME_MIN_COUNT} samples, got {count}")
     rng = np.random.default_rng(seed)
-    deltas = np.geomspace(1.0, 1e-10, count)
-    r1 = np.empty(count)
-    r2 = np.empty(count)
+    deltas = np.geomspace(1.0, 1e-10, CHECK_SAMPLES)
+    r1 = np.empty(CHECK_SAMPLES)
+    r2 = np.empty(CHECK_SAMPLES)
     for i, delta in enumerate(deltas):
         scale = 1.0 if i % 2 == 0 else delta
         x1 = scale * rng.uniform(-1.0, 1.0, size=model.dim)
@@ -419,8 +405,8 @@ def check_h2prime(model: CoefficientModel, count: int = 2000, seed: int = 0) -> 
         dx = float(np.linalg.norm(x2 - x1))
         db = np.asarray(model.drift(x2[None, :], mu2))[0] - np.asarray(model.drift(x1[None, :], mu1))[0]
         dsig = _diffusion_matrix(model, x2[None, :], mu2)[0] - _diffusion_matrix(model, x1[None, :], mu1)[0]
-        den1 = dx * float(gamma1(dx)) + rho_bar
-        den2 = dx * dx * float(gamma2(dx)) + rho_bar * rho_bar
+        den1 = dx * gamma1(dx) + rho_bar
+        den2 = dx * dx * gamma2(dx) + rho_bar * rho_bar
         r1[i] = float(np.linalg.norm(db)) / den1
         r2[i] = float(np.sum(dsig * dsig)) / den2
         if not (math.isfinite(r1[i]) and math.isfinite(r2[i])):
@@ -430,7 +416,7 @@ def check_h2prime(model: CoefficientModel, count: int = 2000, seed: int = 0) -> 
                 fitted_lambda2=math.inf,
                 failure=f"non-finite ratio at sample {i}: x1={x1}, separation={delta:.3g}",
             )
-    half = count // 2
+    half = CHECK_SAMPLES // 2
     d1a, d1b = float(r1[:half].max()), float(r1[half:].max())
     d2a, d2b = float(r2[:half].max()), float(r2[half:].max())
     passed = d1b <= 2.0 * d1a and d2b <= 2.0 * d2a

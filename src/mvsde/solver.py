@@ -13,7 +13,6 @@ each block's recorded rows in place into its level's one trajectory array.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -103,13 +102,9 @@ class GaussianLaw:
 
     def _factor(self, dim: int) -> np.ndarray:
         cov = np.asarray(self.cov, dtype=np.float64)
-        if cov.ndim == 0:
-            if cov < 0:
-                raise SolverError(f"negative covariance {cov}")
-            return math.sqrt(float(cov)) * np.eye(dim)
-        if cov.shape != (dim,) or (cov < 0).any():
-            raise SolverError("diagonal covariance must be nonnegative with length d")
-        return np.diag(np.sqrt(cov))
+        if cov.shape not in ((), (dim,)) or (cov < 0).any():
+            raise SolverError(f"covariance must be nonnegative, one number or d of them, got {cov}")
+        return np.diag(np.sqrt(np.broadcast_to(cov, (dim,))))
 
     def sample(self, rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
         factor = self._factor(dim)

@@ -104,7 +104,7 @@ def test_criterion_3_moment_oracle():
     traj = M.run_single(model, M.PointMass(0.0), seed=1, level=10, n_particles=n,
                         horizon=1.0, record_level=5)
     report = M.moment_curve(traj, order=1)
-    oracle = np.array([moment_fn(t, 1) for t in report.times])
+    oracle = np.array([moment_fn(t) for t in report.times])
     dev = np.abs(report.moments - oracle)
     within = bool(np.all(dev <= np.maximum(3.0 * report.stderrs, 1e-12)))
     converged = math.isfinite(report.envelope_constant)

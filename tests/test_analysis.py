@@ -142,7 +142,7 @@ class TestMomentCurve:
                           horizon=1.0, record_level=5)
         report = moment_curve(traj, order=1)
         for j, t in enumerate(report.times):
-            dev = abs(report.moments[j] - moment_fn(t, 1))
+            dev = abs(report.moments[j] - moment_fn(t))
             assert dev <= max(3.0 * report.stderrs[j], 1e-12)
         assert report.dominated
 

@@ -53,6 +53,20 @@ init.mean = 0.0
 init.cov = 1.0
 """
 
+# initial laws the solver would reject: (law, extra lines, the key to name)
+BAD_INIT = [
+    pytest.param("gaussian", "init.cov = -1", "init.cov", id="negative-cov"),
+    pytest.param("gaussian", "sim.d = 2\ninit.cov = 1 2 3", "init.cov", id="cov-length"),
+    pytest.param("gaussian", "sim.d = 2\ninit.mean = 1 2 3", "init.mean", id="mean-length"),
+    pytest.param("point", "sim.d = 2\ninit.x0 = 1 2 3", "init.x0", id="x0-length"),
+    pytest.param("uniform", "init.lo = 1\ninit.hi = 0", "init.lo", id="lo-above-hi"),
+    pytest.param("uniform", "sim.d = 2\ninit.lo = 0 1\ninit.hi = 1", "init.lo", id="lo-above-hi-2d"),
+]
+
+
+def _bad_init_text(law: str, lines: str) -> str:
+    return f"model.id = mf-ou\nsim.N = 4\nsim.level = 3\ninit.law = {law}\n{lines}\n"
+
 
 def _write(tmp_path: Path, text: str, name: str = "exp.cfg") -> Path:
     path = tmp_path / name
@@ -114,6 +128,15 @@ class TestConfigParsing:
     def test_negative_seed_override_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="nonnegative"):
             load_config(_write(tmp_path, RUN_CFG), "run", seed_override=-1)
+
+    @pytest.mark.parametrize("law, lines, key", BAD_INIT)
+    def test_initial_law_checked_at_load_time(self, tmp_path, law, lines, key):
+        with pytest.raises(ConfigError, match=f"key '{key}'"):
+            load_config(_write(tmp_path, _bad_init_text(law, lines)), "run")
+
+    def test_initial_law_vectors_of_length_d_accepted(self, tmp_path):
+        text = _bad_init_text("uniform", "sim.d = 2\ninit.lo = -1 0\ninit.hi = 1")
+        assert load_config(_write(tmp_path, text), "run").law.mean(2).tolist() == [0.0, 0.5]
 
     def test_levels_accept_commas(self, tmp_path):
         text = RATE_CFG.replace("sim.levels = 1 2 3", "sim.levels = 1,2,3")
@@ -375,6 +398,16 @@ class TestCliSelftestAndCodes:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "config error: initial law drew particle" in err and "blow-up limit" in err
+
+    @pytest.mark.parametrize("law, lines, key", BAD_INIT)
+    def test_initial_law_rejected_before_output(self, tmp_path, capsys, law, lines, key):
+        # the solver would reject these laws later, without naming a key and
+        # after the output directory exists
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(_write(tmp_path, _bad_init_text(law, lines))), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert f"key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_var_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MVSDE_OUT", str(tmp_path / "root"))

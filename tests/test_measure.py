@@ -97,6 +97,13 @@ class TestInvariants:
         with pytest.raises(MeasureError, match="negative"):
             EmpiricalMeasure(np.zeros((2, 1)), np.array([1.5, -0.5]))
 
+    def test_rejects_one_dimensional_support(self):
+        # N scalar atoms are written (N, 1); a flat array is not reshaped
+        with pytest.raises(MeasureError, match=r"\(N, d\)"):
+            EmpiricalMeasure(np.zeros(3), np.full(3, 1.0 / 3.0))
+        with pytest.raises(MeasureError, match=r"\(N, d\)"):
+            uniform_measure(np.zeros(3))
+
     def test_uniform_helper_mass_tolerance(self):
         for n in (1, 3, 10_000):
             uniform_measure(np.zeros((n, 1)))  # must not raise

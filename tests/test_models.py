@@ -190,16 +190,11 @@ class TestOracles:
 
         sol = solve_ivp(rhs, (0.0, 2.0), [u0], rtol=1e-11, atol=1e-13, dense_output=True)
         for t in (0.1, 0.5, 1.0, 2.0):
-            assert moment_fn(t, 1) == pytest.approx(float(sol.sol(t)[0]), rel=1e-8)
+            assert moment_fn(t) == pytest.approx(float(sol.sol(t)[0]), rel=1e-8)
 
     def test_zero_theta_limit(self):
         _, moment_fn = mf_ou_oracles(theta=0.0, alpha=0.0, s=1.0, dim=1, m0=0.0, u0=0.0)
-        assert moment_fn(2.0, 1) == pytest.approx(2.0, rel=1e-14)
-
-    def test_order_restriction(self):
-        _, moment_fn = mf_ou_oracles(1.0, 0.5, 0.4, 1, 0.0, 0.0)
-        with pytest.raises(ModelError):
-            moment_fn(1.0, 2)
+        assert moment_fn(2.0) == pytest.approx(2.0, rel=1e-14)
 
 
 class TestPairwiseBounds:
@@ -244,7 +239,7 @@ class TestCheckLinearGrowth:
         # |b|^2 + |sigma|^2 <= 2 theta^2 |x|^2 + 2 alpha^2 lambda2 + s^2 d
         # gives the analytic constant max(2 theta^2, 2 alpha^2, s^2 d)
         model = mf_ou(theta=1.0, alpha=0.5, s=0.4, dim=1)
-        report = check_linear_growth(model, count=2000, seed=0)
+        report = check_linear_growth(model, seed=0)
         assert report.passed
         assert report.fitted_l1 <= max(2.0 * 1.0**2, 2.0 * 0.5**2, 0.4**2) + 1e-9
 
@@ -265,20 +260,16 @@ class TestCheckLinearGrowth:
         assert report.passed
         assert report.fitted_l1 == 0.0
 
-    def test_sample_count_floor(self):
-        with pytest.raises(ModelError, match="1000"):
-            check_linear_growth(mf_ou(), count=10)
-
 
 class TestCheckH2Prime:
     def test_osgood_passes(self):
-        report = check_h2prime(osgood(), count=2000, seed=0)
+        report = check_h2prime(osgood(), seed=0)
         assert report.passed
         assert MEASURE_TERM == "upper-bound surrogate"
         assert math.isfinite(report.fitted_lambda1) and math.isfinite(report.fitted_lambda2)
 
     def test_mf_ou_passes_with_unit_modulus(self):
-        report = check_h2prime(mf_ou(), count=2000, seed=0)
+        report = check_h2prime(mf_ou(), seed=0)
         assert report.passed
         # Lipschitz drift: fitted constant at most theta + alpha
         assert report.fitted_lambda1 <= 1.5 + 1e-9
@@ -291,7 +282,7 @@ class TestCheckH2Prime:
             diffusion_apply=lambda states, mu, dw: np.zeros_like(dw),
             moduli=(gamma_log, gamma_log),
         )
-        report = check_h2prime(sqrt_model, count=2000, seed=0)
+        report = check_h2prime(sqrt_model, seed=0)
         assert not report.passed
         first, second = map(float, re.search(r"drift (\S+) -> (\S+),", report.failure).groups())
         assert second > 2.0 * first

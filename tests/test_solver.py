@@ -59,6 +59,21 @@ class TestSampleInitial:
         with pytest.raises(SolverError, match="number or a diagonal"):
             GaussianLaw([0.0, 0.0], np.eye(2))
 
+    @pytest.mark.parametrize("cov, dim", [(-1.0, 1), ([1.0, -1.0], 2), ([1.0, 2.0, 3.0], 2), ([1.0, 2.0], 1)])
+    def test_covariance_sign_and_length_rejected(self, cov, dim):
+        with pytest.raises(SolverError, match="covariance must be nonnegative"):
+            sample_initial(GaussianLaw(0.0, cov), 4, dim, seed=0)
+
+    def test_scalar_covariance_is_the_equal_diagonal(self):
+        scalar = sample_initial(GaussianLaw([1.0, -1.0], 2.0), 50, 2, seed=3)
+        diagonal = sample_initial(GaussianLaw([1.0, -1.0], [2.0, 2.0]), 50, 2, seed=3)
+        assert scalar.states.tobytes() == diagonal.states.tobytes()
+
+    @pytest.mark.parametrize("lo, hi, dim", [(1.0, 0.0, 1), (0.5, 0.5, 1), ([0.0, 1.0], 1.0, 2)])
+    def test_uniform_box_needs_lo_below_hi(self, lo, hi, dim):
+        with pytest.raises(SolverError, match="lo < hi"):
+            sample_initial(UniformBox(lo, hi), 4, dim, seed=0)
+
     def test_oracle_helpers(self):
         law = GaussianLaw([1.0, 0.0], 2.0)
         assert law.second_moment(2) == pytest.approx(1.0 + 4.0)
