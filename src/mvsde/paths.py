@@ -20,7 +20,10 @@ subtrees of the coarsening tree, so its tree sums are the global ones.
 
 The draw is one serial loop over the particles.  It holds the GIL while it
 moves one Philox state from particle to particle, so worker threads would
-only add overhead.
+only add overhead.  Each particle's state is set from plain Python ints, one
+particle's rows at a time, which the Philox setter reads about twice as fast
+as numpy scalars.  The block a caller marks as its last skips reading the
+positions back, since no later block needs them.
 """
 
 from __future__ import annotations
@@ -87,32 +90,49 @@ class NoiseStreams:
         self.counter = np.zeros((n_particles, 4), dtype=np.uint64)
         self.buffer = np.zeros((n_particles, 4), dtype=np.uint64)
         self.buffer_pos = np.full(n_particles, 4, dtype=np.int64)
+        self.spent = False
 
     @property
     def n_particles(self) -> int:
         return self.buffer_pos.shape[0]
 
-    def draw(self, out: np.ndarray) -> None:
+    def draw(self, out: np.ndarray, last: bool = False) -> None:
         """Continue every stream: row p of ``out`` gets particle p's next
-        ``out[p].size`` standard normals."""
-        # one generator whose state is moved from particle to particle
+        ``out[p].size`` standard normals.
+
+        ``out`` must be a C-contiguous float64 array with one row per
+        particle; otherwise ``LatticeError`` is raised before any stream
+        moves.  After a ``last`` draw the positions are not read back, so the
+        streams are spent and a further draw raises ``LatticeError``.
+        """
+        if self.spent:
+            raise LatticeError("the noise streams are spent: their last block was drawn")
+        if (out.dtype != np.float64 or not out.flags.c_contiguous or out.ndim < 2
+                or out.shape[0] != self.n_particles):
+            raise LatticeError(
+                f"draw needs a C-contiguous float64 array of {self.n_particles} rows, "
+                f"got {out.dtype} of shape {out.shape}"
+            )
+        # one generator whose state is moved from particle to particle; the
+        # setter reads plain ints about twice as fast as numpy scalars
         bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         gen = np.random.Generator(bitgen)
         state = bitgen.state
-        keys = np.empty((self.n_particles, 2), dtype=np.uint64)
-        keys[:, 0] = self.seed
-        keys[:, 1] = np.arange(self.n_particles, dtype=np.uint64)
-        for p in range(self.n_particles):
-            state["state"]["key"] = keys[p]
-            state["state"]["counter"] = self.counter[p]
-            state["buffer"] = self.buffer[p]
-            state["buffer_pos"] = int(self.buffer_pos[p])
+        philox = state["state"]
+        rows = zip(out, self.counter, self.buffer, self.buffer_pos)
+        for p, (row, counter, buffer, pos) in enumerate(rows):
+            philox["key"] = (self.seed, p)
+            philox["counter"] = counter.tolist()
+            state["buffer"] = buffer.tolist()
+            state["buffer_pos"] = int(pos)
             bitgen.state = state
-            gen.standard_normal(out=out[p])
-            after = bitgen.state
-            self.counter[p] = after["state"]["counter"]
-            self.buffer[p] = after["buffer"]
-            self.buffer_pos[p] = after["buffer_pos"]
+            gen.standard_normal(out=row)
+            if not last:
+                after = bitgen.state
+                counter[:] = after["state"]["counter"]
+                buffer[:] = after["buffer"]
+                self.buffer_pos[p] = after["buffer_pos"]
+        self.spent = last
 
 
 def sample_lattice(
@@ -120,6 +140,7 @@ def sample_lattice(
     dim: int,
     level: int,
     horizon: float,
+    last: bool = False,
 ) -> BrownianLattice:
     """Draw the next 2^level increments of every particle's stream.
 
@@ -131,7 +152,9 @@ def sample_lattice(
 
     Deterministic in (seed, particle, step, dim): every particle row comes
     from its own keyed counter-based stream.  ``DEFAULT_MEMORY_CAP`` bounds
-    the bytes of the returned array.
+    the bytes of the returned array.  ``last`` says no block follows: the
+    draw then skips reading the stream positions back, and the streams are
+    spent (see ``NoiseStreams.draw``).
     """
     n_particles = streams.n_particles
     if dim < 1:
@@ -148,7 +171,7 @@ def sample_lattice(
         )
     scale = np.sqrt(horizon / steps)
     out = np.empty((n_particles, steps, dim))
-    streams.draw(out)
+    streams.draw(out, last)
     out *= scale
     out.flags.writeable = False
     return BrownianLattice(out)

@@ -312,8 +312,10 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
 
     The blocks are the 2^c cells of level
     ``c = min(record_level, max(0, finest - BLOCK_LEVEL))``.  Each block's
-    finest increments are drawn once and reduced once down the sorted level
-    ladder, each level's increments summed from the next finer level's;
+    finest increments are drawn once (the last block marked ``last``, so the
+    draw skips reading the stream positions back) and reduced once down the
+    sorted level ladder, each level's increments summed from the next finer
+    level's;
     coarsening is one fixed tree of sums, so these are the bits of reducing
     the whole path from the finest level.  Each level's trajectory is
     allocated once; ``em_run`` steps the level through a block starting from
@@ -344,7 +346,8 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
     for states in recorded.values():
         states[0] = initial
     for b in range(1 << c):
-        increments = sample_lattice(streams, model.dim, finest - c, block_horizon).increments
+        increments = sample_lattice(streams, model.dim, finest - c, block_horizon,
+                                    last=b == (1 << c) - 1).increments
         for lvl in ladder:
             # rebinding releases the finer level's array
             increments = coarsen(increments, lvl - c)

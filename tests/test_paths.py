@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,76 @@ class TestLatticeSampling:
             b = lat.increments[i + 1, :, 0]
             r = float(np.corrcoef(a, b)[0, 1])
             assert abs(r) < bound
+
+
+def _positions(streams):
+    return [getattr(streams, name).copy() for name in ("counter", "buffer", "buffer_pos")]
+
+
+def _same_positions(streams, before):
+    return all(np.array_equal(a, b) for a, b in zip(_positions(streams), before))
+
+
+class TestLeanDraw:
+    def test_draw_after_last_draw_raises(self):
+        streams = NoiseStreams(6, 3)
+        sample_lattice(streams, 1, 3, 1.0, last=True)
+        before = _positions(streams)
+        with pytest.raises(LatticeError, match="spent"):
+            sample_lattice(streams, 1, 3, 1.0)
+        with pytest.raises(LatticeError, match="spent"):
+            streams.draw(np.empty((3, 8, 1)), last=True)
+        assert _same_positions(streams, before)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_last_draw_gives_the_same_bytes(self, seed, dim):
+        # two level-1 blocks (2 * dim normals per row, not a multiple of 4
+        # words for odd dim), then a third drawn with and without ``last``
+        lean, full = NoiseStreams(seed, 5), NoiseStreams(seed, 5)
+        for _ in range(2):
+            a = sample_lattice(lean, dim, 1, 0.5).increments
+            b = sample_lattice(full, dim, 1, 0.5).increments
+            assert a.tobytes() == b.tobytes()
+        a = sample_lattice(lean, dim, 1, 0.5, last=True).increments
+        b = sample_lattice(full, dim, 1, 0.5).increments
+        assert a.tobytes() == b.tobytes()
+        assert lean.spent and not full.spent
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((3, 8, 1)),  # fewer rows than particles
+            np.empty((5, 8, 1)),  # more rows than particles
+            np.empty((4, 8, 1), dtype=np.float32),
+            np.empty((4, 8, 2))[:, :, :1],  # rows not contiguous
+        ],
+        ids=["short", "long", "float32", "strided"],
+    )
+    def test_bad_out_raises_before_any_stream_moves(self, out):
+        streams = NoiseStreams(2, 4)
+        sample_lattice(streams, 1, 2, 1.0)
+        before = _positions(streams)
+        with pytest.raises(LatticeError, match="C-contiguous float64 array of 4 rows"):
+            streams.draw(out)
+        assert _same_positions(streams, before)
+        assert not streams.spent
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_draw_memory_is_per_particle(self, last):
+        # the lawgap-wide shape: converting one particle's rows at a time
+        # keeps the peak far below one list per array (about 2 MB at N = 10^4)
+        # the first Philox built in a process imports modules; do that untraced
+        NoiseStreams(0, 1).draw(np.empty((1, 1)))
+        streams = NoiseStreams(0, 10**4)
+        out = np.empty((10**4, 128, 1))
+        tracemalloc.start()
+        try:
+            streams.draw(out, last)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestCoarsen:

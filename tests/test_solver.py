@@ -298,6 +298,37 @@ def _count_draws(monkeypatch):
     return drawn
 
 
+def _record_last(monkeypatch):
+    flags = []
+
+    def recording(*args, last=False, **kwargs):
+        flags.append(last)
+        return sample_lattice(*args, last=last, **kwargs)
+
+    monkeypatch.setattr(solver, "sample_lattice", recording)
+    return flags
+
+
+class TestLastBlock:
+    def test_run_single_marks_only_its_last_block(self, monkeypatch):
+        # level 12: 8 blocks of 512 steps
+        flags = _record_last(monkeypatch)
+        run_single(mf_ou(), PointMass(0.0), seed=1, level=12, n_particles=4, horizon=1.0)
+        assert flags == [False] * 7 + [True]
+
+    def test_em_multilevel_marks_only_its_last_block(self, monkeypatch):
+        # finest 11, record level 3: 4 blocks of level 9
+        flags = _record_last(monkeypatch)
+        em_multilevel(mf_ou(), PointMass(0.0), seed=1, levels=[3, 4], finest=11,
+                      n_particles=4, horizon=1.0)
+        assert flags == [False] * 3 + [True]
+
+    def test_one_block_is_the_last(self, monkeypatch):
+        flags = _record_last(monkeypatch)
+        run_single(mf_ou(), PointMass(0.0), seed=1, level=7, n_particles=4, horizon=1.0)
+        assert flags == [True]
+
+
 class TestRunSingleBlocks:
     @pytest.mark.parametrize(
         "model, level, finest, record_level",
