@@ -13,9 +13,10 @@ most one; that supremum is not computable exactly, so this module brackets it:
 All cross-particle reductions go through :func:`exact_sum`, which returns the
 correctly rounded sum (bit for bit what :func:`math.fsum` returns) and is
 therefore independent of particle order and of caller threading.  It splits
-every value into an exponent and two 26-bit integer halves of its mantissa,
-adds the halves per exponent with ``np.bincount`` (exact while N < 2^26),
-combines the buckets as Python integers and rounds once.  Non-finite input,
+every value into an exponent, a 27-bit integer and a 26-bit fraction, adds
+both parts per exponent with ``np.bincount`` (exact while N < 2^26), scales
+each of those 2K bucket sums (K exponents) exactly with ``np.ldexp`` and
+rounds their total once with one ``math.fsum``.  Non-finite input,
 inputs large enough that ``math.fsum`` could overflow in an intermediate
 step, zero totals (whose sign ``math.fsum`` defines) and N >= 2^26 are handed
 to ``math.fsum`` itself.
@@ -63,7 +64,7 @@ class CouplingError(MeasureError):
     """Index coupling unavailable: supports or weights are not matched."""
 
 
-#: bucket sums of 26-bit halves stay exact in float64 below this many terms
+#: bucket sums of both mantissa parts stay exact in float64 below this many terms
 _EXACT_SUM_MAX_TERMS = 1 << 26
 
 
@@ -76,30 +77,28 @@ def exact_sum(values) -> float:
     if not 0 < x.size < _EXACT_SUM_MAX_TERMS or not np.isfinite(x).all():
         return math.fsum(x.tolist())
     mant, expo = np.frexp(x)
+    base, top = int(expo.min()), int(expo.max())
     # |partial sums| < N * 2^max(expo): below this bound math.fsum cannot
     # overflow in an intermediate step, above it defer to its behaviour
-    if int(expo.max()) + x.size.bit_length() > 1022:
+    if top + x.size.bit_length() > 1022:
         return math.fsum(x.tolist())
-    # now x = mant * 2^(expo - 53) with mant an integer, |mant| < 2^53,
-    # split exactly as hi * 2^26 + lo with 0 <= lo < 2^26
-    mant *= float(1 << 53)
-    hi = np.floor(mant / float(1 << 26))
-    lo = mant - hi * float(1 << 26)
-    base = int(expo.min())
-    expo -= base
-    hi_sums = np.bincount(expo, weights=hi).tolist()
-    lo_sums = np.bincount(expo, weights=lo).tolist()
-    total = 0
-    for k, (h, l) in enumerate(zip(hi_sums, lo_sums)):
-        if h or l:
-            total += ((int(h) << 26) + int(l)) << k
-    if total == 0:
-        return math.fsum(x.tolist())
-    shift = base - 53
-    if shift >= 0:
-        return float(total << shift)
-    # int true division rounds correctly, subnormal results included
-    return total / (1 << -shift)
+    # now x = (hi + lo) * 2^(expo - 27) with hi an integer, |hi| <= 2^27,
+    # and lo in [0, 1) a multiple of 2^-26
+    mant *= float(1 << 27)
+    hi = np.floor(mant)
+    mant -= hi
+    idx = np.subtract(expo, base, dtype=np.intp)
+    # bucket k sums the parts of exponent base + k: the hi sum is an integer
+    # below N * 2^27 and the lo sum a multiple of 2^-26 below N, both exact.
+    # Scaled by 2^(base + k - 27), each is a multiple of 2^-1074 (as every
+    # part is) below 2^1022 in magnitude (the guard above), so each ldexp
+    # term is exact and the one fsum rounds the exact total once
+    scale = np.arange(base - 27, top - 26)
+    terms = np.ldexp(np.bincount(idx, weights=hi), scale).tolist()
+    terms += np.ldexp(np.bincount(idx, weights=mant), scale).tolist()
+    total = math.fsum(terms)
+    # bincount drops the sign of zero, which math.fsum defines
+    return total if total != 0 else math.fsum(x.tolist())
 
 
 @dataclass(frozen=True)

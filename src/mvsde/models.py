@@ -82,22 +82,30 @@ def kappa_eta(x, eta: float = DEFAULT_ETA):
 
     The linear branch ``(log(1/eta) - 1)*x + eta`` matches the log branch in
     value and slope direction at ``x = eta``, so the modulus is continuous,
-    strictly increasing and concave.  Requires ``0 < eta < 1/e``.
+    strictly increasing and concave.  Requires ``0 < eta < 1/e`` and a
+    nonnegative argument (NaN is refused, ``inf`` maps to ``inf``).  The
+    ``osgood`` drift evaluates the same kernel, ``_kappa``, unchecked.
     """
     if not (0.0 < eta < ETA_MAX):
         raise ModelError(f"eta must lie in (0, 1/e), got {eta}")
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if (arr < 0).any():
+    arr = np.asarray(x, dtype=np.float64)
+    if not (arr >= 0).all():
         raise ModelError("modulus argument must be nonnegative")
-    out = np.where(arr > eta, (math.log(1.0 / eta) - 1.0) * arr + eta, 0.0)
-    log_branch = (arr > 0) & (arr <= eta)
-    if log_branch.any():
-        vals = arr[log_branch]
-        out[log_branch] = vals * (-np.log(vals))
-    if scalar:
-        return float(out[0])
-    return out.reshape(np.shape(x))
+    # abs turns -0.0 into the 0.0 the kernel needs to return +0.0
+    out = _kappa(np.abs(arr), eta)
+    return float(out) if out.ndim == 0 else out
+
+
+def _neg_log(r: np.ndarray, eta: float) -> np.ndarray:
+    """``-log(r)`` on (0, eta], finite and positive elsewhere: the clamp keeps
+    the log warning-free, so ``np.where`` picks the branch without masks and
+    ``0 * _neg_log(0)`` is +0.0."""
+    return -np.log(np.minimum(np.maximum(r, 5e-324), eta))
+
+
+def _kappa(r: np.ndarray, eta: float) -> np.ndarray:
+    """kappa_eta on r >= 0 (no -0.0), unchecked."""
+    return np.where(r > eta, (math.log(1.0 / eta) - 1.0) * r + eta, r * _neg_log(r, eta))
 
 
 @dataclass(frozen=True)
@@ -210,35 +218,25 @@ def mf_ou_oracles(theta: float, alpha: float, s: float, dim: int, m0, u0: float)
     return mean_fn, second_moment
 
 
-def _sqrtlog_profile(r: np.ndarray, eta: float) -> np.ndarray:
-    """r*sqrt(log(1/r)) up to eta, constant-slope continuation beyond."""
+def osgood(c: float = 1.0, beta: float = 0.25, s: float = 0.3, eta: float = DEFAULT_ETA) -> CoefficientModel:
+    """Scalar log-Lipschitz model; drift and diffusion vanish at the origin.
+
+    Both are mask-free whole-batch kernels: the drift uses ``_kappa``, the
+    kernel of :func:`kappa_eta`, and the diffusion the same ``_neg_log``."""
+    if not (0.0 < eta < ETA_MAX):
+        raise ModelError(f"eta must lie in (0, 1/e), got {eta}")
     log_eta = math.log(1.0 / eta)
     knee_val = eta * math.sqrt(log_eta)
     knee_slope = math.sqrt(log_eta) - 0.5 / math.sqrt(log_eta)
-    out = np.where(r > eta, knee_val + knee_slope * (r - eta), 0.0)
-    inner = (r > 0) & (r <= eta)
-    if inner.any():
-        vals = r[inner]
-        out[inner] = vals * np.sqrt(-np.log(vals))
-    return out
-
-
-def osgood(c: float = 1.0, beta: float = 0.25, s: float = 0.3, eta: float = DEFAULT_ETA) -> CoefficientModel:
-    """Scalar log-Lipschitz model; drift and diffusion vanish at the origin."""
-    if not (0.0 < eta < ETA_MAX):
-        raise ModelError(f"eta must lie in (0, 1/e), got {eta}")
-
-    def psi(x: np.ndarray) -> np.ndarray:
-        return np.sign(x) * kappa_eta(np.abs(x), eta)
-
-    def sigma_scalar(x: np.ndarray) -> np.ndarray:
-        return s * np.sign(x) * _sqrtlog_profile(np.abs(x), eta)
 
     def drift(states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
-        return -c * psi(states) + beta * mu.mean[None, :]
+        psi = np.sign(states) * _kappa(np.abs(states), eta)
+        return -c * psi + beta * mu.mean[None, :]
 
     def diffusion_apply(states, mu, dw):
-        return sigma_scalar(states) * dw
+        r = np.abs(states)
+        g = np.where(r > eta, knee_val + knee_slope * (r - eta), r * np.sqrt(_neg_log(r, eta)))
+        return s * np.sign(states) * g * dw
 
     return CoefficientModel(
         model_id="osgood",

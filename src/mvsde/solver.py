@@ -227,8 +227,8 @@ def sample_initial(law: InitialLaw, n: int, dim: int, seed: int) -> ParticleEnse
 
 
 def _guard(states: np.ndarray, level: int, step: int, time: float) -> None:
-    worst = np.abs(states).max()
-    if not (worst <= BLOWUP_LIMIT):
+    # NaN fails both comparisons; no |states| copy on the passing path
+    if not (-BLOWUP_LIMIT <= states.min() and states.max() <= BLOWUP_LIMIT):
         per_particle = np.abs(states).max(axis=1)
         bad = ~np.isfinite(per_particle)
         particle = int(np.nonzero(bad)[0][0]) if bad.any() else int(per_particle.argmax())

@@ -248,6 +248,42 @@ class TestExactSum:
             _assert_matches_fsum(mant * 10.0 ** rng.uniform(290, 307, n))
             _assert_matches_fsum(mant * 5e-324 * rng.integers(0, 1 << 40, n))
 
+    @staticmethod
+    def _fsum_call_sizes(monkeypatch, values):
+        # exact_sum's result and the length of each list it hands math.fsum
+        sizes, fsum = [], math.fsum
+        with monkeypatch.context() as m:
+            m.setattr(math, "fsum", lambda v: sizes.append(len(v)) or fsum(v))
+            total = exact_sum(values)
+        return total, sizes
+
+    @pytest.mark.parametrize("n", [3, 2000])
+    @pytest.mark.parametrize("edge", [1022, 1023])
+    def test_overflow_guard_edge(self, monkeypatch, rng, n, edge):
+        # expo.max() + n.bit_length() == 1022 is summed in buckets; 1023 defers
+        top = edge - n.bit_length()
+        mant = rng.uniform(0.5, 1.0, n) * rng.choice([-1.0, 1.0], n)
+        x = np.ldexp(mant, rng.integers(top - 40, top + 1, n))
+        x[0] = math.ldexp(0.75, top)
+        for values in (x, np.concatenate([x[: n // 2], -x[: n // 2]])):
+            total, sizes = self._fsum_call_sizes(monkeypatch, values)
+            assert total.hex() == math.fsum(values.tolist()).hex()
+            # deferring hands math.fsum the whole input; so does a zero total
+            assert (values.size in sizes) == (edge == 1023 or total == 0)
+
+    def test_wide_exponent_span(self, monkeypatch, rng):
+        # 2,000 terms over more than 1,000 buckets, subnormals included
+        x = np.ldexp(rng.uniform(-1.0, 1.0, 2000), rng.integers(-1074, 1000, 2000))
+        span = int(np.ptp(np.frexp(x)[1])) + 1
+        assert span > 1000
+        total, sizes = self._fsum_call_sizes(monkeypatch, x)
+        assert x.size not in sizes
+        assert total.hex() == math.fsum(x.tolist()).hex()
+        # an exact zero total takes its sign from math.fsum
+        zero = rng.permutation(np.concatenate([x[:1000], -x[:1000]]))
+        _assert_matches_fsum(zero)
+        _assert_matches_fsum(-np.abs(zero) * 0.0)
+
     def test_permutation_invariant(self, rng):
         x = rng.standard_normal(5000) * 10.0 ** rng.uniform(-8, 8, 5000)
         assert exact_sum(x).hex() == exact_sum(rng.permutation(x)).hex()

@@ -87,6 +87,14 @@ class TestKappaEta:
         with pytest.raises(ModelError):
             kappa_eta(-1e-9, ETA)
 
+    def test_nan_refused_inf_kept(self):
+        # NaN is not a nonnegative argument: refused, not mapped to 0.0
+        for bad in (math.nan, [math.nan, 0.1], np.array([[0.2], [math.nan]])):
+            with pytest.raises(ModelError, match="nonnegative"):
+                kappa_eta(bad, ETA)
+        assert kappa_eta(math.inf, ETA) == math.inf
+        assert kappa_eta([0.0, math.inf], ETA).tolist() == [0.0, math.inf]
+
     def test_callable_wrapper(self):
         kap = ModulusKappaEta(ETA)
         assert kap(0.01) == kappa_eta(0.01, ETA)
@@ -149,6 +157,49 @@ class TestCatalogEvaluation:
         mu = uniform_measure(np.array([[1.0, 0.0], [3.0, 2.0]]))
         out = model.drift(np.array([[1.0, 1.0]]), mu)[0]
         assert out == pytest.approx([1.0, 0.0])
+
+
+def _masked_kappa(r, eta):
+    # reference: kappa_eta as a masked formula
+    out = np.where(r > eta, (math.log(1.0 / eta) - 1.0) * r + eta, 0.0)
+    inner = (r > 0) & (r <= eta)
+    out[inner] = r[inner] * (-np.log(r[inner]))
+    return out
+
+
+def _masked_sqrtlog(r, eta):
+    # reference: the osgood diffusion profile as a masked formula
+    log_eta = math.log(1.0 / eta)
+    knee_val = eta * math.sqrt(log_eta)
+    knee_slope = math.sqrt(log_eta) - 0.5 / math.sqrt(log_eta)
+    out = np.where(r > eta, knee_val + knee_slope * (r - eta), 0.0)
+    inner = (r > 0) & (r <= eta)
+    out[inner] = r[inner] * np.sqrt(-np.log(r[inner]))
+    return out
+
+
+class TestOsgoodKernels:
+    # bytes, not values: np.array_equal would let -0.0 pass for 0.0
+    def test_match_masked_formulas_bytewise(self, rng):
+        for batch in range(200):
+            c, beta, s = rng.uniform(0.1, 3.0, 3)
+            eta = rng.uniform(0.001, 1.0 / math.e - 0.001)
+            model = osgood(c=c, beta=beta, s=s, eta=eta)
+            special = [0.0, -0.0, eta, -eta, np.nextafter(eta, 1.0), np.nextafter(eta, -1.0),
+                       -np.nextafter(eta, 1.0), 5e-324, -5e-324]
+            scale = 10.0 ** rng.uniform(-8.0, math.log10(30.0))
+            x = np.concatenate([scale * rng.standard_normal(rng.integers(1, 300)), special])[:, None]
+            dw = rng.standard_normal(x.shape)
+            # every fourth law is symmetric, so its mean is exactly 0
+            support = np.concatenate([x, -x]) if batch % 4 == 0 else x
+            mu = uniform_measure(support)
+            r = np.abs(x)
+            want_drift = -c * (np.sign(x) * _masked_kappa(r, eta)) + beta * mu.mean[None, :]
+            want_noise = s * np.sign(x) * _masked_sqrtlog(r, eta) * dw
+            assert model.drift(x, mu).tobytes() == want_drift.tobytes()
+            assert model.diffusion_apply(x, mu, dw).tobytes() == want_noise.tobytes()
+            assert kappa_eta(r, eta).tobytes() == _masked_kappa(r, eta).tobytes()
+            assert kappa_eta(-0.0, eta) == 0.0 and math.copysign(1.0, kappa_eta(-0.0, eta)) == 1.0
 
 
 class TestMakeModel:

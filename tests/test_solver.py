@@ -241,6 +241,36 @@ class TestEmRun:
         assert np.shares_memory(into.states, out)
 
 
+class TestGuard:
+    LIMIT = solver.BLOWUP_LIMIT
+
+    def test_limit_itself_passes(self):
+        solver._guard(np.array([[self.LIMIT, -self.LIMIT], [0.0, -0.0]]), level=2, step=0, time=0.25)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.nextafter(LIMIT, math.inf),
+                                     -np.nextafter(LIMIT, math.inf)])
+    def test_beyond_the_limit_raises(self, bad):
+        states = np.zeros((4, 2))
+        states[2, 1] = bad
+        with pytest.raises(BlowUpError) as err:
+            solver._guard(states, level=3, step=5, time=0.75)
+        assert (err.value.level, err.value.step, err.value.time, err.value.particle) == (3, 5, 0.75, 2)
+        assert err.value.state.tobytes() == states[2].tobytes()
+
+    def test_names_first_nonfinite_else_largest(self):
+        states = np.zeros((6, 2))
+        states[1, 0] = -5e8
+        states[3, 1] = 2e8
+        with pytest.raises(BlowUpError) as err:
+            solver._guard(states, level=0, step=0, time=1.0)
+        assert err.value.particle == 1
+        states[4, 0] = math.inf
+        states[5, 1] = math.nan
+        with pytest.raises(BlowUpError) as err:
+            solver._guard(states, level=0, step=0, time=1.0)
+        assert err.value.particle == 4
+
+
 class TestGridTimes:
     """Recorded times are t_i = i * (T / 2^level), the same floats on every route."""
 

@@ -72,6 +72,10 @@ def test_traced_rate_run_fires_every_hook(bench, tmp_path):
     assert [name for name in run.MOST_WORK["rate-osgood"] if calls[name] == 0] == []
     metrics = tracer.layer_metrics(0)
     assert metrics["solver.steps"] == sum(2**lvl for lvl in (*LEVELS, FINEST))
+    # one drift, one diffusion and one law per step: a kernel that adds or
+    # drops a counted call shows here
+    assert metrics["models.calls"] == 2 * metrics["solver.steps"]
+    assert metrics["measure.law_builds"] == metrics["solver.steps"]
     assert metrics["paths.lattice_bytes"] == N * 2**FINEST * DIM * 8
     # blocks of level min(record level 2, finest - 9) = 2: four blocks, each
     # coarsened once per simulated level
