@@ -6,7 +6,6 @@ and strong-rate diagnostics."""
 from .measure import (
     EmpiricalMeasure,
     default_dictionary,
-    dirac,
     rho_lower,
     rho_upper,
     uniform_measure,
@@ -38,7 +37,6 @@ from .solver import (
     TrajectorySet,
     UniformBox,
     em_multilevel,
-    em_run,
     run_single,
     sample_initial,
 )

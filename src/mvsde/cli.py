@@ -89,17 +89,11 @@ def _write_gnuplot(path: Path, body: str) -> None:
         fh.write(body)
 
 
-def _out_dir(cfg_out: Path | None, cli_out: str | None, kind: str) -> Path:
+def _out_dir(cli_out: str | None, kind: str) -> Path:
+    """The output directory's path; it is made only once there is output."""
     if cli_out is not None:
-        out = Path(cli_out)
-    elif cfg_out is not None:
-        out = cfg_out
-    elif os.environ.get("MVSDE_OUT"):
-        out = Path(os.environ["MVSDE_OUT"]) / kind
-    else:
-        out = Path("mvsde-out") / kind
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        return Path(cli_out)
+    return Path(os.environ.get("MVSDE_OUT") or "mvsde-out") / kind
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +125,11 @@ def _report(out: Path, summary: dict, failure: str | None) -> dict:
 def _pipeline(analyse, cfg: ExperimentConfig, out: Path, gate: bool, runs: int = 0) -> dict:
     """One experiment.  ``analyse(cfg, model, trajectories, out, gate)``
     writes the kind's data files and returns its summary entries and its gate
-    failure (None when the gate is off or passes)."""
+    failure (None when the gate is off or passes).  ``out`` is made only
+    after the simulation succeeds, so a refused or blown-up run leaves none."""
     model = make_model(cfg.model_id, dim=cfg.dim, params=cfg.model_params)
     trajectories = _simulate(cfg, model, runs)
+    out.mkdir(parents=True, exist_ok=True)
     entries, failure = analyse(cfg, model, trajectories, out, gate)
     return _report(out, {"experiment": cfg.kind, "model": cfg.model_id, **entries}, failure)
 
@@ -308,6 +304,7 @@ def cmd_selftest(out: Path) -> dict:
     levels = [1, 2, 3, 4, 5, 6]
     errors = [2.0 ** (-n) for n in levels]
     report = analysis.fit_rate(levels, errors)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "rate.csv", ["level", "error", "stderr"], [[levels, errors, [0.0] * len(levels)]])
 
     kappa = models.ModulusKappaEta()
@@ -361,7 +358,7 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         if name != "selftest":
             p.add_argument("--config", required=True, help="path to a key=value config file")
-        p.add_argument("--out", default=None, help="output directory (default: config, then $MVSDE_OUT)")
+        p.add_argument("--out", default=None, help="output directory (default: $MVSDE_OUT/<command> or ./mvsde-out/<command>)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=1, help="accepted for compatibility (at least 1); changes nothing")
         p.add_argument("--gate", action="store_true", help="enable acceptance thresholds (exit 4 on failure)")
@@ -375,12 +372,12 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         if args.command == "selftest":
-            out = _out_dir(None, args.out, "selftest")
+            out = _out_dir(args.out, "selftest")
             cmd_selftest(out)
             print(f"selftest pass ({out})")
             return EXIT_OK
         cfg = load_config(args.config, args.command, seed_override=args.seed)
-        out = _out_dir(cfg.out_dir, args.out, args.command)
+        out = _out_dir(args.out, args.command)
         summary = _COMMANDS[args.command](cfg, out, args.gate)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -119,7 +119,6 @@ KEYS = {
     "gate.slope_min": ("gate_slope_min", _number, -1.4),
     "gate.slope_max": ("gate_slope_max", _number, -0.6),
     "gate.monotone": ("gate_monotone", _boolean, False),
-    "out.dir": ("out_dir", Path, None),
 }
 
 
@@ -145,7 +144,6 @@ class ExperimentConfig:
     gate_slope_min: float
     gate_slope_max: float
     gate_monotone: bool
-    out_dir: Path | None
 
 
 def parse_config_text(text: str) -> dict[str, tuple[int, str]]:

@@ -42,7 +42,6 @@ __all__ = [
     "CouplingError",
     "EmpiricalMeasure",
     "exact_sum",
-    "dirac",
     "uniform_measure",
     "rho_upper",
     "rho_lower",
@@ -189,12 +188,6 @@ class EmpiricalMeasure:
         if vals.shape != (self.num_atoms,):
             raise MeasureError(f"test function returned shape {vals.shape}, expected ({self.num_atoms},)")
         return exact_sum(self.weights * vals)
-
-
-def dirac(x) -> EmpiricalMeasure:
-    """Point mass at ``x`` (scalar or vector)."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return EmpiricalMeasure(x[None, :], np.array([1.0]))
 
 
 def uniform_measure(points: np.ndarray) -> EmpiricalMeasure:

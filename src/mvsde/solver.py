@@ -5,10 +5,12 @@ moves; drift and diffusion are then frozen at the left grid point for every
 particle.  Running several levels against one Brownian path (synchronous
 coupling) makes the inter-level difference a pure discretization error.
 
-Every experiment kind draws that path the same way: in time blocks, each
-reduced once down the ladder of simulated levels and stepped through by
-``em_run`` at every level before the next block is drawn.  ``em_run`` writes
-each block's recorded rows in place into its level's one trajectory array.
+The public way to simulate is the two drivers, ``run_single`` and
+``em_multilevel``; both validate their arguments and draw the path the same
+way: in time blocks, each reduced once down the ladder of simulated levels
+and stepped through at every level, by ``em_run``, before the next block is
+drawn.  ``em_run`` is that loop's unchecked stepper: it writes each block's
+recorded rows in place into its level's one trajectory array.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ __all__ = [
     "ParticleEnsemble",
     "TrajectorySet",
     "sample_initial",
-    "em_run",
     "em_multilevel",
     "run_single",
 ]
@@ -171,10 +172,6 @@ class ParticleEnsemble:
     def n_particles(self) -> int:
         return self.states.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
 
 @dataclass(frozen=True)
 class TrajectorySet:
@@ -235,70 +232,40 @@ def _guard(states: np.ndarray, level: int, step: int, time: float) -> None:
         raise BlowUpError(level=level, step=step, time=time, particle=particle, state=states[particle])
 
 
-def _grid_times(horizon: float, level: int) -> np.ndarray:
-    """The points t_i = i * (horizon / 2^level) of the level-``level`` grid;
-    dividing by a power of two is exact, so every caller gets the same floats."""
-    return np.arange((1 << level) + 1, dtype=np.float64) * (horizon / (1 << level))
-
-
-def em_run(
-    model: CoefficientModel,
-    ensemble: ParticleEnsemble,
-    level: int,
-    increments: np.ndarray,
-    horizon: float,
-    record_level: int | None = None,
-    out: np.ndarray | None = None,
-) -> TrajectorySet:
-    """Advance the ensemble over the level-``level`` grid of [0, horizon].
+# mvbench/spans.py wraps ``em_run`` by name and binds its ``level`` and
+# ``ensemble`` arguments to count steps, so both keep their names
+def em_run(model: CoefficientModel, ensemble: ParticleEnsemble, level: int, increments: np.ndarray,
+           horizon: float, out: np.ndarray) -> None:
+    """Step the ensemble over the level-``level`` grid of [0, horizon].
 
     ``increments`` holds the Brownian increments of that grid's own cells,
     shape (N, 2^level, d): row p, cell i is particle p's W(t_{i+1}) - W(t_i).
     Per cell: freeze the empirical law and the left states, then
     ``X += b(X, mu) * h + sigma(X, mu) @ dW`` for every particle.  Recorded
-    states are exactly the iterates of this recursion, on the
-    level-``record_level`` sub-grid (``0 <= record_level <= level``).
+    states are exactly the iterates of this recursion, on the sub-grid of
+    ``out.shape[0] - 1`` cells; rows 1.. of ``out`` receive them.
 
-    The recorded states go into ``out`` when it is given, a float64 array of
-    shape (2^record_level + 1, N, d), and the result is a view of it; the
-    bytes are the same either way.
+    The block loop is the one caller, and it guarantees what is not checked
+    here: ``out`` is float64 of shape (2^r + 1, N, d) for some r <= level,
+    with the ensemble's states in row 0; ``increments`` matches the ensemble
+    and the model; the horizon is positive and finite; and the states are
+    finite and within ``BLOWUP_LIMIT``.  They are rebound each step, never
+    written.
     """
-    n, dim = ensemble.n_particles, ensemble.dim
-    if increments.shape != (n, 1 << level, model.dim) or dim != model.dim:
-        raise SolverError(
-            f"shape mismatch: increments {increments.shape}, ensemble {ensemble.states.shape}, "
-            f"expected ({n}, {1 << level}, {model.dim}) for a level-{level} run of a {model.dim}-d model"
-        )
-    if record_level is None:
-        record_level = level
-    if not (0 <= record_level <= level):
-        raise SolverError(f"record level {record_level} outside [0, {level}]")
-    if not (np.isfinite(horizon) and horizon > 0):
-        raise SolverError(f"horizon must be positive and finite, got {horizon}")
-    rows = (1 << record_level) + 1
-    if out is None:
-        out = np.empty((rows, n, dim))
-    elif out.shape != (rows, n, dim) or out.dtype != np.float64:
-        raise SolverError(f"out is {out.dtype} {out.shape}, expected float64 {(rows, n, dim)}")
-
+    n = ensemble.n_particles
     h = horizon / (1 << level)
     weights = np.full(n, 1.0 / n)
-    stride = 1 << (level - record_level)
+    stride = (1 << level) // (out.shape[0] - 1)
 
-    states = ensemble.states.copy()
-    out[0] = states
+    states = ensemble.states
     for i in range(1 << level):
-        # later states passed _guard (finite, |x| <= BLOWUP_LIMIT) and are
-        # rebound, never written, so only the caller's step-0 states need checks
-        mu = EmpiricalMeasure(states, weights, validate=i == 0)
+        mu = EmpiricalMeasure(states, weights, validate=False)
         drift = np.asarray(model.drift(states, mu), dtype=np.float64)
         noise = np.asarray(model.diffusion_apply(states, mu, increments[:, i, :]), dtype=np.float64)
         states = states + h * drift + noise
         _guard(states, level=level, step=i, time=(i + 1) * h)
         if (i + 1) % stride == 0:
             out[(i + 1) // stride] = states
-
-    return TrajectorySet(times=_grid_times(horizon, record_level), states=out)
 
 
 #: blocks hold 2^BLOCK_LEVEL finest steps where the record grid allows
@@ -353,8 +320,7 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
             increments = coarsen(increments, lvl - c)
             block = recorded[lvl][b * block_rows:(b + 1) * block_rows + 1]
             try:
-                em_run(model, ParticleEnsemble(block[0]), lvl - c, increments, block_horizon,
-                       record_level=record_level - c, out=block)
+                em_run(model, ParticleEnsemble(block[0]), lvl - c, increments, block_horizon, block)
             except BlowUpError as err:
                 step = (b << (lvl - c)) + err.step
                 raise BlowUpError(
@@ -363,7 +329,8 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
                 ) from None
         del increments  # released before the next block is drawn
 
-    times = _grid_times(horizon, record_level)
+    # t_i = i * (T / 2^r): dividing by a power of two is exact
+    times = np.arange((1 << record_level) + 1, dtype=np.float64) * (horizon / (1 << record_level))
     return {lvl: TrajectorySet(times=times, states=recorded[lvl]) for lvl in run_levels}
 
 

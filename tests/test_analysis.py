@@ -19,16 +19,16 @@ from mvsde.measure import default_dictionary, rho_lower, rho_upper, uniform_meas
 from mvsde.models import ModulusKappaEta, mf_ou, mf_ou_oracles
 from mvsde.solver import (
     GaussianLaw,
-    ParticleEnsemble,
     PointMass,
     NoiseStreams,
     TrajectorySet,
     em_multilevel,
-    em_run,
     run_single,
     sample_initial,
     sample_lattice,
 )
+
+from conftest import em_path
 
 ETA = math.exp(-2.0)
 
@@ -321,10 +321,10 @@ class TestUniquenessReplay:
         n, level = 64, 6
         lat = sample_lattice(NoiseStreams(9, n), 1, level, horizon)
         ens = sample_initial(GaussianLaw(0.0, 1.0), n, 1, seed=9)
-        base = em_run(model, ens, level, lat.increments, horizon)
+        base = em_path(model, ens.states, level, lat.increments, horizon)
         bumped_states = ens.states.copy()
         bumped_states[0, 0] += delta
-        bumped = em_run(model, ParticleEnsemble(bumped_states), level, lat.increments, horizon)
+        bumped = em_path(model, bumped_states, level, lat.increments, horizon)
         assert base.states.tobytes() != bumped.states.tobytes()
         gap_sq = float(np.max(np.abs(base.states[-1] - bumped.states[-1]) ** 2))
         assert gap_sq <= 10.0 * delta**2 * math.exp(2.0 * (theta + alpha) * horizon)

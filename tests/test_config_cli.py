@@ -245,7 +245,7 @@ class TestCliRun:
         out = tmp_path / "o"
         assert main(["run", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == EXIT_CONFIG
         assert "memory limit" in capsys.readouterr().err
-        assert not (out / "trajectories.csv").exists()
+        assert not out.exists()
 
 
 class TestCliRate:
@@ -352,9 +352,25 @@ class TestCliSelftestAndCodes:
             "model.id = osgood\nmodel.c = 100.0\nsim.N = 4\nsim.T = 8.0\n"
             "sim.level = 3\ninit.law = point\ninit.x0 = 1.0\n"
         )
-        path = _write(tmp_path, text)
-        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_BLOWUP
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == EXIT_BLOWUP
         assert "blow-up" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            pytest.param("model.id = osgood\nmodel.eta = 0.5\nsim.level = 3\n", "eta", id="model-parameter"),
+            pytest.param("model.id = mf-ou\nsim.level = 31\n", "level limit", id="lattice-level"),
+        ],
+    )
+    def test_refused_run_makes_no_output_directory(self, tmp_path, capsys, lines, message):
+        # refused by the model or the solver, after the config was read
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(_write(tmp_path, lines + "sim.N = 4\n")), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["1e9", "1e200"])
     @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +20,23 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"mvsde.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+# "module.name" for every name mvsde/__init__.py imports from a submodule
+REEXPORTS = [
+    f"{node.module}.{alias.name}"
+    for node in ast.parse(Path(mvsde.__file__).read_text()).body
+    if isinstance(node, ast.ImportFrom) and node.level == 1
+    for alias in node.names
+]
+
+
+def test_reexports_found():
+    assert "solver.run_single" in REEXPORTS
+
+
+@pytest.mark.parametrize("qualname", REEXPORTS)
+def test_reexports_are_public(qualname):
+    # a name taken out of a submodule's __all__ must leave the package too
+    module, name = qualname.split(".")
+    assert name in importlib.import_module(f"mvsde.{module}").__all__

@@ -10,7 +10,6 @@ from mvsde.measure import (
     EmpiricalMeasure,
     MeasureError,
     default_dictionary,
-    dirac,
     exact_sum,
     rho_lower,
     rho_upper,
@@ -46,11 +45,11 @@ def measures(draw, dim=None):
 
 class TestLambda2:
     def test_dirac_origin(self):
-        assert dirac(0.0).lambda2 == 1.0
+        assert uniform_measure([[0.0]]).lambda2 == 1.0
 
     def test_unit_radius_atom(self):
-        assert dirac([1.0]).lambda2 == 4.0
-        assert dirac([0.0, 1.0]).lambda2 == 4.0
+        assert uniform_measure([[1.0]]).lambda2 == 4.0
+        assert uniform_measure([[0.0, 1.0]]).lambda2 == 4.0
 
     def test_two_atom_hand_sum(self):
         # atoms {0, (2,0)} with weights (1/2, 1/2): (1 + 9) / 2
@@ -80,7 +79,7 @@ class TestLambda2:
         for r in (0.0, 0.5, 1.0, 3.0, 17.0):
             x = np.zeros(3)
             x[0] = r
-            assert dirac(x).lambda2 == pytest.approx((1.0 + r) ** 2, rel=1e-15)
+            assert uniform_measure(np.atleast_2d(x)).lambda2 == pytest.approx((1.0 + r) ** 2, rel=1e-15)
 
 
 class TestInvariants:
@@ -115,7 +114,7 @@ class TestRhoUpper:
         assert rho_upper(mu, mu) == 0.0
 
     def test_single_pair_distance(self):
-        assert rho_upper(dirac(np.zeros(3)), dirac([1.0, 0.0, 0.0])) == 1.0
+        assert rho_upper(uniform_measure(np.zeros((1, 3))), uniform_measure([[1.0, 0.0, 0.0]])) == 1.0
 
     def test_two_pair_mean(self):
         mu = uniform_measure(np.array([[0.0], [1.0]]))
@@ -154,7 +153,7 @@ class TestRhoLower:
         # phi(x) = 0.8 x has norm exactly 1 (Lipschitz 0.8 plus weighted sup 0.2),
         # and separates the two point masses by 0.8
         d = {"coord0": lambda pts: 0.8 * pts[:, 0]}
-        assert rho_lower(dirac(0.0), dirac(1.0), d) == pytest.approx(0.8, abs=1e-15)
+        assert rho_lower(uniform_measure([[0.0]]), uniform_measure([[1.0]]), d) == pytest.approx(0.8, abs=1e-15)
 
     def test_sandwich_on_coupled_pairs(self, rng):
         dicts = {dim: default_dictionary(dim) for dim in (1, 2, 3)}
@@ -165,7 +164,7 @@ class TestRhoLower:
 
     def test_empty_dictionary_rejected(self):
         with pytest.raises(MeasureError, match="empty"):
-            rho_lower(dirac(0.0), dirac(1.0), {})
+            rho_lower(uniform_measure([[0.0]]), uniform_measure([[1.0]]), {})
 
 
 class TestDefaultDictionary:

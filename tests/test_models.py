@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from mvsde.measure import dirac, rho_upper, uniform_measure
+from mvsde.measure import rho_upper, uniform_measure
 from mvsde.models import (
     MEASURE_TERM,
     CoefficientModel,
@@ -116,20 +116,20 @@ class TestGammaLog:
 class TestCatalogEvaluation:
     def test_mf_ou_drift_examples(self):
         model = mf_ou(theta=1.0, alpha=0.5, s=0.4, dim=1)
-        assert model.drift(np.array([[0.0]]), dirac(0.0))[0] == pytest.approx(0.0)
-        assert model.drift(np.array([[1.0]]), dirac(0.0))[0, 0] == pytest.approx(-1.0)
-        assert model.drift(np.array([[0.0]]), dirac(2.0))[0, 0] == pytest.approx(1.0)
+        assert model.drift(np.array([[0.0]]), uniform_measure([[0.0]]))[0] == pytest.approx(0.0)
+        assert model.drift(np.array([[1.0]]), uniform_measure([[0.0]]))[0, 0] == pytest.approx(-1.0)
+        assert model.drift(np.array([[0.0]]), uniform_measure([[2.0]]))[0, 0] == pytest.approx(1.0)
 
     def test_mf_ou_diffusion_constant(self):
         model = mf_ou(theta=1.0, alpha=0.5, s=0.4, dim=1)
-        assert np.array_equal(_diffusion_matrix(model, np.array([[3.0]]), dirac(0.0))[0], [[0.4]])
+        assert np.array_equal(_diffusion_matrix(model, np.array([[3.0]]), uniform_measure([[0.0]]))[0], [[0.4]])
         degenerate = mf_ou(s=0.0)
-        assert np.array_equal(_diffusion_matrix(degenerate, np.array([[3.0]]), dirac(0.0))[0], [[0.0]])
+        assert np.array_equal(_diffusion_matrix(degenerate, np.array([[3.0]]), uniform_measure([[0.0]]))[0], [[0.0]])
 
     def test_osgood_vanishes_at_origin(self):
         model = osgood()
-        assert np.array_equal(_diffusion_matrix(model, np.array([[0.0]]), dirac(0.0))[0], [[0.0]])
-        assert model.drift(np.array([[0.0]]), dirac(0.0))[0, 0] == 0.0
+        assert np.array_equal(_diffusion_matrix(model, np.array([[0.0]]), uniform_measure([[0.0]]))[0], [[0.0]])
+        assert model.drift(np.array([[0.0]]), uniform_measure([[0.0]]))[0, 0] == 0.0
 
     def test_osgood_drift_closed_form(self):
         # independent statement of the drift: -c * sign(x) * kappa(|x|) + beta * mean
@@ -141,7 +141,7 @@ class TestCatalogEvaluation:
 
     def test_osgood_diffusion_closed_form(self):
         model = osgood(c=1.0, beta=0.25, s=0.3, eta=ETA)
-        mu = dirac(0.0)
+        mu = uniform_measure([[0.0]])
         for x in (1e-4, 0.05, ETA):
             expected = 0.3 * x * math.sqrt(math.log(1.0 / x))
             assert _diffusion_matrix(model, np.array([[x]]), mu)[0, 0, 0] == pytest.approx(expected, rel=1e-14)

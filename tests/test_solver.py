@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mvsde import paths, solver
-from mvsde.measure import MeasureError, uniform_measure
+from mvsde.measure import uniform_measure
 from mvsde.models import CoefficientModel, mf_ou, mf_ou_oracles, osgood
 from mvsde.paths import LatticeError, NoiseStreams, coarsen, sample_lattice
 from mvsde.solver import (
@@ -16,10 +16,11 @@ from mvsde.solver import (
     SolverError,
     UniformBox,
     em_multilevel,
-    em_run,
     run_single,
     sample_initial,
 )
+
+from conftest import em_path
 
 
 class TestSampleInitial:
@@ -109,7 +110,7 @@ class TestEmRun:
         model = mf_ou(theta=0.0, alpha=0.0, s=0.0, dim=2)
         lat = sample_lattice(NoiseStreams(0, 8), 2, 5, 1.0)
         ens = sample_initial(GaussianLaw(0.0, 1.0), 8, 2, seed=0)
-        traj = em_run(model, ens, 5, lat.increments, 1.0)
+        traj = em_path(model, ens.states, 5, lat.increments, 1.0)
         assert np.array_equal(traj.states, np.broadcast_to(ens.states, traj.states.shape))
 
     def test_exponential_decay_oracle(self):
@@ -139,7 +140,7 @@ class TestEmRun:
         n, level = 6, 4
         lat = sample_lattice(NoiseStreams(3, n), 2, level, 1.0)
         ens = sample_initial(GaussianLaw(0.0, 1.0), n, 2, seed=3)
-        traj = em_run(model, ens, level, lat.increments, 1.0)
+        traj = em_path(model, ens.states, level, lat.increments, 1.0)
 
         theta, alpha, s = 1.0, 0.5, 0.4
         states = ens.states.copy()
@@ -167,7 +168,7 @@ class TestEmRun:
         n, level = 4, 3
         lat = sample_lattice(NoiseStreams(8, n), 2, level, 1.0)
         ens = sample_initial(GaussianLaw(0.0, 1.0), n, 2, seed=8)
-        traj = em_run(model, ens, level, lat.increments, 1.0)
+        traj = em_path(model, ens.states, level, lat.increments, 1.0)
         states = ens.states.copy()
         h = 1.0 / 2**level
         replay = [states.copy()]
@@ -184,10 +185,10 @@ class TestEmRun:
         n, level = 16, 5
         lat = sample_lattice(NoiseStreams(4, n), 1, level, 1.0)
         ens = sample_initial(GaussianLaw(0.0, 1.0), n, 1, seed=4)
-        traj = em_run(model, ens, level, lat.increments, 1.0)
+        traj = em_path(model, ens.states, level, lat.increments, 1.0)
 
         perm = np.random.default_rng(0).permutation(n)
-        traj_perm = em_run(model, ParticleEnsemble(ens.states[perm]), level, lat.increments[perm], 1.0)
+        traj_perm = em_path(model, ens.states[perm], level, lat.increments[perm], 1.0)
         assert traj_perm.states.tobytes() == traj.states[:, perm, :].tobytes()
 
     def test_blowup_diagnostics(self):
@@ -199,46 +200,18 @@ class TestEmRun:
         assert 0 <= err.value.particle < 4
         assert np.abs(err.value.state).max() > 1e8 or not np.isfinite(err.value.state).all()
 
-    def test_initial_states_are_validated(self):
-        # finite, so the ensemble accepts it, but (1 + |x|)^2 overflows
-        lat = sample_lattice(NoiseStreams(0, 4), 1, 3, 1.0)
-        ens = ParticleEnsemble(np.array([[0.0], [1e200], [1.0], [2.0]]))
-        with pytest.raises(MeasureError, match="not finite"):
-            em_run(mf_ou(), ens, 3, lat.increments, 1.0)
-
-    def test_level_and_shape_guards(self):
-        model = mf_ou()
-        dw = sample_lattice(NoiseStreams(0, 4), 1, 3, 1.0).increments
-        ens = sample_initial(PointMass(0.0), 4, 1, seed=0)
-        with pytest.raises(SolverError, match="shape mismatch"):
-            em_run(model, ens, 5, dw, 1.0)
-        with pytest.raises(SolverError, match="record level"):
-            em_run(model, ens, 3, dw, 1.0, record_level=4)
-        with pytest.raises(SolverError, match="shape mismatch"):
-            em_run(model, ParticleEnsemble(np.zeros((5, 1))), 3, dw, 1.0)
-        with pytest.raises(SolverError, match="shape mismatch"):
-            em_run(mf_ou(dim=2), ens, 3, dw, 1.0)
-        for out in (np.empty((8, 4, 1)), np.empty((9, 4, 2)), np.empty((9, 4, 1), dtype=np.float32)):
-            with pytest.raises(SolverError, match="out is"):
-                em_run(model, ens, 3, dw, 1.0, out=out)
-
     @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
-    def test_horizon_guard(self, horizon):
-        dw = np.zeros((4, 8, 1))
-        ens = sample_initial(PointMass(0.0), 4, 1, seed=0)
-        with pytest.raises(SolverError, match="horizon must be positive and finite"):
-            em_run(mf_ou(), ens, 3, dw, horizon)
+    def test_horizon_guard(self, monkeypatch, horizon):
+        # each driver's first block draw refuses the horizon, before any step
+        def no_step(*args):
+            raise AssertionError("stepped")
 
-    def test_out_buffer_holds_the_same_bytes(self):
-        model = mf_ou(dim=2)
-        dw = sample_lattice(NoiseStreams(4, 6), 2, 5, 1.0).increments
-        ens = sample_initial(GaussianLaw(0.0, 1.0), 6, 2, seed=4)
-        fresh = em_run(model, ens, 5, dw, 1.0, record_level=3)
-        out = np.empty((2**3 + 1, 6, 2))
-        into = em_run(model, ens, 5, dw, 1.0, record_level=3, out=out)
-        assert into.states.tobytes() == fresh.states.tobytes()
-        assert into.times.tobytes() == fresh.times.tobytes()
-        assert np.shares_memory(into.states, out)
+        monkeypatch.setattr(solver, "em_run", no_step)
+        with pytest.raises(LatticeError, match="horizon must be positive and finite"):
+            run_single(mf_ou(), PointMass(0.0), seed=0, level=3, n_particles=4, horizon=horizon)
+        with pytest.raises(LatticeError, match="horizon must be positive and finite"):
+            em_multilevel(mf_ou(), PointMass(0.0), seed=0, levels=[1, 2], finest=3, n_particles=4,
+                          horizon=horizon)
 
 
 class TestGuard:
@@ -279,13 +252,10 @@ class TestGridTimes:
         assert np.array_equal(traj.times, [0.0, 1.0])
 
     def test_endpoints_exact(self):
-        model, ens = mf_ou(), sample_initial(PointMass(0.0), 1, 1, seed=0)
         for horizon in (1.0, 2.0, 0.7, 3.25):
             for level in range(12):
-                pts = run_single(model, PointMass(0.0), seed=0, level=level, n_particles=1,
+                pts = run_single(mf_ou(), PointMass(0.0), seed=0, level=level, n_particles=1,
                                  horizon=horizon).times
-                direct = em_run(model, ens, level, np.zeros((1, 2**level, 1)), horizon).times
-                assert pts.tobytes() == direct.tobytes()
                 assert pts.tobytes() == (np.arange(2**level + 1) * (horizon / 2**level)).tobytes()
                 assert pts[0] == 0.0
                 assert pts[-1] == horizon
@@ -306,12 +276,12 @@ def _peak_bytes(fn):
 
 
 def _whole_path_multilevel(model, law, seed, levels, finest, n_particles, horizon, record_level=None):
-    """The unblocked route: one lattice over [0, T], then ``em_run`` per level."""
+    """The unblocked route: one lattice over [0, T], then each level stepped whole."""
     record_level = min(levels) if record_level is None else record_level
     lattice = sample_lattice(NoiseStreams(seed, n_particles), model.dim, finest, horizon)
-    ens = sample_initial(law, n_particles, model.dim, seed)
+    initial = sample_initial(law, n_particles, model.dim, seed).states
     return {
-        lvl: em_run(model, ens, lvl, coarsen(lattice.increments, lvl), horizon, record_level=record_level)
+        lvl: em_path(model, initial, lvl, coarsen(lattice.increments, lvl), horizon, record_level)
         for lvl in [*sorted(levels), finest]
     }
 
@@ -388,7 +358,7 @@ class TestRunSingleBlocks:
             run_single(model, law, seed=3, level=level, finest=finest, n_particles=4, horizon=1.0)
         lattice = sample_lattice(NoiseStreams(3, 4), 1, finest or level, 1.0)
         with pytest.raises(BlowUpError) as ref:
-            em_run(model, sample_initial(law, 4, 1, seed=3), level, coarsen(lattice.increments, level), 1.0)
+            em_path(model, sample_initial(law, 4, 1, seed=3).states, level, coarsen(lattice.increments, level), 1.0)
         got, want = err.value, ref.value
         assert got.level == want.level == level
         assert got.step >= 2 ** (level - 3)  # after the first block
@@ -478,7 +448,7 @@ class TestEmMultilevel:
             em_multilevel(model, law, seed=3, levels=[3, 5], finest=12, n_particles=4, horizon=1.0)
         lattice = sample_lattice(NoiseStreams(3, 4), 1, 12, 1.0)
         with pytest.raises(BlowUpError) as ref:
-            em_run(model, sample_initial(law, 4, 1, seed=3), 12, lattice.increments, 1.0)
+            em_path(model, sample_initial(law, 4, 1, seed=3).states, 12, lattice.increments, 1.0)
         got, want = err.value, ref.value
         assert got.level == 12
         assert got.step >= 2**9  # after the first block
