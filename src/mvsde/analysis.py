@@ -83,14 +83,18 @@ def strong_error(ref: TrajectorySet, coarse: TrajectorySet) -> tuple[float, floa
     return _mean_se(sup_sq)
 
 
+#: levels a rate fit needs at least; a rate config is refused with fewer
+MIN_RATE_LEVELS = 3
+
+
 def fit_rate(levels, errors) -> RateReport:
     """Ordinary least squares of log2(error) on the level index."""
     levels = [int(v) for v in levels]
     errors = [float(e) for e in errors]
     if len(levels) != len(errors):
         raise AnalysisError("levels and errors must have equal length")
-    if len(levels) < 3:
-        raise AnalysisError(f"need at least 3 levels to fit a rate, got {len(levels)}")
+    if len(levels) < MIN_RATE_LEVELS:
+        raise AnalysisError(f"need at least {MIN_RATE_LEVELS} levels to fit a rate, got {len(levels)}")
     if len(set(levels)) != len(levels):
         raise AnalysisError("levels must be distinct")
     if any(not (e > 0 and math.isfinite(e)) for e in errors):
@@ -326,18 +330,17 @@ def law_gap_curve(traj_a: TrajectorySet, traj_b: TrajectorySet) -> LawGapReport:
     use_sorted = traj_a.dim == 1
     dictionary = default_dictionary(traj_a.dim)
     # the states are finite float64 and read-only and the sorted copies are
-    # fresh, so the measures skip validation and share one weight array
-    weights = np.full(traj_a.n_particles, 1.0 / traj_a.n_particles)
+    # fresh, so the measures skip validation
     uppers = np.empty(traj_a.times.shape[0])
     lowers = np.empty_like(uppers)
     for j in range(traj_a.times.shape[0]):
         a = traj_a.states[j]
         b = traj_b.states[j]
-        mu = EmpiricalMeasure(a, weights, validate=False)
-        nu = EmpiricalMeasure(b, weights, validate=False)
+        mu = EmpiricalMeasure(a, validate=False)
+        nu = EmpiricalMeasure(b, validate=False)
         if use_sorted:
-            mu_c = EmpiricalMeasure(np.sort(a, axis=0), weights, validate=False)
-            nu_c = EmpiricalMeasure(np.sort(b, axis=0), weights, validate=False)
+            mu_c = EmpiricalMeasure(np.sort(a, axis=0), validate=False)
+            nu_c = EmpiricalMeasure(np.sort(b, axis=0), validate=False)
         else:
             mu_c, nu_c = mu, nu
         uppers[j] = rho_upper(mu_c, nu_c)

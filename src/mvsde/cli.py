@@ -61,6 +61,13 @@ def _format_column(values) -> list[str]:
     return [v if type(v) is str else _fmt(v) for v in values]
 
 
+def _open(path: Path):
+    """Open ``path`` for writing, making its directory first, so a run that
+    fails before its first write leaves no output directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", newline="\n")
+
+
 def _write_csv(path: Path, header: list[str], blocks) -> None:
     """Write CSV rows given as an iterable of blocks of equal-length columns.
 
@@ -68,7 +75,7 @@ def _write_csv(path: Path, header: list[str], blocks) -> None:
     written ``_CSV_BLOCK_ROWS`` rows at a time, so only that much text is
     held at once.
     """
-    with open(path, "w", newline="\n") as fh:
+    with _open(path) as fh:
         fh.write(",".join(header) + "\n")
         for columns in blocks:
             for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
@@ -78,13 +85,13 @@ def _write_csv(path: Path, header: list[str], blocks) -> None:
 
 
 def _write_summary(path: Path, mapping: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with _open(path) as fh:
         for key, value in mapping.items():
             fh.write(f"{key} = {_fmt(value)}\n")
 
 
 def _write_gnuplot(path: Path, body: str) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with _open(path) as fh:
         fh.write("set datafile separator ','\n")
         fh.write(body)
 
@@ -125,11 +132,9 @@ def _report(out: Path, summary: dict, failure: str | None) -> dict:
 def _pipeline(analyse, cfg: ExperimentConfig, out: Path, gate: bool, runs: int = 0) -> dict:
     """One experiment.  ``analyse(cfg, model, trajectories, out, gate)``
     writes the kind's data files and returns its summary entries and its gate
-    failure (None when the gate is off or passes).  ``out`` is made only
-    after the simulation succeeds, so a refused or blown-up run leaves none."""
+    failure (None when the gate is off or passes)."""
     model = make_model(cfg.model_id, dim=cfg.dim, params=cfg.model_params)
     trajectories = _simulate(cfg, model, runs)
-    out.mkdir(parents=True, exist_ok=True)
     entries, failure = analyse(cfg, model, trajectories, out, gate)
     return _report(out, {"experiment": cfg.kind, "model": cfg.model_id, **entries}, failure)
 
@@ -304,7 +309,6 @@ def cmd_selftest(out: Path) -> dict:
     levels = [1, 2, 3, 4, 5, 6]
     errors = [2.0 ** (-n) for n in levels]
     report = analysis.fit_rate(levels, errors)
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "rate.csv", ["level", "error", "stderr"], [[levels, errors, [0.0] * len(levels)]])
 
     kappa = models.ModulusKappaEta()

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .analysis import MIN_RATE_LEVELS
 from .models import MODELS
 from .solver import BLOWUP_LIMIT, GaussianLaw, InitialLaw, PointMass, UniformBox
 
@@ -220,6 +221,10 @@ def _validate(cfg: ExperimentConfig, seed_source: str) -> None:
             raise ConfigError("rate experiments require 'sim.levels'")
         if finest is None:
             raise ConfigError("rate experiments require 'sim.finest'")
+        if len(levels) < MIN_RATE_LEVELS:
+            raise ConfigError(
+                f"sim.levels must list at least {MIN_RATE_LEVELS} levels to fit a rate, got {len(levels)}"
+            )
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ConfigError("sim.levels must be strictly increasing")
         if levels[0] < 0:

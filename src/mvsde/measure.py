@@ -1,8 +1,9 @@
-"""Weighted empirical measures and two-sided estimates of the dual-ball metric.
+"""Uniform empirical measures and two-sided estimates of the dual-ball metric.
 
-A law is represented by a finite weighted support.  The metric of interest is
-a supremum over test functions whose "weighted sup plus Lipschitz" norm is at
-most one; that supremum is not computable exactly, so this module brackets it:
+A law is the uniform measure (1/N) sum_i delta_{x_i} on N support points.
+The metric of interest is a supremum over test functions whose "weighted sup
+plus Lipschitz" norm is at most one; that supremum is not computable exactly,
+so this module brackets it:
 
 * ``rho_upper`` -- the coupled mean distance over an index-matched pair, an
   upper bound for any coupling of the two measures;
@@ -23,9 +24,9 @@ to ``math.fsum`` itself.
 
 ``EmpiricalMeasure`` validates its input unless built with ``validate=False``.
 That form exists for the solver's per-step law and for ``law_gap_curve``: the
-caller guarantees a finite (N, d) float64 support and uniform float64 weights
-1/N, and must not mutate either array afterwards, because the measure stores
-them as given, without copies or read-only flags.
+caller guarantees a finite (N, d) float64 support and must not mutate it
+afterwards, because the measure stores it as given, without a copy or a
+read-only flag.
 """
 
 from __future__ import annotations
@@ -48,9 +49,6 @@ __all__ = [
     "default_dictionary",
 ]
 
-#: permitted deviation of the total mass from 1
-WEIGHT_TOL = 1e-12
-
 #: clip radius of the default dictionary's ramps and radial function
 CLIP_RADIUS = 10.0
 
@@ -60,7 +58,7 @@ class MeasureError(ValueError):
 
 
 class CouplingError(MeasureError):
-    """Index coupling unavailable: supports or weights are not matched."""
+    """Index coupling unavailable: atom counts or dimensions differ."""
 
 
 #: bucket sums of both mantissa parts stay exact in float64 below this many terms
@@ -102,16 +100,14 @@ def exact_sum(values) -> float:
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Probability measure with finite support ``support`` and ``weights``.
+    """Uniform probability measure on the N rows of ``support``.
 
-    ``support`` has shape (N, d).  Weights must be nonnegative and sum to one
-    within ``WEIGHT_TOL``.  ``validate=False`` stores both arrays as given and
-    checks nothing; see the module docstring for what the caller then
-    guarantees.
+    ``support`` has shape (N, d); every atom weighs ``1.0 / N``.
+    ``validate=False`` stores the array as given and checks nothing; see the
+    module docstring for what the caller then guarantees.
     """
 
     support: np.ndarray
-    weights: np.ndarray
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool) -> None:
@@ -120,27 +116,13 @@ class EmpiricalMeasure:
         support = np.asarray(self.support, dtype=np.float64)
         if support.ndim != 2 or support.shape[0] < 1 or support.shape[1] < 1:
             raise MeasureError(f"support must be (N, d) with N,d >= 1, got shape {support.shape}")
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if weights.shape != (support.shape[0],):
-            raise MeasureError(
-                f"weights shape {weights.shape} does not match {support.shape[0]} support points"
-            )
         bad = ~np.isfinite(support)
         if bad.any():
             idx = int(np.nonzero(bad.any(axis=1))[0][0])
             raise MeasureError(f"non-finite coordinate in support point {idx}: {support[idx]}")
-        if (weights < 0).any():
-            idx = int(np.nonzero(weights < 0)[0][0])
-            raise MeasureError(f"negative weight at index {idx}: {weights[idx]}")
-        total = exact_sum(weights)
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise MeasureError(f"weights sum to {total!r}, not 1 within {WEIGHT_TOL}")
         support = support.copy()
-        weights = weights.copy()
         support.flags.writeable = False
-        weights.flags.writeable = False
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "weights", weights)
         # a support far out overflows the norms to inf, which is the error
         with np.errstate(over="ignore"):
             finite = np.isfinite(self.lambda2)
@@ -165,36 +147,33 @@ class EmpiricalMeasure:
     @cached_property
     def mean(self) -> np.ndarray:
         """Barycenter, exactly rounded per coordinate."""
-        m = np.array(
-            [exact_sum(self.weights * self.support[:, k]) for k in range(self.dim)]
-        )
+        w = 1.0 / self.num_atoms
+        m = np.array([exact_sum(w * self.support[:, k]) for k in range(self.dim)])
         m.flags.writeable = False
         return m
 
     @cached_property
     def lambda2(self) -> float:
-        """Weighted mass norm squared: sum of w_i * (1 + |x_i|)^2.
+        """Weighted mass norm squared: sum of (1 + |x_i|)^2 / N.
 
-        Never below ``exact_sum(weights)``: each term rounds to at least w_i,
-        and a correctly rounded sum is monotone in its terms.  For a
-        probability measure that total lies within ``WEIGHT_TOL`` of 1, so the
-        norm can be 1 - 2^-53.
+        Never below the sum of N copies of ``1.0 / N``: each term rounds to
+        at least that weight, and a correctly rounded sum is monotone in its
+        terms.  That sum can be 1 - 2^-53 (at N = 49, for one), so the norm
+        can be too.
         """
-        return exact_sum(self.weights * (1.0 + self.radii) ** 2)
+        return exact_sum((1.0 / self.num_atoms) * (1.0 + self.radii) ** 2)
 
     def integrate(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
         """Exactly rounded integral of a vectorized test function."""
         vals = np.asarray(fn(self.support), dtype=np.float64)
         if vals.shape != (self.num_atoms,):
             raise MeasureError(f"test function returned shape {vals.shape}, expected ({self.num_atoms},)")
-        return exact_sum(self.weights * vals)
+        return exact_sum((1.0 / self.num_atoms) * vals)
 
 
 def uniform_measure(points: np.ndarray) -> EmpiricalMeasure:
-    """Uniform weights 1/N on the given (N, d) support points."""
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
-    return EmpiricalMeasure(points, np.full(n, 1.0 / n))
+    """The uniform measure on the given (N, d) support points."""
+    return EmpiricalMeasure(points)
 
 
 def _require_coupled(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
@@ -202,19 +181,17 @@ def _require_coupled(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
         raise CouplingError(f"atom counts differ: {mu.num_atoms} vs {nu.num_atoms}")
     if mu.dim != nu.dim:
         raise CouplingError(f"dimensions differ: {mu.dim} vs {nu.dim}")
-    if not np.array_equal(mu.weights, nu.weights):
-        raise CouplingError("weights differ entry by entry; index coupling unavailable")
 
 
 def rho_upper(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
-    """Coupled mean distance sum(w_i |x_i - y_i|) under the index coupling.
+    """Coupled mean distance sum(|x_i - y_i|) / N under the index coupling.
 
-    Upper-bounds the dual-ball metric whenever the index pairing is a valid
-    coupling of the two measures (equal weights entry by entry).
+    Both measures are uniform on N atoms, so the index pairing is a coupling
+    of them and this upper-bounds the dual-ball metric.
     """
     _require_coupled(mu, nu)
     gaps = np.linalg.norm(mu.support - nu.support, axis=1)
-    return exact_sum(mu.weights * gaps)
+    return exact_sum((1.0 / mu.num_atoms) * gaps)
 
 
 def rho_lower(mu: EmpiricalMeasure, nu: EmpiricalMeasure, dictionary: dict[str, Callable]) -> float:

@@ -77,6 +77,11 @@ class ModelError(ValueError):
 # concave moduli
 # ---------------------------------------------------------------------------
 
+def _check_eta(eta: float) -> None:
+    if not (0.0 < eta < ETA_MAX):
+        raise ModelError(f"eta must lie in (0, 1/e), got {eta}")
+
+
 def kappa_eta(x, eta: float = DEFAULT_ETA):
     """Concave modulus: 0 at 0, ``x*log(1/x)`` on (0, eta], linear beyond.
 
@@ -86,8 +91,7 @@ def kappa_eta(x, eta: float = DEFAULT_ETA):
     nonnegative argument (NaN is refused, ``inf`` maps to ``inf``).  The
     ``osgood`` drift evaluates the same kernel, ``_kappa``, unchecked.
     """
-    if not (0.0 < eta < ETA_MAX):
-        raise ModelError(f"eta must lie in (0, 1/e), got {eta}")
+    _check_eta(eta)
     arr = np.asarray(x, dtype=np.float64)
     if not (arr >= 0).all():
         raise ModelError("modulus argument must be nonnegative")
@@ -115,8 +119,7 @@ class ModulusKappaEta:
     eta: float = DEFAULT_ETA
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.eta < ETA_MAX):
-            raise ModelError(f"eta must lie in (0, 1/e), got {self.eta}")
+        _check_eta(self.eta)
 
     def __call__(self, x):
         return kappa_eta(x, self.eta)
@@ -223,8 +226,7 @@ def osgood(c: float = 1.0, beta: float = 0.25, s: float = 0.3, eta: float = DEFA
 
     Both are mask-free whole-batch kernels: the drift uses ``_kappa``, the
     kernel of :func:`kappa_eta`, and the diffusion the same ``_neg_log``."""
-    if not (0.0 < eta < ETA_MAX):
-        raise ModelError(f"eta must lie in (0, 1/e), got {eta}")
+    _check_eta(eta)
     log_eta = math.log(1.0 / eta)
     knee_val = eta * math.sqrt(log_eta)
     knee_slope = math.sqrt(log_eta) - 0.5 / math.sqrt(log_eta)

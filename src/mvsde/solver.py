@@ -252,14 +252,12 @@ def em_run(model: CoefficientModel, ensemble: ParticleEnsemble, level: int, incr
     finite and within ``BLOWUP_LIMIT``.  They are rebound each step, never
     written.
     """
-    n = ensemble.n_particles
     h = horizon / (1 << level)
-    weights = np.full(n, 1.0 / n)
     stride = (1 << level) // (out.shape[0] - 1)
 
     states = ensemble.states
     for i in range(1 << level):
-        mu = EmpiricalMeasure(states, weights, validate=False)
+        mu = EmpiricalMeasure(states, validate=False)
         drift = np.asarray(model.drift(states, mu), dtype=np.float64)
         noise = np.asarray(model.diffusion_apply(states, mu, increments[:, i, :]), dtype=np.float64)
         states = states + h * drift + noise

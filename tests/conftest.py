@@ -7,17 +7,13 @@ from mvsde.solver import ParticleEnsemble, TrajectorySet
 
 
 def random_measure(rng: np.random.Generator, n: int, dim: int, scale: float = 5.0) -> EmpiricalMeasure:
-    pts = rng.uniform(-scale, scale, size=(n, dim))
-    w = rng.uniform(0.1, 1.0, size=n)
-    return EmpiricalMeasure(pts, w / w.sum())
+    return EmpiricalMeasure(rng.uniform(-scale, scale, size=(n, dim)))
 
 
 def random_coupled_pair(rng: np.random.Generator, n: int, dim: int, scale: float = 5.0):
-    """Two measures sharing weights entry by entry (index coupling valid)."""
-    w = rng.uniform(0.1, 1.0, size=n)
-    w = w / w.sum()
-    a = EmpiricalMeasure(rng.uniform(-scale, scale, size=(n, dim)), w)
-    b = EmpiricalMeasure(rng.uniform(-scale, scale, size=(n, dim)), w)
+    """Two measures on n atoms each (index coupling valid)."""
+    a = EmpiricalMeasure(rng.uniform(-scale, scale, size=(n, dim)))
+    b = EmpiricalMeasure(rng.uniform(-scale, scale, size=(n, dim)))
     return a, b
 
 

@@ -231,10 +231,8 @@ def test_criterion_9_metric_sandwich():
     for k in range(100):
         dim = 1 + k % 3
         n = int(rng.integers(1, 9))
-        w = rng.uniform(0.1, 1.0, size=n)
-        w = w / w.sum()
-        a = M.EmpiricalMeasure(rng.uniform(-5, 5, (n, dim)), w)
-        b = M.EmpiricalMeasure(rng.uniform(-5, 5, (n, dim)), w)
+        a = M.EmpiricalMeasure(rng.uniform(-5, 5, (n, dim)))
+        b = M.EmpiricalMeasure(rng.uniform(-5, 5, (n, dim)))
         sandwich = sandwich and (
             M.rho_lower(a, b, dicts[dim]) <= M.rho_upper(a, b) + 1e-12
         )
@@ -243,9 +241,7 @@ def test_criterion_9_metric_sandwich():
     for k in range(100):
         dim = 1 + k % 3
         n = int(rng.integers(1, 9))
-        w = rng.uniform(0.1, 1.0, size=n)
-        w = w / w.sum()
-        a, b, c = (M.EmpiricalMeasure(rng.uniform(-5, 5, (n, dim)), w) for _ in range(3))
+        a, b, c = (M.EmpiricalMeasure(rng.uniform(-5, 5, (n, dim))) for _ in range(3))
         triangle = triangle and (
             M.rho_upper(a, c) <= M.rho_upper(a, b) + M.rho_upper(b, c) + 1e-12
         )

@@ -112,6 +112,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="strictly increasing"):
             load_config(_write(tmp_path, bad), "rate")
 
+    def test_rate_needs_enough_levels_to_fit(self, tmp_path):
+        bad = RATE_CFG.replace("sim.levels = 1 2 3", "sim.levels = 2 3")
+        with pytest.raises(ConfigError, match="sim.levels"):
+            load_config(_write(tmp_path, bad), "rate")
+
     def test_fixed_dim_model(self, tmp_path):
         bad = RUN_CFG.replace("model.id = mf-ou", "model.id = osgood").replace(
             "sim.d = 1", "sim.d = 2"
@@ -346,6 +351,7 @@ class TestCliSelftestAndCodes:
         err = capsys.readouterr().err
         assert "analysis error: errors must be positive and finite" in err
         assert "config error" not in err
+        assert not out.exists()
 
     def test_blowup_exit_code(self, tmp_path, capsys):
         text = (

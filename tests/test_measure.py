@@ -21,8 +21,8 @@ from conftest import random_coupled_pair, random_measure
 
 def lambda2_bruteforce(mu: EmpiricalMeasure) -> float:
     # independent oracle: plain python accumulation of the defining sum
-    total = 0.0
-    for w, x in zip(mu.weights, mu.support):
+    total, w = 0.0, 1.0 / mu.num_atoms
+    for x in mu.support:
         total += w * (1.0 + math.sqrt(sum(c * c for c in x))) ** 2
     return total
 
@@ -38,9 +38,7 @@ def measures(draw, dim=None):
             max_size=n * d,
         )
     )
-    w = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
-    w = np.asarray(w)
-    return EmpiricalMeasure(np.asarray(flat).reshape(n, d), w / w.sum())
+    return EmpiricalMeasure(np.asarray(flat).reshape(n, d))
 
 
 class TestLambda2:
@@ -53,7 +51,7 @@ class TestLambda2:
 
     def test_two_atom_hand_sum(self):
         # atoms {0, (2,0)} with weights (1/2, 1/2): (1 + 9) / 2
-        mu = EmpiricalMeasure(np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([0.5, 0.5]))
+        mu = EmpiricalMeasure(np.array([[0.0, 0.0], [2.0, 0.0]]))
         assert mu.lambda2 == pytest.approx(5.0, abs=1e-14)
 
     @settings(max_examples=100, deadline=None)
@@ -64,16 +62,17 @@ class TestLambda2:
     @settings(max_examples=100, deadline=None)
     @given(measures())
     def test_at_least_the_total_weight(self, mu):
-        # the total may be 1 - 2^-53 (within WEIGHT_TOL), so 1 is not a bound
+        # N copies of 1/N may sum to 1 - 2^-53, so 1 is not a bound
         val = mu.lambda2
-        total = exact_sum(mu.weights)
+        total = exact_sum(np.full(mu.num_atoms, 1.0 / mu.num_atoms))
         assert val >= total
         if mu.radii.max() > 1e-8:
             assert val > total
 
     def test_mass_just_below_one(self):
-        mu = EmpiricalMeasure(np.zeros((2, 1)), np.array([0.5, 0.5 - 2.0**-53]))
-        assert mu.lambda2 == exact_sum(mu.weights) == 1.0 - 2.0**-53
+        # the 49 copies of fl(1/49) sum to 1 - 2^-53
+        mu = EmpiricalMeasure(np.zeros((49, 1)))
+        assert mu.lambda2 == exact_sum(np.full(49, 1.0 / 49)) == 1.0 - 2.0**-53
 
     def test_dirac_scaling(self):
         for r in (0.0, 0.5, 1.0, 3.0, 17.0):
@@ -86,20 +85,12 @@ class TestInvariants:
     def test_rejects_nonfinite_support_with_index(self):
         pts = np.array([[0.0], [np.nan], [1.0]])
         with pytest.raises(MeasureError, match="point 1"):
-            EmpiricalMeasure(pts, np.full(3, 1.0 / 3.0))
-
-    def test_rejects_bad_mass(self):
-        with pytest.raises(MeasureError, match="sum"):
-            EmpiricalMeasure(np.zeros((2, 1)), np.array([0.5, 0.6]))
-
-    def test_rejects_negative_weight(self):
-        with pytest.raises(MeasureError, match="negative"):
-            EmpiricalMeasure(np.zeros((2, 1)), np.array([1.5, -0.5]))
+            EmpiricalMeasure(pts)
 
     def test_rejects_one_dimensional_support(self):
         # N scalar atoms are written (N, 1); a flat array is not reshaped
         with pytest.raises(MeasureError, match=r"\(N, d\)"):
-            EmpiricalMeasure(np.zeros(3), np.full(3, 1.0 / 3.0))
+            EmpiricalMeasure(np.zeros(3))
         with pytest.raises(MeasureError, match=r"\(N, d\)"):
             uniform_measure(np.zeros(3))
 
@@ -129,9 +120,7 @@ class TestRhoUpper:
     def test_triangle_inequality(self, rng):
         for _ in range(100):
             n, d = int(rng.integers(1, 9)), int(rng.integers(1, 4))
-            w = rng.uniform(0.1, 1.0, size=n)
-            w = w / w.sum()
-            a, b, c = (EmpiricalMeasure(rng.uniform(-5, 5, (n, d)), w) for _ in range(3))
+            a, b, c = (EmpiricalMeasure(rng.uniform(-5, 5, (n, d))) for _ in range(3))
             assert rho_upper(a, c) <= rho_upper(a, b) + rho_upper(b, c) + 1e-12
 
     def test_coupling_errors(self):
@@ -139,9 +128,8 @@ class TestRhoUpper:
         nu = uniform_measure(np.zeros((3, 1)))
         with pytest.raises(CouplingError):
             rho_upper(mu, nu)
-        skew = EmpiricalMeasure(np.zeros((2, 1)), np.array([0.25, 0.75]))
         with pytest.raises(CouplingError):
-            rho_upper(mu, skew)
+            rho_upper(mu, uniform_measure(np.zeros((2, 2))))
 
 
 class TestRhoLower:
@@ -291,15 +279,36 @@ class TestExactSum:
 class TestUnvalidatedMeasure:
     def test_stores_arrays_as_given(self):
         x = np.array([[1.0], [2.0]])
-        w = np.full(2, 0.5)
-        mu = EmpiricalMeasure(x, w, validate=False)
-        assert mu.support is x and mu.weights is w
+        assert EmpiricalMeasure(x, validate=False).support is x
 
     def test_mean_bytes_match_validated(self, rng):
         for n, d in ((1, 1), (7, 3), (2000, 1), (999, 2)):
             x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, (n, d))
-            w = np.full(n, 1.0 / n)
-            fast = EmpiricalMeasure(x, w, validate=False)
-            checked = EmpiricalMeasure(x, w)
+            fast = EmpiricalMeasure(x, validate=False)
+            checked = EmpiricalMeasure(x)
             assert fast.mean.tobytes() == checked.mean.tobytes()
             assert fast.lambda2 == checked.lambda2
+
+
+def _weighted_sum(values) -> float:
+    # the reduction of a measure that carried the weight array np.full(n, 1/n)
+    values = np.asarray(values, dtype=np.float64)
+    return exact_sum(np.full(values.shape[0], 1.0 / values.shape[0]) * values)
+
+
+class TestUniformWeightBytes:
+    """The scalar weight 1.0 / N gives the bits of the weight array
+    ``np.full(N, 1.0 / N)``: every product is the same IEEE value."""
+
+    @pytest.mark.parametrize("n", [1, 3, 49, 2000, 10_000])
+    def test_reductions_match_weighted_formula(self, rng, n):
+        x = rng.standard_normal((n, 2)) * 10.0 ** rng.uniform(-3, 3, (n, 2))
+        y = rng.standard_normal((n, 2))
+        mu, nu = EmpiricalMeasure(x), EmpiricalMeasure(y)
+        assert [v.hex() for v in mu.mean] == [_weighted_sum(x[:, k]).hex() for k in range(2)]
+        radii = np.linalg.norm(x, axis=1)
+        assert mu.lambda2.hex() == _weighted_sum((1.0 + radii) ** 2).hex()
+        for fn in default_dictionary(2).values():
+            assert mu.integrate(fn).hex() == _weighted_sum(fn(x)).hex()
+        gaps = np.linalg.norm(x - y, axis=1)
+        assert rho_upper(mu, nu).hex() == _weighted_sum(gaps).hex()

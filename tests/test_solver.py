@@ -86,7 +86,7 @@ class TestSampleInitial:
 class TestToMeasure:
     def test_single_particle(self):
         mu = uniform_measure(np.array([[3.0]]))
-        assert mu.num_atoms == 1 and mu.support[0, 0] == 3.0 and mu.weights[0] == 1.0
+        assert mu.num_atoms == 1 and mu.support[0, 0] == 3.0 and mu.lambda2 == 16.0
 
     def test_mean(self):
         mu = uniform_measure(np.array([[0.0], [2.0]]))
