@@ -32,7 +32,6 @@ from .paths import (
 from .solver import (
     BlowUpError,
     GaussianLaw,
-    ParticleEnsemble,
     PointMass,
     TrajectorySet,
     UniformBox,

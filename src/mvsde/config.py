@@ -15,6 +15,7 @@ import numpy as np
 
 from .analysis import MIN_RATE_LEVELS
 from .models import MODELS
+from .paths import MAX_LATTICE_LEVEL
 from .solver import BLOWUP_LIMIT, GaussianLaw, InitialLaw, PointMass, UniformBox
 
 __all__ = ["ConfigError", "ExperimentConfig", "KEYS", "parse_config_text", "load_config", "KINDS"]
@@ -82,11 +83,15 @@ def _covariance(text: str):
     return vec
 
 
+def _level(text: str) -> int:
+    level = _integer(text)
+    if level > MAX_LATTICE_LEVEL:
+        raise ValueError(f"level {level} above the lattice level limit {MAX_LATTICE_LEVEL}")
+    return level
+
+
 def _levels(text: str) -> tuple[int, ...]:
-    try:
-        levels = tuple(int(tok) for tok in text.replace(",", " ").split())
-    except ValueError:
-        raise ValueError(f"expected integers, got {text!r}") from None
+    levels = tuple(_level(tok) for tok in text.replace(",", " ").split())
     if not levels:
         raise ValueError("expected at least one level")
     return levels
@@ -105,9 +110,9 @@ KEYS = {
     "sim.N": ("n_particles", _integer, REQUIRED),
     "sim.T": ("horizon", _number, 1.0),
     "sim.seed": ("seed", _integer, 0),
-    "sim.level": ("level", _integer, None),
+    "sim.level": ("level", _level, None),
     "sim.levels": ("levels", _levels, None),
-    "sim.finest": ("finest", _integer, None),
+    "sim.finest": ("finest", _level, None),
     "sim.record_level": ("record_level", _integer, None),
     "init.law": (None, str.lower, "point"),
     "init.x0": (None, _location, 0.0),

@@ -11,6 +11,9 @@ way: in time blocks, each reduced once down the ladder of simulated levels
 and stepped through at every level, by ``em_run``, before the next block is
 drawn.  ``em_run`` is that loop's unchecked stepper: it writes each block's
 recorded rows in place into its level's one trajectory array.
+
+The initial ensemble is a plain float64 (N, d) array.  Each initial law checks
+its parameters when it is built, and their length, which needs d, when read.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ __all__ = [
     "GaussianLaw",
     "UniformBox",
     "InitialLaw",
-    "ParticleEnsemble",
     "TrajectorySet",
     "sample_initial",
     "em_multilevel",
@@ -74,16 +76,23 @@ class BlowUpError(RuntimeError):
 # initial laws
 # ---------------------------------------------------------------------------
 
+def _components(law, name: str, dim: int) -> np.ndarray:
+    """The law's parameter ``name`` as d components; one number stands for all."""
+    value = np.asarray(getattr(law, name), dtype=np.float64)
+    if value.ndim > 1 or value.size not in (1, dim):
+        raise SolverError(f"{name} has {value.size} components, expected 1 or d = {dim}")
+    return np.broadcast_to(value, (dim,))
+
+
 @dataclass(frozen=True)
 class PointMass:
     x0: object = 0.0
 
     def sample(self, rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-        x0 = np.broadcast_to(np.asarray(self.x0, dtype=np.float64), (dim,))
-        return np.tile(x0, (n, 1))
+        return np.tile(_components(self, "x0", dim), (n, 1))
 
     def mean(self, dim: int) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.x0, dtype=np.float64), (dim,)).copy()
+        return _components(self, "x0", dim).copy()
 
     def second_moment(self, dim: int) -> float:
         m = self.mean(dim)
@@ -100,25 +109,20 @@ class GaussianLaw:
     def __post_init__(self) -> None:
         if np.ndim(self.cov) > 1:
             raise SolverError(f"covariance must be a number or a diagonal, got shape {np.shape(self.cov)}")
-
-    def _factor(self, dim: int) -> np.ndarray:
-        cov = np.asarray(self.cov, dtype=np.float64)
-        if cov.shape not in ((), (dim,)) or (cov < 0).any():
-            raise SolverError(f"covariance must be nonnegative, one number or d of them, got {cov}")
-        return np.diag(np.sqrt(np.broadcast_to(cov, (dim,))))
+        if np.any(np.less(self.cov, 0)):
+            raise SolverError(f"covariance must be nonnegative, got {self.cov}")
 
     def sample(self, rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-        factor = self._factor(dim)
-        mean = np.broadcast_to(np.asarray(self.mean_vec, dtype=np.float64), (dim,))
+        factor = np.diag(np.sqrt(_components(self, "cov", dim)))
+        mean = _components(self, "mean_vec", dim)
         return mean + rng.standard_normal((n, dim)) @ factor.T
 
     def mean(self, dim: int) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.mean_vec, dtype=np.float64), (dim,)).copy()
+        return _components(self, "mean_vec", dim).copy()
 
     def second_moment(self, dim: int) -> float:
         m = self.mean(dim)
-        cov = np.asarray(self.cov, dtype=np.float64)
-        trace = dim * float(cov) if cov.ndim == 0 else float(cov.sum())
+        trace = dim * float(self.cov) if np.ndim(self.cov) == 0 else float(_components(self, "cov", dim).sum())
         return float(np.dot(m, m)) + trace
 
 
@@ -127,23 +131,20 @@ class UniformBox:
     lo: object = -1.0
     hi: object = 1.0
 
-    def _bounds(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.broadcast_to(np.asarray(self.lo, dtype=np.float64), (dim,))
-        hi = np.broadcast_to(np.asarray(self.hi, dtype=np.float64), (dim,))
-        if (hi <= lo).any():
+    def __post_init__(self) -> None:
+        if np.size(self.lo) != np.size(self.hi) and 1 not in (np.size(self.lo), np.size(self.hi)):
+            raise SolverError(f"lo has {np.size(self.lo)} components and hi {np.size(self.hi)}")
+        if np.any(np.less_equal(self.hi, self.lo)):
             raise SolverError("uniform box needs lo < hi componentwise")
-        return lo, hi
 
     def sample(self, rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-        lo, hi = self._bounds(dim)
-        return rng.uniform(lo, hi, size=(n, dim))
+        return rng.uniform(_components(self, "lo", dim), _components(self, "hi", dim), size=(n, dim))
 
     def mean(self, dim: int) -> np.ndarray:
-        lo, hi = self._bounds(dim)
-        return 0.5 * (lo + hi)
+        return 0.5 * (_components(self, "lo", dim) + _components(self, "hi", dim))
 
     def second_moment(self, dim: int) -> float:
-        lo, hi = self._bounds(dim)
+        lo, hi = _components(self, "lo", dim), _components(self, "hi", dim)
         mean = 0.5 * (lo + hi)
         var = (hi - lo) ** 2 / 12.0
         return float(np.sum(var + mean**2))
@@ -156,17 +157,10 @@ InitialLaw = Union[PointMass, GaussianLaw, UniformBox]
 # ensembles and trajectories
 # ---------------------------------------------------------------------------
 
+# only em_run's carrier: mvbench/spans.py reads its ``ensemble.n_particles``
 @dataclass
 class ParticleEnsemble:
     states: np.ndarray
-
-    def __post_init__(self) -> None:
-        states = np.asarray(self.states, dtype=np.float64)
-        if states.ndim != 2:
-            raise SolverError(f"states must be (N, d), got shape {states.shape}")
-        if not np.isfinite(states).all():
-            raise SolverError("non-finite state in ensemble")
-        self.states = states
 
     @property
     def n_particles(self) -> int:
@@ -204,8 +198,9 @@ class TrajectorySet:
         return self.states.shape[2]
 
 
-def sample_initial(law: InitialLaw, n: int, dim: int, seed: int) -> ParticleEnsemble:
-    """N i.i.d. draws from the initial law, deterministic in the seed.
+def sample_initial(law: InitialLaw, n: int, dim: int, seed: int) -> np.ndarray:
+    """N i.i.d. draws from the initial law as a float64 (N, d) array,
+    deterministic in the seed.
 
     Uses a counter-based stream in the auxiliary key range so it never
     collides with the per-particle noise streams of the same seed.  A draw
@@ -220,7 +215,7 @@ def sample_initial(law: InitialLaw, n: int, dim: int, seed: int) -> ParticleEnse
     if beyond.any():
         p = int(beyond.argmax())
         raise SolverError(f"initial law drew particle {p} at {states[p]}, beyond the blow-up limit {BLOWUP_LIMIT:g}")
-    return ParticleEnsemble(states=states)
+    return states
 
 
 def _guard(states: np.ndarray, level: int, step: int, time: float) -> None:
@@ -306,7 +301,7 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
     block_horizon = horizon / (1 << c)
     block_rows = 1 << (record_level - c)
     streams = NoiseStreams(seed, n_particles)
-    initial = sample_initial(law, n_particles, model.dim, seed).states
+    initial = sample_initial(law, n_particles, model.dim, seed)
     recorded = {lvl: np.empty(((1 << record_level) + 1, n_particles, model.dim)) for lvl in ladder}
     for states in recorded.values():
         states[0] = initial

@@ -6,10 +6,6 @@ from mvsde.measure import EmpiricalMeasure
 from mvsde.solver import ParticleEnsemble, TrajectorySet
 
 
-def random_measure(rng: np.random.Generator, n: int, dim: int, scale: float = 5.0) -> EmpiricalMeasure:
-    return EmpiricalMeasure(rng.uniform(-scale, scale, size=(n, dim)))
-
-
 def random_coupled_pair(rng: np.random.Generator, n: int, dim: int, scale: float = 5.0):
     """Two measures on n atoms each (index coupling valid)."""
     a = EmpiricalMeasure(rng.uniform(-scale, scale, size=(n, dim)))

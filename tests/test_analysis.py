@@ -320,9 +320,9 @@ class TestUniquenessReplay:
         model = mf_ou(theta=theta, alpha=alpha, s=0.4)
         n, level = 64, 6
         lat = sample_lattice(NoiseStreams(9, n), 1, level, horizon)
-        ens = sample_initial(GaussianLaw(0.0, 1.0), n, 1, seed=9)
-        base = em_path(model, ens.states, level, lat.increments, horizon)
-        bumped_states = ens.states.copy()
+        initial = sample_initial(GaussianLaw(0.0, 1.0), n, 1, seed=9)
+        base = em_path(model, initial, level, lat.increments, horizon)
+        bumped_states = initial.copy()
         bumped_states[0, 0] += delta
         bumped = em_path(model, bumped_states, level, lat.increments, horizon)
         assert base.states.tobytes() != bumped.states.tobytes()

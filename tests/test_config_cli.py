@@ -371,11 +371,28 @@ class TestCliSelftestAndCodes:
         ],
     )
     def test_refused_run_makes_no_output_directory(self, tmp_path, capsys, lines, message):
-        # refused by the model or the solver, after the config was read
+        # refused by the model's parameters or the config's lattice level
         out = tmp_path / "o"
         code = main(["run", "--config", str(_write(tmp_path, lines + "sim.N = 4\n")), "--out", str(out)])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, lines, key",
+        [
+            pytest.param("run", "sim.level = 31\n", "sim.level", id="run-level"),
+            pytest.param("run", "sim.level = 3\nsim.finest = 31\n", "sim.finest", id="run-finest"),
+            pytest.param("rate", "sim.levels = 1 2 3\nsim.finest = 40\n", "sim.finest", id="rate-finest"),
+            pytest.param("rate", "sim.levels = 3 4 31\nsim.finest = 35\n", "sim.levels", id="rate-levels"),
+        ],
+    )
+    def test_lattice_level_above_limit_names_the_key(self, tmp_path, capsys, kind, lines, key):
+        text = f"model.id = mf-ou\nsim.N = 4\n{lines}"
+        out = tmp_path / "o"
+        assert main([kind, "--config", str(_write(tmp_path, text)), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"key '{key}'" in err and "level limit 30" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["1e9", "1e200"])

@@ -16,7 +16,7 @@ from mvsde.measure import (
     uniform_measure,
 )
 
-from conftest import random_coupled_pair, random_measure
+from conftest import random_coupled_pair
 
 
 def lambda2_bruteforce(mu: EmpiricalMeasure) -> float:

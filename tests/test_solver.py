@@ -11,7 +11,6 @@ from mvsde.paths import LatticeError, NoiseStreams, coarsen, sample_lattice
 from mvsde.solver import (
     BlowUpError,
     GaussianLaw,
-    ParticleEnsemble,
     PointMass,
     SolverError,
     UniformBox,
@@ -25,20 +24,20 @@ from conftest import em_path
 
 class TestSampleInitial:
     def test_point_mass(self):
-        ens = sample_initial(PointMass([1.0, -2.0]), 64, 2, seed=0)
-        assert np.array_equal(ens.states, np.tile([1.0, -2.0], (64, 1)))
+        initial = sample_initial(PointMass([1.0, -2.0]), 64, 2, seed=0)
+        assert np.array_equal(initial, np.tile([1.0, -2.0], (64, 1)))
 
     def test_gaussian_mean_clt(self):
         n = 100_000
-        ens = sample_initial(GaussianLaw(0.0, 1.0), n, 2, seed=1)
-        assert np.abs(ens.states.mean(axis=0)).max() <= 4.0 / math.sqrt(n)
+        initial = sample_initial(GaussianLaw(0.0, 1.0), n, 2, seed=1)
+        assert np.abs(initial.mean(axis=0)).max() <= 4.0 / math.sqrt(n)
 
     def test_uniform_second_moment(self):
         # Var of U(-1, 1) is 1/3; se of the sample variance ~ sqrt(2/n)*...
         # use the generous 3-sigma CLT bound on the mean of x^2 (4th moment 1/5)
         n = 100_000
-        ens = sample_initial(UniformBox(-1.0, 1.0), n, 1, seed=2)
-        second = float((ens.states**2).mean())
+        initial = sample_initial(UniformBox(-1.0, 1.0), n, 1, seed=2)
+        second = float((initial**2).mean())
         se = math.sqrt((1.0 / 5.0 - 1.0 / 9.0) / n)
         assert abs(second - 1.0 / 3.0) <= 3.0 * se
 
@@ -46,14 +45,14 @@ class TestSampleInitial:
         a = sample_initial(GaussianLaw(0.0, 1.0), 100, 3, seed=9)
         b = sample_initial(GaussianLaw(0.0, 1.0), 100, 3, seed=9)
         c = sample_initial(GaussianLaw(0.0, 1.0), 100, 3, seed=10)
-        assert np.array_equal(a.states, b.states)
-        assert not np.array_equal(a.states, c.states)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_initial_stream_disjoint_from_noise(self):
         # same seed: the initial draw must not replay particle 0's noise row
         lat = sample_lattice(NoiseStreams(5, 4), 1, 4, 1.0)
-        ens = sample_initial(GaussianLaw(0.0, 1.0), 4, 1, seed=5)
-        assert not np.allclose(ens.states[:, 0], lat.increments[0, :4, 0])
+        initial = sample_initial(GaussianLaw(0.0, 1.0), 4, 1, seed=5)
+        assert not np.allclose(initial[:, 0], lat.increments[0, :4, 0])
 
     def test_covariance_matrix_rejected(self):
         # config covariances are a number or a diagonal; a matrix is refused
@@ -62,13 +61,45 @@ class TestSampleInitial:
 
     @pytest.mark.parametrize("cov, dim", [(-1.0, 1), ([1.0, -1.0], 2), ([1.0, 2.0, 3.0], 2), ([1.0, 2.0], 1)])
     def test_covariance_sign_and_length_rejected(self, cov, dim):
-        with pytest.raises(SolverError, match="covariance must be nonnegative"):
+        # the sign is refused when the law is built, the length when d is known
+        with pytest.raises(SolverError, match=r"covariance must be nonnegative|cov has \d components"):
             sample_initial(GaussianLaw(0.0, cov), 4, dim, seed=0)
+
+    @pytest.mark.parametrize(
+        "law, name",
+        [
+            (PointMass([1.0, 2.0, 3.0]), "x0"),
+            (GaussianLaw([1.0, 2.0, 3.0], 1.0), "mean_vec"),
+            (GaussianLaw(0.0, [1.0, 2.0, 3.0]), "cov"),
+            (UniformBox([-1.0, -2.0, -3.0], 1.0), "lo"),
+            (UniformBox(-1.0, [1.0, 2.0, 3.0]), "hi"),
+        ],
+    )
+    def test_wrong_length_vector_names_the_parameter(self, law, name):
+        # three components for d = 2: not numpy's broadcast error, from
+        # either use that reads every parameter
+        for use in (lambda: sample_initial(law, 4, 2, seed=0), lambda: law.second_moment(2)):
+            with pytest.raises(SolverError, match=f"^{name} has 3 components, expected 1 or d = 2$"):
+                use()
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(lambda: GaussianLaw(0.0, -1.0), "covariance must be nonnegative", id="negative-cov"),
+            pytest.param(lambda: UniformBox(1.0, 0.0), "lo < hi", id="lo-above-hi"),
+            pytest.param(lambda: UniformBox([0.0, 1.0], [2.0, 3.0, 4.0]), "lo has 2 components and hi 3",
+                         id="lo-hi-lengths"),
+        ],
+    )
+    def test_bad_law_refused_when_built(self, build, message):
+        # before any sample, mean or second moment is asked for
+        with pytest.raises(SolverError, match=message):
+            build()
 
     def test_scalar_covariance_is_the_equal_diagonal(self):
         scalar = sample_initial(GaussianLaw([1.0, -1.0], 2.0), 50, 2, seed=3)
         diagonal = sample_initial(GaussianLaw([1.0, -1.0], [2.0, 2.0]), 50, 2, seed=3)
-        assert scalar.states.tobytes() == diagonal.states.tobytes()
+        assert scalar.tobytes() == diagonal.tobytes()
 
     @pytest.mark.parametrize("lo, hi, dim", [(1.0, 0.0, 1), (0.5, 0.5, 1), ([0.0, 1.0], 1.0, 2)])
     def test_uniform_box_needs_lo_below_hi(self, lo, hi, dim):
@@ -78,6 +109,8 @@ class TestSampleInitial:
     def test_oracle_helpers(self):
         law = GaussianLaw([1.0, 0.0], 2.0)
         assert law.second_moment(2) == pytest.approx(1.0 + 4.0)
+        # a one-entry diagonal stands for all d variances, as a number does
+        assert GaussianLaw(0.0, [2.0]).second_moment(3) == GaussianLaw(0.0, 2.0).second_moment(3) == 6.0
         box = UniformBox(-1.0, 1.0)
         assert box.second_moment(1) == pytest.approx(1.0 / 3.0)
         assert PointMass(2.0).second_moment(1) == pytest.approx(4.0)
@@ -99,9 +132,9 @@ class TestToMeasure:
         assert mu.lambda2 == pytest.approx(expected, rel=1e-14)
 
     def test_snapshot_is_decoupled(self):
-        ens = ParticleEnsemble(np.array([[1.0]]))
-        mu = uniform_measure(ens.states)
-        ens.states[0, 0] = 99.0
+        states = np.array([[1.0]])
+        mu = uniform_measure(states)
+        states[0, 0] = 99.0
         assert mu.support[0, 0] == 1.0
 
 
@@ -109,9 +142,9 @@ class TestEmRun:
     def test_degenerate_coefficients_constant(self):
         model = mf_ou(theta=0.0, alpha=0.0, s=0.0, dim=2)
         lat = sample_lattice(NoiseStreams(0, 8), 2, 5, 1.0)
-        ens = sample_initial(GaussianLaw(0.0, 1.0), 8, 2, seed=0)
-        traj = em_path(model, ens.states, 5, lat.increments, 1.0)
-        assert np.array_equal(traj.states, np.broadcast_to(ens.states, traj.states.shape))
+        initial = sample_initial(GaussianLaw(0.0, 1.0), 8, 2, seed=0)
+        traj = em_path(model, initial, 5, lat.increments, 1.0)
+        assert np.array_equal(traj.states, np.broadcast_to(initial, traj.states.shape))
 
     def test_exponential_decay_oracle(self):
         # b = -x, sigma = 0, x0 = 1: the explicit product (1 - 2^-10)^1024
@@ -139,11 +172,11 @@ class TestEmRun:
         model = mf_ou(theta=1.0, alpha=0.5, s=0.4, dim=2)
         n, level = 6, 4
         lat = sample_lattice(NoiseStreams(3, n), 2, level, 1.0)
-        ens = sample_initial(GaussianLaw(0.0, 1.0), n, 2, seed=3)
-        traj = em_path(model, ens.states, level, lat.increments, 1.0)
+        initial = sample_initial(GaussianLaw(0.0, 1.0), n, 2, seed=3)
+        traj = em_path(model, initial, level, lat.increments, 1.0)
 
         theta, alpha, s = 1.0, 0.5, 0.4
-        states = ens.states.copy()
+        states = initial.copy()
         h = 1.0 / 2**level
         replay = [states.copy()]
         for i in range(2**level):
@@ -167,9 +200,9 @@ class TestEmRun:
         )
         n, level = 4, 3
         lat = sample_lattice(NoiseStreams(8, n), 2, level, 1.0)
-        ens = sample_initial(GaussianLaw(0.0, 1.0), n, 2, seed=8)
-        traj = em_path(model, ens.states, level, lat.increments, 1.0)
-        states = ens.states.copy()
+        initial = sample_initial(GaussianLaw(0.0, 1.0), n, 2, seed=8)
+        traj = em_path(model, initial, level, lat.increments, 1.0)
+        states = initial.copy()
         h = 1.0 / 2**level
         replay = [states.copy()]
         for i in range(2**level):
@@ -184,11 +217,11 @@ class TestEmRun:
         model = mf_ou(theta=1.0, alpha=0.5, s=0.4)
         n, level = 16, 5
         lat = sample_lattice(NoiseStreams(4, n), 1, level, 1.0)
-        ens = sample_initial(GaussianLaw(0.0, 1.0), n, 1, seed=4)
-        traj = em_path(model, ens.states, level, lat.increments, 1.0)
+        initial = sample_initial(GaussianLaw(0.0, 1.0), n, 1, seed=4)
+        traj = em_path(model, initial, level, lat.increments, 1.0)
 
         perm = np.random.default_rng(0).permutation(n)
-        traj_perm = em_path(model, ens.states[perm], level, lat.increments[perm], 1.0)
+        traj_perm = em_path(model, initial[perm], level, lat.increments[perm], 1.0)
         assert traj_perm.states.tobytes() == traj.states[:, perm, :].tobytes()
 
     def test_blowup_diagnostics(self):
@@ -279,7 +312,7 @@ def _whole_path_multilevel(model, law, seed, levels, finest, n_particles, horizo
     """The unblocked route: one lattice over [0, T], then each level stepped whole."""
     record_level = min(levels) if record_level is None else record_level
     lattice = sample_lattice(NoiseStreams(seed, n_particles), model.dim, finest, horizon)
-    initial = sample_initial(law, n_particles, model.dim, seed).states
+    initial = sample_initial(law, n_particles, model.dim, seed)
     return {
         lvl: em_path(model, initial, lvl, coarsen(lattice.increments, lvl), horizon, record_level)
         for lvl in [*sorted(levels), finest]
@@ -358,7 +391,7 @@ class TestRunSingleBlocks:
             run_single(model, law, seed=3, level=level, finest=finest, n_particles=4, horizon=1.0)
         lattice = sample_lattice(NoiseStreams(3, 4), 1, finest or level, 1.0)
         with pytest.raises(BlowUpError) as ref:
-            em_path(model, sample_initial(law, 4, 1, seed=3).states, level, coarsen(lattice.increments, level), 1.0)
+            em_path(model, sample_initial(law, 4, 1, seed=3), level, coarsen(lattice.increments, level), 1.0)
         got, want = err.value, ref.value
         assert got.level == want.level == level
         assert got.step >= 2 ** (level - 3)  # after the first block
@@ -448,7 +481,7 @@ class TestEmMultilevel:
             em_multilevel(model, law, seed=3, levels=[3, 5], finest=12, n_particles=4, horizon=1.0)
         lattice = sample_lattice(NoiseStreams(3, 4), 1, 12, 1.0)
         with pytest.raises(BlowUpError) as ref:
-            em_path(model, sample_initial(law, 4, 1, seed=3).states, 12, lattice.increments, 1.0)
+            em_path(model, sample_initial(law, 4, 1, seed=3), 12, lattice.increments, 1.0)
         got, want = err.value, ref.value
         assert got.level == 12
         assert got.step >= 2**9  # after the first block

@@ -72,6 +72,8 @@ def test_traced_rate_run_fires_every_hook(bench, tmp_path):
     assert [name for name in run.MOST_WORK["rate-osgood"] if calls[name] == 0] == []
     metrics = tracer.layer_metrics(0)
     assert metrics["solver.steps"] == sum(2**lvl for lvl in (*LEVELS, FINEST))
+    # read from the carrier em_run is handed: every step moves all N particles
+    assert tracer.counts[0]["solver.particle_steps"] == N * metrics["solver.steps"]
     # one drift, one diffusion and one law per step: a kernel that adds or
     # drops a counted call shows here
     assert metrics["models.calls"] == 2 * metrics["solver.steps"]
