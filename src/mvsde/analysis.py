@@ -330,17 +330,17 @@ def law_gap_curve(traj_a: TrajectorySet, traj_b: TrajectorySet) -> LawGapReport:
     use_sorted = traj_a.dim == 1
     dictionary = default_dictionary(traj_a.dim)
     # the states are finite float64 and read-only and the sorted copies are
-    # fresh, so the measures skip validation
+    # fresh, so the measures are built unchecked
     uppers = np.empty(traj_a.times.shape[0])
     lowers = np.empty_like(uppers)
     for j in range(traj_a.times.shape[0]):
         a = traj_a.states[j]
         b = traj_b.states[j]
-        mu = EmpiricalMeasure(a, validate=False)
-        nu = EmpiricalMeasure(b, validate=False)
+        mu = EmpiricalMeasure(a)
+        nu = EmpiricalMeasure(b)
         if use_sorted:
-            mu_c = EmpiricalMeasure(np.sort(a, axis=0), validate=False)
-            nu_c = EmpiricalMeasure(np.sort(b, axis=0), validate=False)
+            mu_c = EmpiricalMeasure(np.sort(a, axis=0))
+            nu_c = EmpiricalMeasure(np.sort(b, axis=0))
         else:
             mu_c, nu_c = mu, nu
         uppers[j] = rho_upper(mu_c, nu_c)

@@ -64,8 +64,11 @@ def _format_column(values) -> list[str]:
 def _open(path: Path):
     """Open ``path`` for writing, making its directory first, so a run that
     fails before its first write leaves no output directory."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "w", newline="\n")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
 def _write_csv(path: Path, header: list[str], blocks) -> None:

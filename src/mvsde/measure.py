@@ -22,17 +22,16 @@ inputs large enough that ``math.fsum`` could overflow in an intermediate
 step, zero totals (whose sign ``math.fsum`` defines) and N >= 2^26 are handed
 to ``math.fsum`` itself.
 
-``EmpiricalMeasure`` validates its input unless built with ``validate=False``.
-That form exists for the solver's per-step law and for ``law_gap_curve``: the
-caller guarantees a finite (N, d) float64 support and must not mutate it
-afterwards, because the measure stores it as given, without a copy or a
-read-only flag.
+Points from outside go through ``uniform_measure``, which checks them and
+stores a read-only copy.  Code that made the array itself, finite (N, d)
+float64 and not written afterwards, builds ``EmpiricalMeasure`` directly: the
+solver's per-step law, ``law_gap_curve`` and the assumption checks' samples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -102,32 +101,12 @@ def exact_sum(values) -> float:
 class EmpiricalMeasure:
     """Uniform probability measure on the N rows of ``support``.
 
-    ``support`` has shape (N, d); every atom weighs ``1.0 / N``.
-    ``validate=False`` stores the array as given and checks nothing; see the
-    module docstring for what the caller then guarantees.
+    ``support`` has shape (N, d); every atom weighs ``1.0 / N``.  The array
+    is stored as given and nothing is checked: build a measure on points
+    from outside with ``uniform_measure``.
     """
 
     support: np.ndarray
-    validate: InitVar[bool] = True
-
-    def __post_init__(self, validate: bool) -> None:
-        if not validate:
-            return
-        support = np.asarray(self.support, dtype=np.float64)
-        if support.ndim != 2 or support.shape[0] < 1 or support.shape[1] < 1:
-            raise MeasureError(f"support must be (N, d) with N,d >= 1, got shape {support.shape}")
-        bad = ~np.isfinite(support)
-        if bad.any():
-            idx = int(np.nonzero(bad.any(axis=1))[0][0])
-            raise MeasureError(f"non-finite coordinate in support point {idx}: {support[idx]}")
-        support = support.copy()
-        support.flags.writeable = False
-        object.__setattr__(self, "support", support)
-        # a support far out overflows the norms to inf, which is the error
-        with np.errstate(over="ignore"):
-            finite = np.isfinite(self.lambda2)
-        if not finite:
-            raise MeasureError("weighted mass norm is not finite")
 
     @property
     def num_atoms(self) -> int:
@@ -172,8 +151,23 @@ class EmpiricalMeasure:
 
 
 def uniform_measure(points: np.ndarray) -> EmpiricalMeasure:
-    """The uniform measure on the given (N, d) support points."""
-    return EmpiricalMeasure(points)
+    """The uniform measure on points from outside: checks that they are finite
+    (N, d), N, d >= 1, with a finite mass norm, and holds a read-only copy."""
+    support = np.asarray(points, dtype=np.float64)
+    if support.ndim != 2 or support.shape[0] < 1 or support.shape[1] < 1:
+        raise MeasureError(f"support must be (N, d) with N,d >= 1, got shape {support.shape}")
+    bad = ~np.isfinite(support)
+    if bad.any():
+        idx = int(np.nonzero(bad.any(axis=1))[0][0])
+        raise MeasureError(f"non-finite coordinate in support point {idx}: {support[idx]}")
+    support = support.copy()
+    support.flags.writeable = False
+    mu = EmpiricalMeasure(support)
+    # a support far out overflows the norms to inf, which is the error
+    with np.errstate(over="ignore"):
+        if not math.isfinite(mu.lambda2):
+            raise MeasureError("weighted mass norm is not finite")
+    return mu
 
 
 def _require_coupled(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:

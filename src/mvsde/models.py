@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measure import EmpiricalMeasure, rho_upper, uniform_measure
+from .measure import EmpiricalMeasure, rho_upper
 
 __all__ = [
     "ModelError",
@@ -334,7 +334,7 @@ def check_linear_growth(model: CoefficientModel, seed: int = 0) -> GrowthReport:
     for i, scale in enumerate(scales):
         x = scale * rng.uniform(-1.0, 1.0, size=model.dim)
         atoms = scale * rng.uniform(-1.0, 1.0, size=(_CHECK_ATOMS, model.dim))
-        mu = uniform_measure(atoms)
+        mu = EmpiricalMeasure(atoms)
         b = np.asarray(model.drift(x[None, :], mu))[0]
         sig = _diffusion_matrix(model, x[None, :], mu)[0]
         num = float(np.dot(b, b) + np.sum(sig * sig))
@@ -399,8 +399,8 @@ def check_h2prime(model: CoefficientModel, seed: int = 0) -> H2PrimeReport:
         mu_gap = float(np.exp(rng.uniform(math.log(1e-10), math.log(1.0))))
         shift_dir = rng.standard_normal(model.dim)
         shift_dir /= np.linalg.norm(shift_dir)
-        mu1 = uniform_measure(atoms)
-        mu2 = uniform_measure(atoms + mu_gap * shift_dir)
+        mu1 = EmpiricalMeasure(atoms)
+        mu2 = EmpiricalMeasure(atoms + mu_gap * shift_dir)
         rho_bar = rho_upper(mu1, mu2)
         dx = float(np.linalg.norm(x2 - x1))
         db = np.asarray(model.drift(x2[None, :], mu2))[0] - np.asarray(model.drift(x1[None, :], mu1))[0]

@@ -84,9 +84,18 @@ def _components(law, name: str, dim: int) -> np.ndarray:
     return np.broadcast_to(value, (dim,))
 
 
+def _require_finite(law, *names: str) -> None:
+    for name in names:
+        if not np.isfinite(np.asarray(getattr(law, name), dtype=np.float64)).all():
+            raise SolverError(f"{name} must be finite, got {getattr(law, name)}")
+
+
 @dataclass(frozen=True)
 class PointMass:
     x0: object = 0.0
+
+    def __post_init__(self) -> None:
+        _require_finite(self, "x0")
 
     def sample(self, rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
         return np.tile(_components(self, "x0", dim), (n, 1))
@@ -107,6 +116,7 @@ class GaussianLaw:
     cov: object = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "mean_vec", "cov")
         if np.ndim(self.cov) > 1:
             raise SolverError(f"covariance must be a number or a diagonal, got shape {np.shape(self.cov)}")
         if np.any(np.less(self.cov, 0)):
@@ -132,6 +142,7 @@ class UniformBox:
     hi: object = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "lo", "hi")
         if np.size(self.lo) != np.size(self.hi) and 1 not in (np.size(self.lo), np.size(self.hi)):
             raise SolverError(f"lo has {np.size(self.lo)} components and hi {np.size(self.hi)}")
         if np.any(np.less_equal(self.hi, self.lo)):
@@ -252,7 +263,7 @@ def em_run(model: CoefficientModel, ensemble: ParticleEnsemble, level: int, incr
 
     states = ensemble.states
     for i in range(1 << level):
-        mu = EmpiricalMeasure(states, validate=False)
+        mu = EmpiricalMeasure(states)
         drift = np.asarray(model.drift(states, mu), dtype=np.float64)
         noise = np.asarray(model.diffusion_apply(states, mu, increments[:, i, :]), dtype=np.float64)
         states = states + h * drift + noise

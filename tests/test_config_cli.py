@@ -495,6 +495,16 @@ class TestCliSelftestAndCodes:
         assert "--threads must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "selftest"])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, command):
+        # --out names an existing regular file, so no directory can be made there
+        out = tmp_path / "taken"
+        out.write_text("")
+        config = [] if command == "selftest" else ["--config", str(_write(tmp_path, RUN_CFG))]
+        assert main([command, *config, "--out", str(out)]) == EXIT_CONFIG
+        assert "config error: cannot write output" in capsys.readouterr().err
+        assert out.read_text() == ""
+
     def test_threads_never_change_bytes(self, tmp_path):
         path = _write(tmp_path, RUN_CFG)
         outs = []

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,14 +86,24 @@ class TestInvariants:
     def test_rejects_nonfinite_support_with_index(self):
         pts = np.array([[0.0], [np.nan], [1.0]])
         with pytest.raises(MeasureError, match="point 1"):
-            EmpiricalMeasure(pts)
+            uniform_measure(pts)
 
     def test_rejects_one_dimensional_support(self):
         # N scalar atoms are written (N, 1); a flat array is not reshaped
         with pytest.raises(MeasureError, match=r"\(N, d\)"):
-            EmpiricalMeasure(np.zeros(3))
-        with pytest.raises(MeasureError, match=r"\(N, d\)"):
             uniform_measure(np.zeros(3))
+        with pytest.raises(MeasureError, match=r"\(N, d\)"):
+            uniform_measure([0.0, 1.0, 2.0])
+
+    def test_rejects_empty_support(self):
+        with pytest.raises(MeasureError, match=r"\(N, d\)"):
+            uniform_measure(np.zeros((0, 2)))
+
+    def test_rejects_overflowing_mass_norm_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeasureError, match="mass norm is not finite"):
+                uniform_measure([[1e200]])
 
     def test_uniform_helper_mass_tolerance(self):
         for n in (1, 3, 10_000):
@@ -277,17 +288,23 @@ class TestExactSum:
 
 
 class TestUnvalidatedMeasure:
+    """The plain carrier ``EmpiricalMeasure`` against ``uniform_measure``."""
+
     def test_stores_arrays_as_given(self):
         x = np.array([[1.0], [2.0]])
-        assert EmpiricalMeasure(x, validate=False).support is x
+        assert EmpiricalMeasure(x).support is x
 
-    def test_mean_bytes_match_validated(self, rng):
+    def test_reduction_bytes_match_validated(self, rng):
         for n, d in ((1, 1), (7, 3), (2000, 1), (999, 2)):
             x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, (n, d))
-            fast = EmpiricalMeasure(x, validate=False)
-            checked = EmpiricalMeasure(x)
-            assert fast.mean.tobytes() == checked.mean.tobytes()
-            assert fast.lambda2 == checked.lambda2
+            y = rng.standard_normal((n, d))
+            fast, checked = EmpiricalMeasure(x), uniform_measure(x)
+            assert [v.hex() for v in fast.mean] == [v.hex() for v in checked.mean]
+            assert fast.lambda2.hex() == checked.lambda2.hex()
+            for fn in default_dictionary(d).values():
+                assert fast.integrate(fn).hex() == checked.integrate(fn).hex()
+            nu_fast, nu_checked = EmpiricalMeasure(y), uniform_measure(y)
+            assert rho_upper(fast, nu_fast).hex() == rho_upper(checked, nu_checked).hex()
 
 
 def _weighted_sum(values) -> float:

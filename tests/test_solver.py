@@ -89,10 +89,21 @@ class TestSampleInitial:
             pytest.param(lambda: UniformBox(1.0, 0.0), "lo < hi", id="lo-above-hi"),
             pytest.param(lambda: UniformBox([0.0, 1.0], [2.0, 3.0, 4.0]), "lo has 2 components and hi 3",
                          id="lo-hi-lengths"),
+            pytest.param(lambda: PointMass(math.nan), "^x0 must be finite, got nan$", id="x0-nan"),
+            pytest.param(lambda: PointMass([0.0, math.inf]), "^x0 must be finite", id="x0-inf"),
+            pytest.param(lambda: GaussianLaw(math.nan, 1.0), "^mean_vec must be finite", id="mean-nan"),
+            pytest.param(lambda: GaussianLaw([0.0, -math.inf], 1.0), "^mean_vec must be finite", id="mean-inf"),
+            pytest.param(lambda: GaussianLaw(0.0, math.nan), "^cov must be finite", id="cov-nan"),
+            pytest.param(lambda: GaussianLaw(0.0, math.inf), "^cov must be finite", id="cov-inf"),
+            pytest.param(lambda: UniformBox(math.nan, 1.0), "^lo must be finite", id="lo-nan"),
+            pytest.param(lambda: UniformBox(0.0, math.nan), "^hi must be finite", id="hi-nan"),
+            pytest.param(lambda: UniformBox(-math.inf, 0.0), "^lo must be finite", id="lo-inf"),
+            pytest.param(lambda: UniformBox(0.0, math.inf), "^hi must be finite", id="hi-inf"),
         ],
     )
     def test_bad_law_refused_when_built(self, build, message):
-        # before any sample, mean or second moment is asked for
+        # before any sample, mean or second moment is asked for; a non-finite
+        # parameter is named, not reported as a blow-up or numpy's range error
         with pytest.raises(SolverError, match=message):
             build()
 
@@ -136,6 +147,7 @@ class TestToMeasure:
         mu = uniform_measure(states)
         states[0, 0] = 99.0
         assert mu.support[0, 0] == 1.0
+        assert not mu.support.flags.writeable
 
 
 class TestEmRun:
