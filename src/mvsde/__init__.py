@@ -33,7 +33,6 @@ from .solver import (
     BlowUpError,
     GaussianLaw,
     PointMass,
-    TrajectorySet,
     UniformBox,
     em_multilevel,
     run_single,

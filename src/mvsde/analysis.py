@@ -2,9 +2,11 @@
 increment-scaling envelopes, Osgood-integral and comparison-ODE oracles, and
 coupled-law metric curves.
 
-Estimates come with Monte-Carlo standard errors from per-particle statistics;
-rate verdicts are decay exponents fitted on log2 error curves, since the
-constants in the underlying bounds are existential.
+Trajectories are the solver drivers' plain arrays: (points, N, d) states,
+``states[j]`` the ensemble at record time ``times[j]``.  Estimates come with
+Monte-Carlo standard errors from per-particle statistics; rate verdicts are
+decay exponents fitted on log2 error curves, since the constants in the
+underlying bounds are existential.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .measure import EmpiricalMeasure, default_dictionary, exact_sum, rho_lower,
 # analysis.uniform_measure by name, so the name must resolve in this module
 from .measure import uniform_measure  # noqa: F401
 from .models import ModulusKappaEta
-from .solver import TrajectorySet
 
 __all__ = [
     "AnalysisError",
@@ -68,17 +69,16 @@ class RateReport:
             raise AnalysisError("rate fit produced non-finite coefficients")
 
 
-def strong_error(ref: TrajectorySet, coarse: TrajectorySet) -> tuple[float, float]:
+def strong_error(ref: np.ndarray, coarse: np.ndarray) -> tuple[float, float]:
     """Mean over particles of the squared sup gap along the record grid.
 
-    Requires synchronously coupled inputs on a common record grid; the
-    standard error is the per-particle sample deviation over sqrt(N).
+    Takes two levels' states from one ``em_multilevel`` run, which records
+    them on one grid; the standard error is the per-particle sample
+    deviation over sqrt(N).
     """
-    if ref.n_particles != coarse.n_particles or ref.dim != coarse.dim:
-        raise AnalysisError("trajectory sets have mismatched particle count or dimension")
-    if not np.array_equal(ref.times, coarse.times):
-        raise AnalysisError("trajectory sets are recorded on different grids")
-    gaps = coarse.states - ref.states
+    if ref.shape != coarse.shape:
+        raise AnalysisError(f"state arrays have mismatched shapes {ref.shape} and {coarse.shape}")
+    gaps = coarse - ref
     sup_sq = np.max(np.sum(gaps * gaps, axis=2), axis=0)
     return _mean_se(sup_sq)
 
@@ -89,6 +89,9 @@ MIN_RATE_LEVELS = 3
 
 def fit_rate(levels, errors) -> RateReport:
     """Ordinary least squares of log2(error) on the level index."""
+    for v in levels:
+        if not float(v).is_integer():
+            raise AnalysisError(f"levels must be finite integers, got {v}")
     levels = [int(v) for v in levels]
     errors = [float(e) for e in errors]
     if len(levels) != len(errors):
@@ -120,14 +123,15 @@ class MomentReport:
         return bool(np.all(self.envelope >= self.moments))
 
 
-def moment_curve(traj: TrajectorySet, order: int = 1) -> MomentReport:
-    """Per record point: ensemble average of |X|^(2p) with standard error,
-    plus the smallest C >= 0 such that C*(1 + m_0)*exp(C*t) dominates the
-    whole empirical curve (m_0 = empirical moment at t = 0)."""
+def moment_curve(times: np.ndarray, states: np.ndarray, order: int = 1) -> MomentReport:
+    """Per record point ``times[j]``: ensemble average of |X|^(2p) over
+    ``states[j]`` with standard error, plus the smallest C >= 0 such that
+    C*(1 + m_0)*exp(C*t) dominates the whole empirical curve (m_0 = empirical
+    moment at t = 0)."""
     if order < 1:
         raise AnalysisError(f"moment order must be at least 1, got {order}")
     with np.errstate(over="ignore"):
-        sq = np.sum(traj.states**2, axis=2)
+        sq = np.sum(states**2, axis=2)
         vals = sq**order
     if not np.isfinite(vals).all():
         raise AnalysisError(f"overflow computing |X|^{2 * order}; use a smaller moment order")
@@ -135,7 +139,6 @@ def moment_curve(traj: TrajectorySet, order: int = 1) -> MomentReport:
     moments = np.array([p[0] for p in pairs])
     stderrs = np.array([p[1] for p in pairs])
     m0 = float(moments[0])
-    times = traj.times
 
     def dominates(c: float) -> bool:
         with np.errstate(over="ignore"):
@@ -178,35 +181,34 @@ class IncrementReport:
     degenerate: bool = False
 
 
-def increment_scaling(traj: TrajectorySet, order: int, lags) -> IncrementReport:
+def increment_scaling(states: np.ndarray, order: int, lags) -> IncrementReport:
     """Regress log E|X_t - X_s|^(2p) on log(t - s) over a ladder of lags.
 
-    Lags are record-grid index offsets and must span at least two decades;
-    each lag's expectation pools all equal-lag windows and all particles.
-    An all-zero increment field is reported as degenerate instead of fitted.
+    The drivers record on a uniform grid, so the slope on log lag is the
+    slope on log time.  Lags are record-grid index offsets and must span at
+    least two decades; each lag's expectation pools all equal-lag windows and
+    all particles.  An all-zero increment field is reported as degenerate
+    instead of fitted.
     """
+    if order < 1:
+        raise AnalysisError(f"increment order must be at least 1, got {order}")
     lags = sorted(set(int(v) for v in lags))
     if len(lags) < 3:
         raise AnalysisError("need at least 3 distinct lags")
-    if lags[0] < 1 or lags[-1] >= traj.times.shape[0]:
-        raise AnalysisError(f"lags must lie in [1, {traj.times.shape[0] - 1}]")
-    steps = np.diff(traj.times)
-    if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
-        raise AnalysisError("record grid must be uniform for increment scaling")
+    if lags[0] < 1 or lags[-1] >= states.shape[0]:
+        raise AnalysisError(f"lags must lie in [1, {states.shape[0] - 1}]")
     if lags[-1] < 100 * lags[0]:
         raise AnalysisError("lag ladder must span at least two decades")
-    dt = float(traj.times[1] - traj.times[0])
     values = np.empty(len(lags))
     for k, lag in enumerate(lags):
-        gaps = traj.states[lag:] - traj.states[:-lag]
+        gaps = states[lag:] - states[:-lag]
         sq = np.sum(gaps * gaps, axis=2) ** order
         values[k] = exact_sum(sq) / sq.size
-    lag_times = np.asarray(lags, dtype=np.float64) * dt
     if np.all(values == 0.0):
         return IncrementReport(exponent=None, values=values, degenerate=True)
     if (values <= 0.0).any():
         raise AnalysisError("some lags have zero mean increment; cannot take logs")
-    slope, _ = np.polyfit(np.log(lag_times), np.log(values), 1)
+    slope, _ = np.polyfit(np.log(lags), np.log(values), 1)
     return IncrementReport(exponent=float(slope), values=values)
 
 
@@ -226,8 +228,9 @@ def osgood_integral(kappa, eps: float, upper: float = 1.0) -> float:
     # oracles use it, so it is imported on first use
     from scipy.integrate import quad
 
-    if not (0.0 < eps < upper):
-        raise AnalysisError(f"need 0 < eps < upper, got eps={eps}, upper={upper}")
+    # the integral runs up to log(1/eps), so 1/eps must be finite too
+    if not (0.0 < eps < upper < math.inf and 1.0 / eps < math.inf):
+        raise AnalysisError(f"need 0 < eps < upper < inf with 1/eps finite, got eps={eps}, upper={upper}")
     probe = np.geomspace(eps, upper, 64)
     pvals = np.asarray(kappa(probe), dtype=np.float64)
     if not (np.isfinite(pvals).all() and (pvals > 0).all()):
@@ -265,10 +268,10 @@ def bihari_ode_check(kappa, scale: float, eps: float, horizon: float) -> BihariR
     """
     from scipy.integrate import solve_ivp  # imported on first use, see osgood_integral
 
-    if eps < 0:
-        raise AnalysisError(f"initial value must be nonnegative, got {eps}")
-    if horizon <= 0 or scale < 0:
-        raise AnalysisError("need horizon > 0 and scale >= 0")
+    if not 0.0 <= eps < math.inf:
+        raise AnalysisError(f"initial value must be nonnegative and finite, got {eps}")
+    if not (0.0 < horizon < math.inf and 0.0 <= scale < math.inf):
+        raise AnalysisError(f"need finite horizon > 0 and scale >= 0, got horizon={horizon}, scale={scale}")
     times = np.linspace(0.0, horizon, 257)
     is_log_modulus = isinstance(kappa, ModulusKappaEta)
     if eps == 0.0:
@@ -314,8 +317,9 @@ class LawGapReport:
     coupling: str
 
 
-def law_gap_curve(traj_a: TrajectorySet, traj_b: TrajectorySet) -> LawGapReport:
-    """Two-sided law gap per record point between two equal-size ensembles.
+def law_gap_curve(times: np.ndarray, a: np.ndarray, b: np.ndarray) -> LawGapReport:
+    """Two-sided law gap per record point between two equal-size ensembles
+    recorded at ``times``.
 
     The upper curve is a coupled mean distance; the one-dimensional case uses
     the monotone (sorted) pairing, the tightest order-one coupling available
@@ -323,34 +327,30 @@ def law_gap_curve(traj_a: TrajectorySet, traj_b: TrajectorySet) -> LawGapReport:
     maximizes over ``default_dictionary``.  The sandwich lower <= upper is
     asserted pointwise, up to ``SANDWICH_RTOL``.
     """
-    if traj_a.n_particles != traj_b.n_particles or traj_a.dim != traj_b.dim:
-        raise AnalysisError("trajectories have mismatched shapes")
-    if not np.array_equal(traj_a.times, traj_b.times):
-        raise AnalysisError("trajectories are recorded on different grids")
-    use_sorted = traj_a.dim == 1
-    dictionary = default_dictionary(traj_a.dim)
-    # the states are finite float64 and read-only and the sorted copies are
-    # fresh, so the measures are built unchecked
-    uppers = np.empty(traj_a.times.shape[0])
+    if a.shape != b.shape:
+        raise AnalysisError(f"state arrays have mismatched shapes {a.shape} and {b.shape}")
+    use_sorted = a.shape[2] == 1
+    dictionary = default_dictionary(a.shape[2])
+    # driver states are finite (guarded every step) float64 and read-only and
+    # the sorted copies are fresh, so the measures are built unchecked
+    uppers = np.empty(times.shape[0])
     lowers = np.empty_like(uppers)
-    for j in range(traj_a.times.shape[0]):
-        a = traj_a.states[j]
-        b = traj_b.states[j]
-        mu = EmpiricalMeasure(a)
-        nu = EmpiricalMeasure(b)
+    for j in range(times.shape[0]):
+        mu = EmpiricalMeasure(a[j])
+        nu = EmpiricalMeasure(b[j])
         if use_sorted:
-            mu_c = EmpiricalMeasure(np.sort(a, axis=0))
-            nu_c = EmpiricalMeasure(np.sort(b, axis=0))
+            mu_c = EmpiricalMeasure(np.sort(a[j], axis=0))
+            nu_c = EmpiricalMeasure(np.sort(b[j], axis=0))
         else:
             mu_c, nu_c = mu, nu
         uppers[j] = rho_upper(mu_c, nu_c)
         lowers[j] = rho_lower(mu, nu, dictionary)
         if not lowers[j] <= uppers[j] + SANDWICH_RTOL * max(1.0, uppers[j]):
             raise AnalysisError(
-                f"metric sandwich violated at t={traj_a.times[j]:.6g}: "
+                f"metric sandwich violated at t={times[j]:.6g}: "
                 f"lower {lowers[j]:.6g} > upper {uppers[j]:.6g}"
             )
     return LawGapReport(
-        times=traj_a.times, upper=uppers, lower=lowers,
+        times=times, upper=uppers, lower=lowers,
         coupling="sorted" if use_sorted else "index",
     )

@@ -143,38 +143,38 @@ def _pipeline(analyse, cfg: ExperimentConfig, out: Path, gate: bool, runs: int =
 
 
 def _analyse_run(cfg, model, trajectories, out, gate):
-    (traj,) = trajectories
+    ((times, states),) = trajectories
     # one block per time slice, its rows particle-major; the times and the
     # "particle,dim" labels are formatted once
-    times = _format_column(traj.times)
-    labels = [f"{p},{k}" for p in range(traj.n_particles) for k in range(traj.dim)]
+    _, n, d = states.shape
+    labels = [f"{p},{k}" for p in range(n) for k in range(d)]
     _write_csv(
         out / "trajectories.csv",
         ["time", "particle", "dim", "value"],
-        ([[t] * len(labels), labels, state.reshape(-1)] for t, state in zip(times, traj.states)),
+        ([[t] * len(labels), labels, row.reshape(-1)] for t, row in zip(_format_column(times), states)),
     )
 
-    means = traj.states.mean(axis=1)
+    means = states.mean(axis=1)
     mean_norms = np.linalg.norm(means, axis=1)
     entries = {
         "seed": cfg.seed,
         "N": cfg.n_particles,
         "T": cfg.horizon,
         "level": cfg.level,
-        "points": traj.times.shape[0],
+        "points": times.shape[0],
         "final_mean_norm": float(mean_norms[-1]),
     }
-    if (mean_norms > 1e-12).all() and traj.times.shape[0] >= 3:
-        decay, _ = np.polyfit(traj.times, np.log(mean_norms), 1)
+    if (mean_norms > 1e-12).all() and times.shape[0] >= 3:
+        decay, _ = np.polyfit(times, np.log(mean_norms), 1)
         entries["mean_decay_rate"] = float(decay)
     return entries, None
 
 
 def _analyse_rate(cfg, model, trajectories, out, gate):
-    ref = trajectories[cfg.finest]
+    _, runs = trajectories
     errors, stderrs = [], []
     for lvl in cfg.levels:
-        est, se = analysis.strong_error(ref, trajectories[lvl])
+        est, se = analysis.strong_error(runs[cfg.finest], runs[lvl])
         errors.append(est)
         stderrs.append(se)
     report = analysis.fit_rate(cfg.levels, errors)
@@ -214,8 +214,8 @@ def _analyse_rate(cfg, model, trajectories, out, gate):
 
 
 def _analyse_moments(cfg, model, trajectories, out, gate):
-    (traj,) = trajectories
-    report = analysis.moment_curve(traj, cfg.moment_order)
+    ((times, states),) = trajectories
+    report = analysis.moment_curve(times, states, cfg.moment_order)
     oracle_vals = None
     if model.model_id == "mf-ou" and cfg.moment_order == 1:
         d = cfg.dim
@@ -257,8 +257,8 @@ def _analyse_moments(cfg, model, trajectories, out, gate):
 
 
 def _analyse_metric(cfg, model, trajectories, out, gate):
-    traj_a, traj_b = trajectories
-    report = analysis.law_gap_curve(traj_a, traj_b)
+    (times, a), (_, b) = trajectories
+    report = analysis.law_gap_curve(times, a, b)
     _write_csv(
         out / "metric.csv",
         ["time", "rho_upper", "rho_lower"],

@@ -15,7 +15,7 @@ import numpy as np
 
 from .analysis import MIN_RATE_LEVELS
 from .models import MODELS
-from .paths import MAX_LATTICE_LEVEL
+from .paths import DEFAULT_MEMORY_CAP, MAX_LATTICE_LEVEL
 from .solver import BLOWUP_LIMIT, GaussianLaw, InitialLaw, PointMass, UniformBox
 
 __all__ = ["ConfigError", "ExperimentConfig", "KEYS", "parse_config_text", "load_config", "KINDS"]
@@ -245,6 +245,14 @@ def _validate(cfg: ExperimentConfig, seed_source: str) -> None:
             raise ConfigError("sim.level must be nonnegative")
         if finest is not None and finest < level:
             raise ConfigError("sim.finest must be at least sim.level")
+    elif cfg.kind == "check":
+        # the checks sample sigma as a (d, d) matrix, bounded like a run's arrays
+        nbytes = cfg.dim * cfg.dim * 8
+        if nbytes > DEFAULT_MEMORY_CAP:
+            raise ConfigError(
+                f"sim.d = {cfg.dim} needs a (d, d) diffusion matrix of {nbytes} bytes, "
+                f"above the memory limit of {DEFAULT_MEMORY_CAP} bytes"
+            )
     if cfg.record_level is not None:
         base = level if level is not None else (min(levels) if levels else None)
         if cfg.record_level < 0 or (base is not None and cfg.record_level > base):

@@ -10,7 +10,10 @@ The public way to simulate is the two drivers, ``run_single`` and
 way: in time blocks, each reduced once down the ladder of simulated levels
 and stepped through at every level, by ``em_run``, before the next block is
 drawn.  ``em_run`` is that loop's unchecked stepper: it writes each block's
-recorded rows in place into its level's one trajectory array.
+recorded rows in place into its level's one trajectory array.  The drivers
+return those arrays read-only, as ``(times, states)`` from ``run_single`` and
+``(times, {level: states})`` from ``em_multilevel``, whose levels share one
+``times``; ``states[j]`` is the (N, d) ensemble at ``times[j]``.
 
 The initial ensemble is a plain float64 (N, d) array.  Each initial law checks
 its parameters when it is built, and their length, which needs d, when read.
@@ -43,7 +46,6 @@ __all__ = [
     "GaussianLaw",
     "UniformBox",
     "InitialLaw",
-    "TrajectorySet",
     "sample_initial",
     "em_multilevel",
     "run_single",
@@ -178,37 +180,6 @@ class ParticleEnsemble:
         return self.states.shape[0]
 
 
-@dataclass(frozen=True)
-class TrajectorySet:
-    """States recorded on a dyadic sub-grid: ``states[j]`` is the ensemble at
-    ``times[j]``."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=np.float64)
-        states = np.asarray(self.states, dtype=np.float64)
-        if states.ndim != 3 or times.ndim != 1 or states.shape[0] != times.shape[0]:
-            raise SolverError(
-                f"trajectory shapes inconsistent: times {times.shape}, states {states.shape}"
-            )
-        if not np.isfinite(states).all():
-            raise SolverError("non-finite value in recorded trajectory")
-        times.flags.writeable = False
-        states.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
-
-    @property
-    def n_particles(self) -> int:
-        return self.states.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[2]
-
-
 def sample_initial(law: InitialLaw, n: int, dim: int, seed: int) -> np.ndarray:
     """N i.i.d. draws from the initial law as a float64 (N, d) array,
     deterministic in the seed.
@@ -277,7 +248,7 @@ BLOCK_LEVEL = 9
 
 
 def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: list[int], finest: int,
-               n_particles: int, horizon: float, record_level: int) -> dict[int, TrajectorySet]:
+               n_particles: int, horizon: float, record_level: int) -> tuple[np.ndarray, dict]:
     """Step every level of ``run_levels`` (none above ``finest``) off one
     level-``finest`` Brownian path, drawn in time blocks.
 
@@ -313,7 +284,7 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
     block_rows = 1 << (record_level - c)
     streams = NoiseStreams(seed, n_particles)
     initial = sample_initial(law, n_particles, model.dim, seed)
-    recorded = {lvl: np.empty(((1 << record_level) + 1, n_particles, model.dim)) for lvl in ladder}
+    recorded = {lvl: np.empty(((1 << record_level) + 1, n_particles, model.dim)) for lvl in run_levels}
     for states in recorded.values():
         states[0] = initial
     for b in range(1 << c):
@@ -335,7 +306,9 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
 
     # t_i = i * (T / 2^r): dividing by a power of two is exact
     times = np.arange((1 << record_level) + 1, dtype=np.float64) * (horizon / (1 << record_level))
-    return {lvl: TrajectorySet(times=times, states=recorded[lvl]) for lvl in run_levels}
+    for arr in (times, *recorded.values()):
+        arr.flags.writeable = False
+    return times, recorded
 
 
 def em_multilevel(
@@ -347,7 +320,7 @@ def em_multilevel(
     n_particles: int,
     horizon: float,
     record_level: int | None = None,
-) -> dict[int, TrajectorySet]:
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Run every requested level plus the finest reference off one Brownian path.
 
     All levels share the initial ensemble and the Brownian path, and are
@@ -377,7 +350,7 @@ def run_single(
     n_particles: int = 1000,
     horizon: float = 1.0,
     record_level: int | None = None,
-) -> TrajectorySet:
+) -> tuple[np.ndarray, np.ndarray]:
     """One level, driven by a level-``finest`` Brownian path (finest defaults
     to the run level), recorded at ``record_level`` (default: every step).
 
@@ -388,4 +361,5 @@ def run_single(
     if finest < level:
         raise SolverError(f"finest level {finest} below run level {level}")
     record_level = level if record_level is None else record_level
-    return _em_blocks(model, law, seed, [level], finest, n_particles, horizon, record_level)[level]
+    times, recorded = _em_blocks(model, law, seed, [level], finest, n_particles, horizon, record_level)
+    return times, recorded[level]

@@ -37,7 +37,7 @@ def _verdict(name: str, passed: bool, detail: str = "") -> bool:
 def _rate_study(model):
     out = {}
     for seed in SEEDS:
-        runs = M.em_multilevel(
+        _, runs = M.em_multilevel(
             model,
             M.GaussianLaw(0.0, 1.0),
             seed,
@@ -101,9 +101,9 @@ def test_criterion_3_moment_oracle():
     n = 10_000
     model = M.mf_ou()
     _, moment_fn = M.models.mf_ou_oracles(**model.parameters, dim=1, m0=0.0, u0=0.0)
-    traj = M.run_single(model, M.PointMass(0.0), seed=1, level=10, n_particles=n,
-                        horizon=1.0, record_level=5)
-    report = M.moment_curve(traj, order=1)
+    times, states = M.run_single(model, M.PointMass(0.0), seed=1, level=10, n_particles=n,
+                                 horizon=1.0, record_level=5)
+    report = M.moment_curve(times, states, order=1)
     oracle = np.array([moment_fn(t) for t in report.times])
     dev = np.abs(report.moments - oracle)
     within = bool(np.all(dev <= np.maximum(3.0 * report.stderrs, 1e-12)))
@@ -123,10 +123,10 @@ def test_criterion_4_increment_scaling():
     mf-ou: exponent in [0.8, 1.2] (order p = 1)."""
     lags = [1, 2, 4, 8, 16, 32, 64, 128]
     brown = M.mf_ou(theta=0.0, alpha=0.0, s=1.0)
-    traj = M.run_single(brown, M.PointMass(0.0), seed=1, level=10, n_particles=4000)
-    exp_brown = M.increment_scaling(traj, 1, lags).exponent
-    traj = M.run_single(M.mf_ou(), M.PointMass(0.0), seed=1, level=10, n_particles=4000)
-    exp_ou = M.increment_scaling(traj, 1, lags).exponent
+    _, states = M.run_single(brown, M.PointMass(0.0), seed=1, level=10, n_particles=4000)
+    exp_brown = M.increment_scaling(states, 1, lags).exponent
+    _, states = M.run_single(M.mf_ou(), M.PointMass(0.0), seed=1, level=10, n_particles=4000)
+    exp_ou = M.increment_scaling(states, 1, lags).exponent
     ok = 0.9 <= exp_brown <= 1.1 and 0.8 <= exp_ou <= 1.2
     _verdict(
         "criterion 4: increment-scaling exponents",

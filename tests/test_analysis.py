@@ -21,7 +21,6 @@ from mvsde.solver import (
     GaussianLaw,
     PointMass,
     NoiseStreams,
-    TrajectorySet,
     em_multilevel,
     run_single,
     sample_initial,
@@ -31,12 +30,6 @@ from mvsde.solver import (
 from conftest import em_path
 
 ETA = math.exp(-2.0)
-
-
-def _make_traj(states, horizon=1.0):
-    states = np.asarray(states, dtype=np.float64)
-    times = np.linspace(0.0, horizon, states.shape[0])
-    return TrajectorySet(times=times, states=states)
 
 
 class TestFitRate:
@@ -69,15 +62,22 @@ class TestFitRate:
         with pytest.raises(AnalysisError, match="distinct"):
             fit_rate([1, 1, 2], [1.0, 0.5, 0.25])
 
+    @pytest.mark.parametrize("bad", [1.5, math.inf, -math.inf, math.nan])
+    def test_level_not_a_finite_integer_refused(self, bad):
+        with pytest.raises(AnalysisError, match="finite integers"):
+            fit_rate([bad, 2, 3], [1.0, 0.5, 0.25])
+        # an integral float or numpy integer is a level
+        assert fit_rate([1.0, np.int64(2), 3], [1.0, 0.5, 0.25]).slope == pytest.approx(-1.0, abs=1e-12)
+
 
 class TestStrongError:
     def test_zero_on_identical(self):
-        traj = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=0, level=4, n_particles=16)
-        est, se = strong_error(traj, traj)
+        _, states = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=0, level=4, n_particles=16)
+        est, se = strong_error(states, states)
         assert est == 0.0 and se == 0.0
 
     def test_additive_noise_zero_drift_is_exact(self):
-        runs = em_multilevel(
+        _, runs = em_multilevel(
             mf_ou(theta=0.0, alpha=0.0, s=0.5), PointMass(0.0), seed=1,
             levels=[3], finest=7, n_particles=64, horizon=1.0,
         )
@@ -85,7 +85,7 @@ class TestStrongError:
         assert est < 1e-28  # float regrouping dust only
 
     def test_monotone_decrease_for_mf_ou(self):
-        runs = em_multilevel(
+        _, runs = em_multilevel(
             mf_ou(), GaussianLaw(0.0, 1.0), seed=2, levels=[4, 6], finest=12,
             n_particles=500, horizon=1.0,
         )
@@ -94,43 +94,38 @@ class TestStrongError:
         assert 0.0 < e6 < e4
 
     def test_permutation_invariance(self):
-        runs = em_multilevel(
+        _, runs = em_multilevel(
             mf_ou(), GaussianLaw(0.0, 1.0), seed=3, levels=[3], finest=6,
             n_particles=32, horizon=1.0,
         )
         ref, coarse = runs[6], runs[3]
         perm = np.random.default_rng(0).permutation(32)
-        ref_p = _make_traj(ref.states[:, perm, :])
-        coarse_p = _make_traj(coarse.states[:, perm, :])
-        assert strong_error(ref_p, coarse_p) == strong_error(ref, coarse)
+        assert strong_error(ref[:, perm, :], coarse[:, perm, :]) == strong_error(ref, coarse)
 
     def test_grid_mismatch(self):
-        a = _make_traj(np.zeros((5, 4, 1)))
-        b = _make_traj(np.zeros((9, 4, 1)))
-        with pytest.raises(AnalysisError):
-            strong_error(a, b)
+        with pytest.raises(AnalysisError, match="mismatched shapes"):
+            strong_error(np.zeros((5, 4, 1)), np.zeros((9, 4, 1)))
 
 
 class TestMomentCurve:
     def test_constant_process(self):
-        states = np.broadcast_to(np.array([[1.0], [2.0]]), (9, 2, 1)).copy()
-        report = moment_curve(_make_traj(states), order=1)
+        states = np.broadcast_to(np.array([[1.0], [2.0]]), (9, 2, 1))
+        report = moment_curve(np.linspace(0.0, 1.0, 9), states, order=1)
         assert np.allclose(report.moments, 2.5, rtol=0, atol=1e-15)  # (1 + 4)/2
         assert report.dominated
         # C = 1 dominates a constant curve: 1 * (1 + m0) * e^t >= m0
         assert report.envelope_constant <= 1.0
 
     def test_envelope_is_smallest_up_to_bisection(self):
-        report = moment_curve(
-            _make_traj(np.broadcast_to(np.array([[1.0], [2.0]]), (9, 2, 1)).copy()), order=1
-        )
+        states = np.broadcast_to(np.array([[1.0], [2.0]]), (9, 2, 1))
+        report = moment_curve(np.linspace(0.0, 1.0, 9), states, order=1)
         c = report.envelope_constant
         m0 = report.moments[0]
         shrunk = 0.99 * c
         assert (shrunk * (1 + m0) * np.exp(shrunk * report.times) < report.moments).any()
 
     def test_zero_process(self):
-        report = moment_curve(_make_traj(np.zeros((5, 3, 1))), order=2)
+        report = moment_curve(np.linspace(0.0, 1.0, 5), np.zeros((5, 3, 1)), order=2)
         assert report.envelope_constant == 0.0
         assert report.dominated
 
@@ -138,9 +133,9 @@ class TestMomentCurve:
         n = 10_000
         model = mf_ou()
         _, moment_fn = mf_ou_oracles(**model.parameters, dim=1, m0=0.0, u0=0.0)
-        traj = run_single(model, PointMass(0.0), seed=5, level=10, n_particles=n,
-                          horizon=1.0, record_level=5)
-        report = moment_curve(traj, order=1)
+        times, states = run_single(model, PointMass(0.0), seed=5, level=10, n_particles=n,
+                                   horizon=1.0, record_level=5)
+        report = moment_curve(times, states, order=1)
         for j, t in enumerate(report.times):
             dev = abs(report.moments[j] - moment_fn(t))
             assert dev <= max(3.0 * report.stderrs[j], 1e-12)
@@ -149,40 +144,39 @@ class TestMomentCurve:
     def test_overflow_guidance(self):
         big = np.full((3, 2, 1), 1e200)
         with pytest.raises(AnalysisError, match="smaller"):
-            moment_curve(_make_traj(big), order=2)
+            moment_curve(np.linspace(0.0, 1.0, 3), big, order=2)
 
 
 class TestIncrementScaling:
     def test_pure_brownian_exponent(self):
         model = mf_ou(theta=0.0, alpha=0.0, s=1.0)
-        traj = run_single(model, PointMass(0.0), seed=6, level=10, n_particles=4000)
-        report = increment_scaling(traj, order=1, lags=[1, 2, 4, 8, 16, 32, 64, 128])
+        _, states = run_single(model, PointMass(0.0), seed=6, level=10, n_particles=4000)
+        report = increment_scaling(states, order=1, lags=[1, 2, 4, 8, 16, 32, 64, 128])
         assert report.exponent == pytest.approx(1.0, abs=0.1)
 
     def test_permutation_invariance(self):
-        traj = run_single(mf_ou(dim=2), GaussianLaw(0.0, 1.0), seed=4, level=8, n_particles=301)
+        _, states = run_single(mf_ou(dim=2), GaussianLaw(0.0, 1.0), seed=4, level=8, n_particles=301)
         perm = np.random.default_rng(1).permutation(301)
         lags = [1, 3, 10, 100, 200]
-        report = increment_scaling(_make_traj(traj.states), order=1, lags=lags)
-        permuted = increment_scaling(_make_traj(traj.states[:, perm, :]), order=1, lags=lags)
+        report = increment_scaling(states, order=1, lags=lags)
+        permuted = increment_scaling(states[:, perm, :], order=1, lags=lags)
         assert permuted.values.tobytes() == report.values.tobytes()
         assert permuted.exponent == report.exponent
 
     def test_degenerate_zero(self):
-        traj = _make_traj(np.zeros((257, 4, 1)))
-        report = increment_scaling(traj, order=1, lags=[1, 4, 16, 128])
+        report = increment_scaling(np.zeros((257, 4, 1)), order=1, lags=[1, 4, 16, 128])
         assert report.degenerate and report.exponent is None
 
     def test_lag_span_guard(self):
-        traj = _make_traj(np.zeros((257, 4, 1)))
         with pytest.raises(AnalysisError, match="two decades"):
-            increment_scaling(traj, order=1, lags=[1, 2, 4, 8])
+            increment_scaling(np.zeros((257, 4, 1)), order=1, lags=[1, 2, 4, 8])
 
-    def test_nonuniform_grid_rejected(self):
-        states = np.zeros((4, 2, 1))
-        traj = TrajectorySet(times=np.array([0.0, 0.1, 0.5, 1.0]), states=states)
-        with pytest.raises(AnalysisError, match="uniform"):
-            increment_scaling(traj, order=1, lags=[1, 2, 3])
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_refused(self, order):
+        # order 0 would fit the all-ones curve to exponent 0 without complaint
+        _, states = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=1, level=8, n_particles=50)
+        with pytest.raises(AnalysisError, match="at least 1"):
+            increment_scaling(states, order=order, lags=[1, 2, 4, 128])
 
 
 class TestOsgoodIntegral:
@@ -218,6 +212,17 @@ class TestOsgoodIntegral:
         with pytest.raises(AnalysisError, match="positive"):
             osgood_integral(lambda x: x - 1.0, 1e-3, 2.0)
 
+    @pytest.mark.parametrize("eps, upper", [
+        (5e-324, 0.1),  # 1/eps overflows
+        (1e-310, 0.1),
+        (math.nan, 0.1),
+        (1e-3, math.inf),
+        (1e-3, math.nan),
+    ])
+    def test_outside_domain_refused(self, eps, upper):
+        with pytest.raises(AnalysisError, match="need 0 < eps < upper"):
+            osgood_integral(ModulusKappaEta(), eps, upper)
+
 
 class TestBihari:
     def test_zero_start_stays_zero(self):
@@ -246,18 +251,30 @@ class TestBihari:
         with pytest.raises(AnalysisError):
             bihari_ode_check(ModulusKappaEta(ETA), scale=1.0, eps=-1.0, horizon=1.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_start_refused(self, eps):
+        with pytest.raises(AnalysisError, match="initial value"):
+            bihari_ode_check(ModulusKappaEta(ETA), scale=1.0, eps=eps, horizon=1.0)
+
+    @pytest.mark.parametrize("scale, horizon", [
+        (math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, 0.0),
+    ])
+    def test_scale_or_horizon_outside_domain_refused(self, scale, horizon):
+        with pytest.raises(AnalysisError, match="need finite horizon"):
+            bihari_ode_check(ModulusKappaEta(ETA), scale=scale, eps=1e-8, horizon=horizon)
+
 
 class TestLawGapCurve:
     def test_identical_trajectories_zero(self):
-        traj = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=0, level=4, n_particles=32)
-        report = law_gap_curve(traj, traj)
+        times, states = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=0, level=4, n_particles=32)
+        report = law_gap_curve(times, states, states)
         assert np.all(report.upper == 0.0)
         assert np.all(report.lower == 0.0)
 
     def test_sandwich_everywhere(self):
-        a = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=1, level=5, n_particles=64)
-        b = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=2, level=5, n_particles=64)
-        report = law_gap_curve(a, b)
+        times, a = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=1, level=5, n_particles=64)
+        _, b = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=2, level=5, n_particles=64)
+        report = law_gap_curve(times, a, b)
         assert (report.lower <= report.upper + 1e-12).all()
         assert report.upper.max() > 0.0
 
@@ -265,9 +282,9 @@ class TestLawGapCurve:
         # same law, independent seeds: the coupled gap between empirical laws
         # scales like 1/sqrt(N), so doubling N shrinks it by about 0.71
         def gap(n):
-            a = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=11, level=5, n_particles=n)
-            b = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=12, level=5, n_particles=n)
-            return law_gap_curve(a, b).upper.mean()
+            times, a = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=11, level=5, n_particles=n)
+            _, b = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=12, level=5, n_particles=n)
+            return law_gap_curve(times, a, b).upper.mean()
 
         small = gap(4000)
         large = gap(8000)
@@ -275,43 +292,43 @@ class TestLawGapCurve:
         assert 0.45 <= large / small <= 0.95
 
     def test_index_coupling_option(self):
-        a = run_single(mf_ou(dim=2), GaussianLaw(0.0, 1.0), seed=1, level=3, n_particles=16)
-        b = run_single(mf_ou(dim=2), GaussianLaw(0.0, 1.0), seed=2, level=3, n_particles=16)
-        report = law_gap_curve(a, b)
+        times, a = run_single(mf_ou(dim=2), GaussianLaw(0.0, 1.0), seed=1, level=3, n_particles=16)
+        _, b = run_single(mf_ou(dim=2), GaussianLaw(0.0, 1.0), seed=2, level=3, n_particles=16)
+        report = law_gap_curve(times, a, b)
         assert report.coupling == "index"
 
     @pytest.mark.parametrize("dim, coupling", [(1, "sorted"), (2, "index")])
     def test_equals_validated_measures(self, dim, coupling):
         # law_gap_curve skips validation; the curves are the bits of building
         # every measure with the validated uniform_measure
-        a = run_single(mf_ou(dim=dim), GaussianLaw(0.0, 1.0), seed=5, level=4, n_particles=301)
-        b = run_single(mf_ou(dim=dim), GaussianLaw(0.0, 1.0), seed=6, level=4, n_particles=301)
+        times, a = run_single(mf_ou(dim=dim), GaussianLaw(0.0, 1.0), seed=5, level=4, n_particles=301)
+        _, b = run_single(mf_ou(dim=dim), GaussianLaw(0.0, 1.0), seed=6, level=4, n_particles=301)
         dictionary = default_dictionary(dim)
         upper, lower = [], []
-        for x, y in zip(a.states, b.states):
+        for x, y in zip(a, b):
             mu, nu = uniform_measure(x), uniform_measure(y)
             if coupling == "sorted":
                 upper.append(rho_upper(uniform_measure(np.sort(x, axis=0)), uniform_measure(np.sort(y, axis=0))))
             else:
                 upper.append(rho_upper(mu, nu))
             lower.append(rho_lower(mu, nu, dictionary))
-        report = law_gap_curve(a, b)
+        report = law_gap_curve(times, a, b)
         assert report.coupling == coupling
         assert np.array_equal(report.upper, np.array(upper))
         assert np.array_equal(report.lower, np.array(lower))
 
     def test_shape_mismatch(self):
-        a = run_single(mf_ou(), PointMass(0.0), seed=1, level=3, n_particles=8)
-        b = run_single(mf_ou(), PointMass(0.0), seed=1, level=3, n_particles=16)
-        with pytest.raises(AnalysisError):
-            law_gap_curve(a, b)
+        times, a = run_single(mf_ou(), PointMass(0.0), seed=1, level=3, n_particles=8)
+        _, b = run_single(mf_ou(), PointMass(0.0), seed=1, level=3, n_particles=16)
+        with pytest.raises(AnalysisError, match="mismatched shapes"):
+            law_gap_curve(times, a, b)
 
 
 class TestUniquenessReplay:
     def test_seed_perturbation_changes_output(self):
-        base = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=3, level=4, n_particles=16)
-        other = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=4, level=4, n_particles=16)
-        assert base.states.tobytes() != other.states.tobytes()
+        _, base = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=3, level=4, n_particles=16)
+        _, other = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=4, level=4, n_particles=16)
+        assert base.tobytes() != other.tobytes()
 
     def test_initial_perturbation_controlled_by_gronwall(self):
         # one particle moved by delta: trajectories differ but the terminal
@@ -321,10 +338,10 @@ class TestUniquenessReplay:
         n, level = 64, 6
         lat = sample_lattice(NoiseStreams(9, n), 1, level, horizon)
         initial = sample_initial(GaussianLaw(0.0, 1.0), n, 1, seed=9)
-        base = em_path(model, initial, level, lat.increments, horizon)
+        _, base = em_path(model, initial, level, lat.increments, horizon)
         bumped_states = initial.copy()
         bumped_states[0, 0] += delta
-        bumped = em_path(model, bumped_states, level, lat.increments, horizon)
-        assert base.states.tobytes() != bumped.states.tobytes()
-        gap_sq = float(np.max(np.abs(base.states[-1] - bumped.states[-1]) ** 2))
+        _, bumped = em_path(model, bumped_states, level, lat.increments, horizon)
+        assert base.tobytes() != bumped.tobytes()
+        gap_sq = float(np.max(np.abs(base[-1] - bumped[-1]) ** 2))
         assert gap_sq <= 10.0 * delta**2 * math.exp(2.0 * (theta + alpha) * horizon)

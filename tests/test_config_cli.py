@@ -232,12 +232,12 @@ class TestCliRun:
         import mvsde
 
         model = mvsde.mf_ou(theta=1.0, alpha=0.5, s=0.4)
-        traj = mvsde.run_single(model, mvsde.PointMass(1.0), seed=7, level=4,
-                                n_particles=32, horizon=1.0, record_level=2)
+        times, states = mvsde.run_single(model, mvsde.PointMass(1.0), seed=7, level=4,
+                                         n_particles=32, horizon=1.0, record_level=2)
         for line in lines[:50]:
             t, p, k, v = line.split(",")
-            j = int(np.nonzero(traj.times == float(t))[0][0])
-            assert float(v) == traj.states[j, int(p), int(k)]
+            j = int(np.nonzero(times == float(t))[0][0])
+            assert float(v) == states[j, int(p), int(k)]
 
     def test_recorded_trajectories_above_memory_limit(self, tmp_path, monkeypatch, capsys):
         # 2^24 + 1 recorded states of 64 particles would take 8.6 GB; the
@@ -329,6 +329,20 @@ class TestCliMomentsMetricCheck:
         summary = (out / "summary.txt").read_text()
         assert "linear_growth.passed = false" in summary
         assert "scale ladder" in summary
+
+    @pytest.mark.parametrize("dim", [16385, 10**6])
+    def test_check_diffusion_matrix_above_memory_limit(self, tmp_path, monkeypatch, capsys, dim):
+        # a (d, d) float64 sigma above 2^31 bytes is refused before any sample
+        def no_sample(*args, **kwargs):
+            raise AssertionError("assumption check sampled")
+
+        monkeypatch.setattr(cli.models, "check_linear_growth", no_sample)
+        text = f"model.id = mf-ou\nsim.N = 1\nsim.level = 0\nsim.d = {dim}\n"
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"sim.d = {dim}" in err and "memory limit of 2147483648 bytes" in err
+        assert not out.exists()
 
 
 class TestCliSelftestAndCodes:
@@ -533,12 +547,12 @@ def _run_csv(tmp_path, n, dim, level):
     import mvsde
 
     model = mvsde.mf_ou(theta=1.0, alpha=0.5, s=0.4, dim=dim)
-    traj = mvsde.run_single(model, mvsde.PointMass(1.0), seed=7, level=level, n_particles=n, horizon=1.0)
+    times, states = mvsde.run_single(model, mvsde.PointMass(1.0), seed=7, level=level, n_particles=n, horizon=1.0)
     rows = (
-        (traj.times[j], p, k, traj.states[j, p, k])
-        for j in range(traj.times.shape[0])
-        for p in range(traj.n_particles)
-        for k in range(traj.dim)
+        (times[j], p, k, states[j, p, k])
+        for j in range(times.shape[0])
+        for p in range(n)
+        for k in range(dim)
     )
     _write_csv_per_value(tmp_path / "ref.csv", ["time", "particle", "dim", "value"], rows)
     return (out / "trajectories.csv").read_bytes(), (tmp_path / "ref.csv").read_bytes()

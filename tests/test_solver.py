@@ -155,15 +155,15 @@ class TestEmRun:
         model = mf_ou(theta=0.0, alpha=0.0, s=0.0, dim=2)
         lat = sample_lattice(NoiseStreams(0, 8), 2, 5, 1.0)
         initial = sample_initial(GaussianLaw(0.0, 1.0), 8, 2, seed=0)
-        traj = em_path(model, initial, 5, lat.increments, 1.0)
-        assert np.array_equal(traj.states, np.broadcast_to(initial, traj.states.shape))
+        _, states = em_path(model, initial, 5, lat.increments, 1.0)
+        assert np.array_equal(states, np.broadcast_to(initial, states.shape))
 
     def test_exponential_decay_oracle(self):
         # b = -x, sigma = 0, x0 = 1: the explicit product (1 - 2^-10)^1024
         model = mf_ou(theta=1.0, alpha=0.0, s=0.0)
-        traj = run_single(model, PointMass(1.0), seed=0, level=10, n_particles=1, horizon=1.0)
+        _, states = run_single(model, PointMass(1.0), seed=0, level=10, n_particles=1, horizon=1.0)
         euler_product = (1.0 - 2.0**-10) ** 1024
-        final = traj.states[-1, 0, 0]
+        final = states[-1, 0, 0]
         assert final == pytest.approx(euler_product, rel=1e-12)
         assert abs(final - math.exp(-1.0)) < 1e-3
 
@@ -172,11 +172,11 @@ class TestEmRun:
         n = 10_000
         model = mf_ou(theta=1.0, alpha=0.5, s=0.4)
         mean_fn, _ = mf_ou_oracles(**model.parameters, dim=1, m0=1.0, u0=1.0)
-        traj = run_single(model, PointMass(1.0), seed=7, level=10, n_particles=n,
-                          horizon=1.0, record_level=4)
-        for j, t in enumerate(traj.times):
-            emp = traj.states[j, :, 0].mean()
-            se = traj.states[j, :, 0].std(ddof=1) / math.sqrt(n)
+        times, states = run_single(model, PointMass(1.0), seed=7, level=10, n_particles=n,
+                                   horizon=1.0, record_level=4)
+        for j, t in enumerate(times):
+            emp = states[j, :, 0].mean()
+            se = states[j, :, 0].std(ddof=1) / math.sqrt(n)
             assert abs(emp - mean_fn(t)[0]) <= max(3.0 * se, 1e-12)
 
     def test_replay_matches_scalar_recursion(self):
@@ -185,7 +185,7 @@ class TestEmRun:
         n, level = 6, 4
         lat = sample_lattice(NoiseStreams(3, n), 2, level, 1.0)
         initial = sample_initial(GaussianLaw(0.0, 1.0), n, 2, seed=3)
-        traj = em_path(model, initial, level, lat.increments, 1.0)
+        _, recorded = em_path(model, initial, level, lat.increments, 1.0)
 
         theta, alpha, s = 1.0, 0.5, 0.4
         states = initial.copy()
@@ -199,7 +199,7 @@ class TestEmRun:
                 new[p] = states[p] + h * drift + s * lat.increments[p, i]
             states = new
             replay.append(states.copy())
-        assert np.asarray(replay).tobytes() == traj.states.tobytes()
+        assert np.asarray(replay).tobytes() == recorded.tobytes()
 
     def test_replay_matches_matrix_route(self):
         # generic matrix diffusion, applied with the replay's einsum
@@ -213,7 +213,7 @@ class TestEmRun:
         n, level = 4, 3
         lat = sample_lattice(NoiseStreams(8, n), 2, level, 1.0)
         initial = sample_initial(GaussianLaw(0.0, 1.0), n, 2, seed=8)
-        traj = em_path(model, initial, level, lat.increments, 1.0)
+        _, recorded = em_path(model, initial, level, lat.increments, 1.0)
         states = initial.copy()
         h = 1.0 / 2**level
         replay = [states.copy()]
@@ -223,18 +223,18 @@ class TestEmRun:
                 new[p] = states[p] + h * (-states[p]) + np.einsum("ij,j->i", mat, lat.increments[p, i])
             states = new
             replay.append(states.copy())
-        assert np.asarray(replay).tobytes() == traj.states.tobytes()
+        assert np.asarray(replay).tobytes() == recorded.tobytes()
 
     def test_permutation_equivariance(self):
         model = mf_ou(theta=1.0, alpha=0.5, s=0.4)
         n, level = 16, 5
         lat = sample_lattice(NoiseStreams(4, n), 1, level, 1.0)
         initial = sample_initial(GaussianLaw(0.0, 1.0), n, 1, seed=4)
-        traj = em_path(model, initial, level, lat.increments, 1.0)
+        _, states = em_path(model, initial, level, lat.increments, 1.0)
 
         perm = np.random.default_rng(0).permutation(n)
-        traj_perm = em_path(model, initial[perm], level, lat.increments[perm], 1.0)
-        assert traj_perm.states.tobytes() == traj.states[:, perm, :].tobytes()
+        _, permuted = em_path(model, initial[perm], level, lat.increments[perm], 1.0)
+        assert permuted.tobytes() == states[:, perm, :].tobytes()
 
     def test_blowup_diagnostics(self):
         model = osgood(c=100.0)
@@ -293,14 +293,14 @@ class TestGridTimes:
     """Recorded times are t_i = i * (T / 2^level), the same floats on every route."""
 
     def test_level_zero_points(self):
-        traj = run_single(mf_ou(), PointMass(0.0), seed=0, level=0, n_particles=1, horizon=1.0)
-        assert np.array_equal(traj.times, [0.0, 1.0])
+        times, _ = run_single(mf_ou(), PointMass(0.0), seed=0, level=0, n_particles=1, horizon=1.0)
+        assert np.array_equal(times, [0.0, 1.0])
 
     def test_endpoints_exact(self):
         for horizon in (1.0, 2.0, 0.7, 3.25):
             for level in range(12):
-                pts = run_single(mf_ou(), PointMass(0.0), seed=0, level=level, n_particles=1,
-                                 horizon=horizon).times
+                pts, _ = run_single(mf_ou(), PointMass(0.0), seed=0, level=level, n_particles=1,
+                                    horizon=horizon)
                 assert pts.tobytes() == (np.arange(2**level + 1) * (horizon / 2**level)).tobytes()
                 assert pts[0] == 0.0
                 assert pts[-1] == horizon
@@ -321,14 +321,16 @@ def _peak_bytes(fn):
 
 
 def _whole_path_multilevel(model, law, seed, levels, finest, n_particles, horizon, record_level=None):
-    """The unblocked route: one lattice over [0, T], then each level stepped whole."""
+    """The unblocked route: one lattice over [0, T], then each level stepped
+    whole; returned as ``em_multilevel`` returns its run."""
     record_level = min(levels) if record_level is None else record_level
     lattice = sample_lattice(NoiseStreams(seed, n_particles), model.dim, finest, horizon)
     initial = sample_initial(law, n_particles, model.dim, seed)
-    return {
+    runs = {
         lvl: em_path(model, initial, lvl, coarsen(lattice.increments, lvl), horizon, record_level)
         for lvl in [*sorted(levels), finest]
     }
+    return runs[finest][0], {lvl: states for lvl, (_, states) in runs.items()}
 
 
 def _count_draws(monkeypatch):
@@ -387,12 +389,13 @@ class TestRunSingleBlocks:
     def test_blocks_equal_whole_path_route(self, monkeypatch, model, level, finest, record_level):
         law = GaussianLaw(0.0, 1.0)
         drawn = _count_draws(monkeypatch)
-        blocked = run_single(model, law, 13, level, finest=finest, n_particles=8, horizon=1.0,
-                             record_level=record_level)
+        times, blocked = run_single(model, law, 13, level, finest=finest, n_particles=8, horizon=1.0,
+                                    record_level=record_level)
         assert len(drawn) == 8
-        whole = _whole_path_multilevel(model, law, 13, [level], finest or level, 8, 1.0, record_level)[level]
-        assert blocked.states.tobytes() == whole.states.tobytes()
-        assert blocked.times.tobytes() == whole.times.tobytes()
+        whole_times, whole = _whole_path_multilevel(model, law, 13, [level], finest or level, 8, 1.0,
+                                                    record_level)
+        assert blocked.tobytes() == whole[level].tobytes()
+        assert times.tobytes() == whole_times.tobytes()
 
     @pytest.mark.parametrize("level, finest", [(12, None), (10, 12)])
     def test_blowup_after_first_block_names_global_grid(self, level, finest):
@@ -417,8 +420,8 @@ class TestRunSingleBlocks:
         monkeypatch.setattr(paths, "DEFAULT_MEMORY_CAP", 8 * 2**9 * 8 + 1)
         with pytest.raises(LatticeError, match="memory limit"):
             sample_lattice(NoiseStreams(1, 8), 1, 12, 1.0)
-        traj = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=1, level=12, n_particles=8, horizon=1.0)
-        assert traj.states.shape == (2**12 + 1, 8, 1)
+        _, states = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=1, level=12, n_particles=8, horizon=1.0)
+        assert states.shape == (2**12 + 1, 8, 1)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_refused(self, seed):
@@ -430,10 +433,10 @@ class TestRunSingleBlocks:
 
     def test_peak_memory_is_the_trajectory_plus_one_block(self):
         # level 12, N = 200: 6.6 MB of states, blocks of 512 steps (0.8 MB)
-        traj, peak = _peak_bytes(
+        (_, states), peak = _peak_bytes(
             lambda: run_single(mf_ou(), PointMass(0.0), seed=1, level=12, n_particles=200)
         )
-        assert peak < 1.5 * traj.states.nbytes
+        assert peak < 1.5 * states.nbytes
 
 
 class TestEmMultilevel:
@@ -455,12 +458,12 @@ class TestEmMultilevel:
     def test_blocks_equal_whole_path_route(self, model, levels, finest, record_level):
         law = GaussianLaw(0.0, 1.0)
         args = (model, law, 13, levels, finest, 8, 1.0, record_level)
-        blocked = em_multilevel(*args)
-        whole = _whole_path_multilevel(*args)
+        times, blocked = em_multilevel(*args)
+        whole_times, whole = _whole_path_multilevel(*args)
         assert sorted(blocked) == sorted(whole)
-        for lvl, traj in whole.items():
-            assert blocked[lvl].states.tobytes() == traj.states.tobytes()
-            assert blocked[lvl].times.tobytes() == traj.times.tobytes()
+        assert times.tobytes() == whole_times.tobytes()
+        for lvl, states in whole.items():
+            assert blocked[lvl].tobytes() == states.tobytes()
 
     def test_one_block_of_increments_at_a_time(self, monkeypatch):
         # N = 8, d = 2, finest 12, record level 3: 8 blocks of 2^9 finest steps
@@ -516,8 +519,8 @@ class TestEmMultilevel:
         # 3 * (2^3 + 1) * 4 * 2 * 8 = 1728 bytes
         args = dict(seed=0, levels=[3, 4], finest=8, n_particles=4, horizon=1.0)
         monkeypatch.setattr(solver, "DEFAULT_MEMORY_CAP", 1728)
-        runs = em_multilevel(mf_ou(dim=2), PointMass(0.0), **args)
-        assert sum(traj.states.nbytes for traj in runs.values()) == 1728
+        _, runs = em_multilevel(mf_ou(dim=2), PointMass(0.0), **args)
+        assert sum(states.nbytes for states in runs.values()) == 1728
         drawn = _count_draws(monkeypatch)
         monkeypatch.setattr(solver, "DEFAULT_MEMORY_CAP", 1727)
         with pytest.raises(SolverError, match="memory limit"):
@@ -527,39 +530,48 @@ class TestEmMultilevel:
     def test_peak_memory_is_the_trajectories_plus_one_block(self):
         # levels 11 and reference 12 recorded at 11 for N = 200: 6.6 MB of
         # states, blocks of 512 finest steps (0.8 MB)
-        runs, peak = _peak_bytes(
+        (_, runs), peak = _peak_bytes(
             lambda: em_multilevel(mf_ou(), PointMass(0.0), seed=1, levels=[11], finest=12,
                                   n_particles=200, horizon=1.0)
         )
-        assert peak < 1.5 * sum(traj.states.nbytes for traj in runs.values())
+        assert peak < 1.5 * sum(states.nbytes for states in runs.values())
 
     def test_additive_noise_zero_drift_exact_across_levels(self):
         # constant coefficients: every level reproduces x0 + s*W at shared
         # grid points up to float regrouping dust
         model = mf_ou(theta=0.0, alpha=0.0, s=0.7)
-        runs = em_multilevel(model, PointMass(0.5), seed=6, levels=[2, 4], finest=6,
-                             n_particles=32, horizon=1.0)
-        gaps = np.abs(runs[2].states - runs[6].states)
+        _, runs = em_multilevel(model, PointMass(0.5), seed=6, levels=[2, 4], finest=6,
+                                n_particles=32, horizon=1.0)
+        gaps = np.abs(runs[2] - runs[6])
         assert gaps.max() < 1e-14
-        gaps = np.abs(runs[4].states - runs[6].states)
+        gaps = np.abs(runs[4] - runs[6])
         assert gaps.max() < 1e-14
 
     def test_shared_initials_and_common_grid(self):
+        # one times array is the construction: every level is recorded on it
         model = mf_ou()
-        runs = em_multilevel(model, GaussianLaw(0.0, 1.0), seed=1, levels=[2, 3], finest=6,
-                             n_particles=8, horizon=1.0)
+        times, runs = em_multilevel(model, GaussianLaw(0.0, 1.0), seed=1, levels=[2, 3], finest=6,
+                                    n_particles=8, horizon=1.0)
         assert set(runs) == {2, 3, 6}
-        assert np.array_equal(runs[2].times, runs[3].times)
-        assert np.array_equal(runs[2].times, runs[6].times)
-        assert np.array_equal(runs[2].states[0], runs[6].states[0])
+        assert times.tobytes() == (np.arange(2**2 + 1) * 0.25).tobytes()
+        assert all(states.shape == (len(times), 8, 1) for states in runs.values())
+        assert np.array_equal(runs[2][0], runs[6][0])
+
+    def test_both_drivers_return_read_only_arrays(self):
+        times, states = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=1, level=3, n_particles=4)
+        shared, runs = em_multilevel(mf_ou(), GaussianLaw(0.0, 1.0), seed=1, levels=[2, 3], finest=6,
+                                     n_particles=4, horizon=1.0)
+        for arr in (times, states, shared, *runs.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[-1] = 0.0
 
     def test_deterministic_error_decay_for_ode(self):
         # sigma = 0 reduces to explicit Euler: halving the step halves the error
         model = mf_ou(theta=1.0, alpha=0.0, s=0.0)
-        runs = em_multilevel(model, PointMass(1.0), seed=0, levels=[2, 3], finest=10,
-                             n_particles=1, horizon=1.0)
-        err2 = np.abs(runs[2].states[-1] - runs[10].states[-1]).max()
-        err3 = np.abs(runs[3].states[-1] - runs[10].states[-1]).max()
+        _, runs = em_multilevel(model, PointMass(1.0), seed=0, levels=[2, 3], finest=10,
+                                n_particles=1, horizon=1.0)
+        err2 = np.abs(runs[2][-1] - runs[10][-1]).max()
+        err3 = np.abs(runs[3][-1] - runs[10][-1]).max()
         assert err3 < err2
         assert err3 / err2 == pytest.approx(0.5, abs=0.1)
 
