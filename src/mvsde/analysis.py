@@ -12,6 +12,7 @@ underlying bounds are existential.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .measure import EmpiricalMeasure, default_dictionary, exact_sum, rho_lower,
 # analysis.uniform_measure by name, so the name must resolve in this module
 from .measure import uniform_measure  # noqa: F401
 from .models import ModulusKappaEta
+from .paths import MAX_LATTICE_LEVEL
 
 __all__ = [
     "AnalysisError",
@@ -88,10 +90,12 @@ MIN_RATE_LEVELS = 3
 
 
 def fit_rate(levels, errors) -> RateReport:
-    """Ordinary least squares of log2(error) on the level index."""
+    """Ordinary least squares of log2(error) on the level index; a level must
+    be an integer in [0, ``MAX_LATTICE_LEVEL``]."""
     for v in levels:
-        if not float(v).is_integer():
-            raise AnalysisError(f"levels must be finite integers, got {v}")
+        whole = isinstance(v, numbers.Integral) or float(v).is_integer()
+        if not (whole and 0 <= v <= MAX_LATTICE_LEVEL):
+            raise AnalysisError(f"levels must be finite integers in [0, {MAX_LATTICE_LEVEL}], got {v}")
     levels = [int(v) for v in levels]
     errors = [float(e) for e in errors]
     if len(levels) != len(errors):

@@ -6,7 +6,10 @@ coupled experiment is driven by one Brownian path on the finest grid.
 Coarser increments are produced by adjacent-pair tree reduction, so a
 level-n increment is literally a node of one fixed addition tree over the
 finest increments: coarsening commutes with itself bit-exactly (L -> n -> m
-performs the identical float additions as L -> m).
+performs the identical float additions as L -> m).  ``coarsen`` allocates
+only the target level: it halves a cache-sized chunk of particle rows at a
+time and writes the chunk's last halving into the result.  No halving mixes
+particles, so the chunks perform the additions of halving the whole array.
 
 Increments are a pure function of (seed, particle, step, dim) through a
 counter-based generator keyed by (seed, particle), so a particle's row does
@@ -28,6 +31,7 @@ positions back, since no later block needs them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,13 +83,24 @@ class NoiseStreams:
     generated but not yet used (``buffer``, (N, 4)) and how many of those
     are used (``buffer_pos``, (N,); 4 means none is left).  New streams
     start at the beginning.  Normal draws read only whole 64-bit words, so
-    these three arrays are the whole position.
+    these three arrays are the whole position.  They take
+    ``POSITION_BYTES`` per particle, and ``DEFAULT_MEMORY_CAP`` bounds their
+    total: more particles are refused before anything is allocated.
     """
+
+    #: bytes of one particle's position: counter, buffer and buffer_pos
+    POSITION_BYTES = 4 * 8 + 4 * 8 + 8
 
     def __init__(self, seed: int, n_particles: int) -> None:
         _check_seed(seed)
         if n_particles < 1:
             raise LatticeError("need at least one particle")
+        nbytes = n_particles * self.POSITION_BYTES
+        if nbytes > DEFAULT_MEMORY_CAP:
+            raise LatticeError(
+                f"stream positions of {n_particles} particles would need {nbytes} bytes, "
+                f"above the memory limit of {DEFAULT_MEMORY_CAP} bytes"
+            )
         self.seed = seed
         self.counter = np.zeros((n_particles, 4), dtype=np.uint64)
         self.buffer = np.zeros((n_particles, 4), dtype=np.uint64)
@@ -177,9 +192,14 @@ def sample_lattice(
     return BrownianLattice(out)
 
 
-def _halve_cells(arr: np.ndarray) -> np.ndarray:
+#: input float64 elements per coarsening chunk (256 KiB), so a chunk's
+#: intermediate halvings stay in cache and only the target level is allocated
+COARSEN_CHUNK = 1 << 15
+
+
+def _halve_cells(arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # adjacent-pair reduction along the step axis, left child first
-    return arr[:, 0::2, :] + arr[:, 1::2, :]
+    return np.add(arr[:, 0::2, :], arr[:, 1::2, :], out=out)
 
 
 def coarsen(increments: np.ndarray, level: int) -> np.ndarray:
@@ -190,10 +210,26 @@ def coarsen(increments: np.ndarray, level: int) -> np.ndarray:
     ``increments`` itself is returned.  Because each halving adds adjacent
     pairs, any two routes to the same coarse level perform the identical
     additions, so cross-level sums agree bit for bit.
+
+    The result is the only array allocated at full size: it is filled one
+    chunk of whole particle rows at a time (about ``COARSEN_CHUNK`` input
+    elements, at least one row), each chunk halved down to the target and its
+    last halving written in place.  Particles never mix in a halving, so every
+    cell is the same tree of additions as halving the whole array at once and
+    the bits do not change.
     """
     steps = increments.shape[1]
     if steps & (steps - 1) or not (0 <= level < steps.bit_length()):
         raise LatticeError(f"cannot coarsen {steps} cells to level {level}")
-    for _ in range(steps.bit_length() - 1 - level):
-        increments = _halve_cells(increments)
-    return increments
+    halvings = steps.bit_length() - 1 - level
+    if halvings == 0:
+        return increments
+    n_particles = increments.shape[0]
+    out = np.empty((n_particles, 1 << level, *increments.shape[2:]), dtype=increments.dtype)
+    rows = max(1, COARSEN_CHUNK // max(1, math.prod(increments.shape[1:])))
+    for start in range(0, n_particles, rows):
+        chunk = increments[start:start + rows]
+        for _ in range(halvings - 1):
+            chunk = _halve_cells(chunk)
+        _halve_cells(chunk, out=out[start:start + rows])
+    return out

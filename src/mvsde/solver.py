@@ -262,12 +262,14 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
     the whole path from the finest level.  Each level's trajectory is
     allocated once; ``em_run`` steps the level through a block starting from
     the record row the block begins on and writes the block's rows in place.
-    So the states are the same floats as stepping the whole path at once, and
-    the peak memory is the returned trajectories plus one block of
-    increments.  A ``BlowUpError`` names the first blow-up in block order, on
-    the level's own grid from t = 0.  ``DEFAULT_MEMORY_CAP`` bounds the
-    returned trajectories as well as each block; a request above it is
-    refused before anything is drawn.
+    So the states are the same floats as stepping the whole path at once.
+    ``coarsen`` allocates only the level it returns, and rebinding
+    ``increments`` frees the finer level, so the peak memory is the returned
+    trajectories plus one block of increments plus its next level down, for
+    a ladder as for one level.  A ``BlowUpError`` names the first blow-up in
+    block order, on the level's own grid from t = 0.  ``DEFAULT_MEMORY_CAP``
+    bounds the returned trajectories as well as each block; a request above
+    it is refused before anything is drawn.
     """
     if finest > MAX_LATTICE_LEVEL:
         raise LatticeError(f"lattice level {finest} outside the level limit [0, {MAX_LATTICE_LEVEL}]")

@@ -62,12 +62,13 @@ class TestFitRate:
         with pytest.raises(AnalysisError, match="distinct"):
             fit_rate([1, 1, 2], [1.0, 0.5, 0.25])
 
-    @pytest.mark.parametrize("bad", [1.5, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [1.5, math.inf, -math.inf, math.nan, 10**400, 2**60, -1])
     def test_level_not_a_finite_integer_refused(self, bad):
-        with pytest.raises(AnalysisError, match="finite integers"):
+        with pytest.raises(AnalysisError, match=rf"finite integers in \[0, 30\], got {bad}$"):
             fit_rate([bad, 2, 3], [1.0, 0.5, 0.25])
-        # an integral float or numpy integer is a level
+        # an integral float or numpy integer is a level, and so are both ends
         assert fit_rate([1.0, np.int64(2), 3], [1.0, 0.5, 0.25]).slope == pytest.approx(-1.0, abs=1e-12)
+        assert fit_rate([0, 1, 30], [1.0, 0.5, 2.0**-30]).slope == pytest.approx(-1.0, abs=1e-12)
 
 
 class TestStrongError:

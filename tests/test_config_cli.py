@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvsde import cli, solver
+from mvsde import cli, paths, solver
 from mvsde.cli import (
     _CSV_BLOCK_ROWS,
     EXIT_ANALYSIS,
@@ -391,6 +391,16 @@ class TestCliSelftestAndCodes:
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_stream_positions_above_memory_limit_exit_2(self, tmp_path, capsys, monkeypatch):
+        # level 0, N = 1000: 8,000 bytes of lattice and 16,000 of states fit
+        # in 20,000 bytes, 72,000 bytes of stream positions do not
+        monkeypatch.setattr(paths, "DEFAULT_MEMORY_CAP", 20_000)
+        monkeypatch.setattr(solver, "DEFAULT_MEMORY_CAP", 20_000)
+        text = "model.id = mf-ou\nsim.N = 1000\nsim.level = 0\n"
+        code = main(["run", "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "would need 72000 bytes, above the memory limit of 20000 bytes" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "kind, lines, key",

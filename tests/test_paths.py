@@ -7,12 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from mvsde import paths
 from mvsde.paths import (
+    COARSEN_CHUNK,
     LatticeError,
     NoiseStreams,
     coarsen,
     sample_lattice,
 )
+
+from conftest import halving_loop
 
 
 class TestLatticeSampling:
@@ -74,6 +78,14 @@ class TestLatticeSampling:
         # anything is allocated
         with pytest.raises(LatticeError, match="memory limit"):
             sample_lattice(NoiseStreams(0, 4096), 1, 20, 1.0)
+
+    def test_stream_positions_bounded_by_memory_cap(self, monkeypatch):
+        # 72 bytes of position a particle: 277 particles fit in 20,000 bytes
+        monkeypatch.setattr(paths, "DEFAULT_MEMORY_CAP", 20_000)
+        assert NoiseStreams(0, 277).counter.shape == (277, 4)
+        with pytest.raises(LatticeError, match="stream positions of 278 particles would need 20016 bytes, "
+                                               "above the memory limit of 20000 bytes"):
+            NoiseStreams(0, 278)
 
     def test_level_guard(self):
         with pytest.raises(LatticeError, match="level limit"):
@@ -230,6 +242,35 @@ class TestCoarsen:
         # tree order: (a+b) + (c+d)
         tree = (children[:, :, 0] + children[:, :, 1]) + (children[:, :, 2] + children[:, :, 3])
         assert np.array_equal(out, tree)
+
+    @pytest.mark.parametrize(
+        "n, dim, level, chunk_rows",
+        [
+            # 2^10 elements a row: two chunks of 32 rows and a remainder of 3
+            (67, 2, 9, 32),
+            # a row of 2^16 elements is larger than a chunk: one row a chunk
+            (3, 1, 16, 1),
+        ],
+    )
+    def test_chunks_equal_the_whole_array_halvings(self, n, dim, level, chunk_rows):
+        assert max(1, COARSEN_CHUNK // (2**level * dim)) == chunk_rows
+        finest = sample_lattice(NoiseStreams(12, n), dim, level, 1.0).increments
+        for target in range(level, -1, -1):
+            assert coarsen(finest, target).tobytes() == halving_loop(finest, target).tobytes()
+
+    @pytest.mark.parametrize("target", [0, 5, 11])
+    def test_allocates_only_the_target_level(self, target):
+        # N = 200, 2^12 steps: a 6.6 MB input; halving it whole to level 10
+        # or below holds a 3.3 MB level-11 array besides the result, a chunk
+        # at most one chunk
+        finest = sample_lattice(NoiseStreams(13, 200), 1, 12, 1.0).increments
+        tracemalloc.start()
+        try:
+            out = coarsen(finest, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + COARSEN_CHUNK * 8
 
     def test_target_above_finest(self):
         lat = sample_lattice(NoiseStreams(1, 1), 1, 3, 1.0)

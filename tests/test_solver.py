@@ -19,7 +19,7 @@ from mvsde.solver import (
     sample_initial,
 )
 
-from conftest import em_path
+from conftest import em_path, halving_loop
 
 
 class TestSampleInitial:
@@ -321,13 +321,14 @@ def _peak_bytes(fn):
 
 
 def _whole_path_multilevel(model, law, seed, levels, finest, n_particles, horizon, record_level=None):
-    """The unblocked route: one lattice over [0, T], then each level stepped
-    whole; returned as ``em_multilevel`` returns its run."""
+    """The unblocked route: one lattice over [0, T], coarsened whole by
+    ``halving_loop``, then each level stepped whole; returned as
+    ``em_multilevel`` returns its run."""
     record_level = min(levels) if record_level is None else record_level
     lattice = sample_lattice(NoiseStreams(seed, n_particles), model.dim, finest, horizon)
     initial = sample_initial(law, n_particles, model.dim, seed)
     runs = {
-        lvl: em_path(model, initial, lvl, coarsen(lattice.increments, lvl), horizon, record_level)
+        lvl: em_path(model, initial, lvl, halving_loop(lattice.increments, lvl), horizon, record_level)
         for lvl in [*sorted(levels), finest]
     }
     return runs[finest][0], {lvl: states for lvl, (_, states) in runs.items()}
@@ -406,7 +407,8 @@ class TestRunSingleBlocks:
             run_single(model, law, seed=3, level=level, finest=finest, n_particles=4, horizon=1.0)
         lattice = sample_lattice(NoiseStreams(3, 4), 1, finest or level, 1.0)
         with pytest.raises(BlowUpError) as ref:
-            em_path(model, sample_initial(law, 4, 1, seed=3), level, coarsen(lattice.increments, level), 1.0)
+            em_path(model, sample_initial(law, 4, 1, seed=3), level, halving_loop(lattice.increments, level),
+                    1.0)
         got, want = err.value, ref.value
         assert got.level == want.level == level
         assert got.step >= 2 ** (level - 3)  # after the first block
@@ -535,6 +537,17 @@ class TestEmMultilevel:
                                   n_particles=200, horizon=1.0)
         )
         assert peak < 1.5 * sum(states.nbytes for states in runs.values())
+
+    def test_ladder_peak_is_one_block_plus_the_trajectories(self):
+        # levels 3..8 and reference 15 recorded at 3 for N = 200: blocks of
+        # 2^12 finest steps (6.6 MB) and 0.1 MB of states; halving each block
+        # whole down the ladder peaked at 1.74 x that
+        (_, runs), peak = _peak_bytes(
+            lambda: em_multilevel(osgood(), GaussianLaw(0.0, 1.0), seed=101, levels=[3, 4, 5, 6, 7, 8],
+                                  finest=15, n_particles=200, horizon=1.0)
+        )
+        block = 200 * 2**12 * 8
+        assert peak < 1.2 * (block + sum(states.nbytes for states in runs.values()))
 
     def test_additive_noise_zero_drift_exact_across_levels(self):
         # constant coefficients: every level reproduces x0 + s*W at shared
