@@ -23,12 +23,6 @@ from .models import (
     osgood,
     sznitman,
 )
-from .paths import (
-    BrownianLattice,
-    NoiseStreams,
-    coarsen,
-    sample_lattice,
-)
 from .solver import (
     BlowUpError,
     GaussianLaw,

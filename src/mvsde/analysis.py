@@ -336,7 +336,8 @@ def law_gap_curve(times: np.ndarray, a: np.ndarray, b: np.ndarray) -> LawGapRepo
     use_sorted = a.shape[2] == 1
     dictionary = default_dictionary(a.shape[2])
     # driver states are finite (guarded every step) float64 and read-only and
-    # the sorted copies are fresh, so the measures are built unchecked
+    # the sorted copies are fresh, so the measures are built unchecked.  The
+    # lower curve reads the unsorted ones: exact_sum is ~2x slower on sorted input
     uppers = np.empty(times.shape[0])
     lowers = np.empty_like(uppers)
     for j in range(times.shape[0]):

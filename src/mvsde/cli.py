@@ -110,18 +110,10 @@ def _out_dir(cli_out: str | None, kind: str) -> Path:
 # the experiment pipeline: build model -> simulate -> analyse -> write -> gate
 # ---------------------------------------------------------------------------
 
-def _simulate(cfg: ExperimentConfig, model, runs: int):
-    """Every level of a rate study off one lattice; for the other kinds,
-    ``runs`` runs at ``sim.level`` seeded by ``sim.seed``, then ``metric.seed_b``."""
-    shared = {
-        "finest": cfg.finest,
-        "n_particles": cfg.n_particles,
-        "horizon": cfg.horizon,
-        "record_level": cfg.record_level,
-    }
-    if cfg.kind == "rate":
-        return em_multilevel(model, cfg.law, cfg.seed, list(cfg.levels), **shared)
-    return [run_single(model, cfg.law, seed, cfg.level, **shared) for seed in (cfg.seed, cfg.seed_b)[:runs]]
+def _run(cfg: ExperimentConfig, model, seed: int):
+    """One run at ``sim.level`` from ``seed``, as ``(times, states)``."""
+    return run_single(model, cfg.law, seed, cfg.level, finest=cfg.finest, n_particles=cfg.n_particles,
+                      horizon=cfg.horizon, record_level=cfg.record_level)
 
 
 def _report(out: Path, summary: dict, failure: str | None) -> dict:
@@ -132,18 +124,17 @@ def _report(out: Path, summary: dict, failure: str | None) -> dict:
     return summary
 
 
-def _pipeline(analyse, cfg: ExperimentConfig, out: Path, gate: bool, runs: int = 0) -> dict:
-    """One experiment.  ``analyse(cfg, model, trajectories, out, gate)``
-    writes the kind's data files and returns its summary entries and its gate
-    failure (None when the gate is off or passes)."""
+def _pipeline(analyse, cfg: ExperimentConfig, out: Path, gate: bool) -> dict:
+    """One experiment.  ``analyse(cfg, model, out, gate)`` runs its kind's
+    simulations, writes its data files and returns its summary entries and its
+    gate failure (None when the gate is off or passes)."""
     model = make_model(cfg.model_id, dim=cfg.dim, params=cfg.model_params)
-    trajectories = _simulate(cfg, model, runs)
-    entries, failure = analyse(cfg, model, trajectories, out, gate)
+    entries, failure = analyse(cfg, model, out, gate)
     return _report(out, {"experiment": cfg.kind, "model": cfg.model_id, **entries}, failure)
 
 
-def _analyse_run(cfg, model, trajectories, out, gate):
-    ((times, states),) = trajectories
+def _analyse_run(cfg, model, out, gate):
+    times, states = _run(cfg, model, cfg.seed)
     # one block per time slice, its rows particle-major; the times and the
     # "particle,dim" labels are formatted once
     _, n, d = states.shape
@@ -170,8 +161,9 @@ def _analyse_run(cfg, model, trajectories, out, gate):
     return entries, None
 
 
-def _analyse_rate(cfg, model, trajectories, out, gate):
-    _, runs = trajectories
+def _analyse_rate(cfg, model, out, gate):
+    _, runs = em_multilevel(model, cfg.law, cfg.seed, list(cfg.levels), cfg.finest, cfg.n_particles,
+                            cfg.horizon, cfg.record_level)
     errors, stderrs = [], []
     for lvl in cfg.levels:
         est, se = analysis.strong_error(runs[cfg.finest], runs[lvl])
@@ -213,8 +205,8 @@ def _analyse_rate(cfg, model, trajectories, out, gate):
     return entries, failure
 
 
-def _analyse_moments(cfg, model, trajectories, out, gate):
-    ((times, states),) = trajectories
+def _analyse_moments(cfg, model, out, gate):
+    times, states = _run(cfg, model, cfg.seed)
     report = analysis.moment_curve(times, states, cfg.moment_order)
     oracle_vals = None
     if model.model_id == "mf-ou" and cfg.moment_order == 1:
@@ -256,8 +248,9 @@ def _analyse_moments(cfg, model, trajectories, out, gate):
     return entries, failure
 
 
-def _analyse_metric(cfg, model, trajectories, out, gate):
-    (times, a), (_, b) = trajectories
+def _analyse_metric(cfg, model, out, gate):
+    times, a = _run(cfg, model, cfg.seed)
+    _, b = _run(cfg, model, cfg.seed_b)
     report = analysis.law_gap_curve(times, a, b)
     _write_csv(
         out / "metric.csv",
@@ -284,7 +277,7 @@ def _analyse_metric(cfg, model, trajectories, out, gate):
     return entries, None
 
 
-def _analyse_check(cfg, model, trajectories, out, gate):
+def _analyse_check(cfg, model, out, gate):
     growth = models.check_linear_growth(model, seed=cfg.seed)
     rows = [("linear_growth", growth.passed, growth.fitted_l1, "", growth.failure)]
     entries = {
@@ -347,10 +340,10 @@ def cmd_selftest(out: Path) -> dict:
 # ---------------------------------------------------------------------------
 
 _COMMANDS = {
-    "run": partial(_pipeline, _analyse_run, runs=1),
+    "run": partial(_pipeline, _analyse_run),
     "rate": partial(_pipeline, _analyse_rate),
-    "moments": partial(_pipeline, _analyse_moments, runs=1),
-    "metric": partial(_pipeline, _analyse_metric, runs=2),
+    "moments": partial(_pipeline, _analyse_moments),
+    "metric": partial(_pipeline, _analyse_metric),
     "check": partial(_pipeline, _analyse_check),
 }
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from .analysis import MIN_RATE_LEVELS
 from .models import MODELS
-from .paths import DEFAULT_MEMORY_CAP, MAX_LATTICE_LEVEL
-from .solver import BLOWUP_LIMIT, GaussianLaw, InitialLaw, PointMass, UniformBox
+from .paths import MAX_LATTICE_LEVEL
+from .solver import BLOWUP_LIMIT, DEFAULT_MEMORY_CAP, GaussianLaw, InitialLaw, PointMass, UniformBox
 
 __all__ = ["ConfigError", "ExperimentConfig", "KEYS", "parse_config_text", "load_config", "KINDS"]
 
@@ -219,6 +219,8 @@ def _validate(cfg: ExperimentConfig, seed_source: str) -> None:
     for key, seed in seeds:
         if not 0 <= seed < 2**64:
             raise ConfigError(f"{key} must be nonnegative and below 2^64, got {seed}")
+    if cfg.kind == "metric" and cfg.seed_b == cfg.seed:
+        raise ConfigError(f"metric.seed_b must differ from {seed_source} ({cfg.seed}): the runs would be one ensemble")
 
     level, levels, finest = cfg.level, cfg.levels, cfg.finest
     if cfg.kind == "rate":

@@ -1,5 +1,9 @@
 """Refinement-consistent Brownian increments on dyadic time grids.
 
+This is the unchecked machinery of the drivers' block loop, which checks every
+argument and memory bound first; the one guard left here is
+``NoiseStreams.spent``, against replaying a spent stream.
+
 The level-n grid of [0, T] is t_i = i * (T / 2^n); callers compute its
 points from the level and the horizon.  Every discretization level of a
 coupled experiment is driven by one Brownian path on the finest grid.
@@ -36,19 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "LatticeError",
-    "BrownianLattice",
-    "NoiseStreams",
-    "sample_lattice",
-    "coarsen",
-]
+__all__ = ["LatticeError"]
 
 #: second key word reserved for non-noise streams (initial-ensemble sampling)
 AUX_STREAM_BASE = 1 << 63
 
 MAX_LATTICE_LEVEL = 30
-DEFAULT_MEMORY_CAP = 2**31  # bytes
 
 
 class LatticeError(ValueError):
@@ -63,14 +60,7 @@ class BrownianLattice:
     increments: np.ndarray
 
 
-def _check_seed(seed: int) -> None:
-    # a seed outside 64 bits would alias one inside them
-    if not (0 <= seed < 1 << 64):
-        raise LatticeError(f"seed must lie in [0, 2^64), got {seed}")
-
-
 def _particle_rng(seed: int, stream: int) -> np.random.Generator:
-    _check_seed(seed)
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -84,23 +74,14 @@ class NoiseStreams:
     are used (``buffer_pos``, (N,); 4 means none is left).  New streams
     start at the beginning.  Normal draws read only whole 64-bit words, so
     these three arrays are the whole position.  They take
-    ``POSITION_BYTES`` per particle, and ``DEFAULT_MEMORY_CAP`` bounds their
-    total: more particles are refused before anything is allocated.
+    ``POSITION_BYTES`` per particle; the block loop bounds their total
+    before it builds the streams.
     """
 
     #: bytes of one particle's position: counter, buffer and buffer_pos
     POSITION_BYTES = 4 * 8 + 4 * 8 + 8
 
     def __init__(self, seed: int, n_particles: int) -> None:
-        _check_seed(seed)
-        if n_particles < 1:
-            raise LatticeError("need at least one particle")
-        nbytes = n_particles * self.POSITION_BYTES
-        if nbytes > DEFAULT_MEMORY_CAP:
-            raise LatticeError(
-                f"stream positions of {n_particles} particles would need {nbytes} bytes, "
-                f"above the memory limit of {DEFAULT_MEMORY_CAP} bytes"
-            )
         self.seed = seed
         self.counter = np.zeros((n_particles, 4), dtype=np.uint64)
         self.buffer = np.zeros((n_particles, 4), dtype=np.uint64)
@@ -115,19 +96,12 @@ class NoiseStreams:
         """Continue every stream: row p of ``out`` gets particle p's next
         ``out[p].size`` standard normals.
 
-        ``out`` must be a C-contiguous float64 array with one row per
-        particle; otherwise ``LatticeError`` is raised before any stream
-        moves.  After a ``last`` draw the positions are not read back, so the
-        streams are spent and a further draw raises ``LatticeError``.
+        ``out`` is a C-contiguous float64 array with one row per particle.
+        After a ``last`` draw the positions are not read back, so the streams
+        are spent and a further draw raises ``LatticeError``.
         """
         if self.spent:
             raise LatticeError("the noise streams are spent: their last block was drawn")
-        if (out.dtype != np.float64 or not out.flags.c_contiguous or out.ndim < 2
-                or out.shape[0] != self.n_particles):
-            raise LatticeError(
-                f"draw needs a C-contiguous float64 array of {self.n_particles} rows, "
-                f"got {out.dtype} of shape {out.shape}"
-            )
         # one generator whose state is moved from particle to particle; the
         # setter reads plain ints about twice as fast as numpy scalars
         bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
@@ -166,26 +140,14 @@ def sample_lattice(
     power of two is exact, so the scale is the same float).
 
     Deterministic in (seed, particle, step, dim): every particle row comes
-    from its own keyed counter-based stream.  ``DEFAULT_MEMORY_CAP`` bounds
-    the bytes of the returned array.  ``last`` says no block follows: the
-    draw then skips reading the stream positions back, and the streams are
-    spent (see ``NoiseStreams.draw``).
+    from its own keyed counter-based stream.  ``last`` says no block follows:
+    the draw then skips reading the stream positions back, and the streams
+    are spent (see ``NoiseStreams.draw``).  Unchecked: the block loop has
+    bounded the dimension, the level, the horizon and the array's bytes.
     """
-    n_particles = streams.n_particles
-    if dim < 1:
-        raise LatticeError("need at least one dimension")
-    if not (0 <= level <= MAX_LATTICE_LEVEL):
-        raise LatticeError(f"lattice level {level} outside the level limit [0, {MAX_LATTICE_LEVEL}]")
-    if not (np.isfinite(horizon) and horizon > 0):
-        raise LatticeError(f"horizon must be positive and finite, got {horizon}")
     steps = 1 << level
-    nbytes = n_particles * steps * dim * 8
-    if nbytes > DEFAULT_MEMORY_CAP:
-        raise LatticeError(
-            f"lattice would need {nbytes} bytes, above the memory limit of {DEFAULT_MEMORY_CAP} bytes"
-        )
     scale = np.sqrt(horizon / steps)
-    out = np.empty((n_particles, steps, dim))
+    out = np.empty((streams.n_particles, steps, dim))
     streams.draw(out, last)
     out *= scale
     out.flags.writeable = False
@@ -205,9 +167,9 @@ def _halve_cells(arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def coarsen(increments: np.ndarray, level: int) -> np.ndarray:
     """Increments at a coarser level: cell j is the tree sum of its children.
 
-    ``increments`` is an (N, 2^k, dim) array of level-k cells, ``level`` at
-    most k; the result is (N, 2^level, dim), fresh unless ``level`` is k, when
-    ``increments`` itself is returned.  Because each halving adds adjacent
+    ``increments`` is an (N, 2^k, dim) array of level-k cells, ``level`` in
+    [0, k] (unchecked); the result is (N, 2^level, dim), fresh unless
+    ``level`` is k, when ``increments`` itself is returned.  Because each halving adds adjacent
     pairs, any two routes to the same coarse level perform the identical
     additions, so cross-level sums agree bit for bit.
 
@@ -218,10 +180,7 @@ def coarsen(increments: np.ndarray, level: int) -> np.ndarray:
     cell is the same tree of additions as halving the whole array at once and
     the bits do not change.
     """
-    steps = increments.shape[1]
-    if steps & (steps - 1) or not (0 <= level < steps.bit_length()):
-        raise LatticeError(f"cannot coarsen {steps} cells to level {level}")
-    halvings = steps.bit_length() - 1 - level
+    halvings = increments.shape[1].bit_length() - 1 - level
     if halvings == 0:
         return increments
     n_particles = increments.shape[0]

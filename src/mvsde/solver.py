@@ -6,14 +6,16 @@ particle.  Running several levels against one Brownian path (synchronous
 coupling) makes the inter-level difference a pure discretization error.
 
 The public way to simulate is the two drivers, ``run_single`` and
-``em_multilevel``; both validate their arguments and draw the path the same
-way: in time blocks, each reduced once down the ladder of simulated levels
-and stepped through at every level, by ``em_run``, before the next block is
-drawn.  ``em_run`` is that loop's unchecked stepper: it writes each block's
-recorded rows in place into its level's one trajectory array.  The drivers
-return those arrays read-only, as ``(times, states)`` from ``run_single`` and
-``(times, {level: states})`` from ``em_multilevel``, whose levels share one
-``times``; ``states[j]`` is the (N, d) ensemble at ``times[j]``.
+``em_multilevel``; both draw the path the same way: in time blocks, each
+reduced once down the ladder of simulated levels and stepped through at every
+level, by ``em_run``, before the next block is drawn.  That loop,
+``_em_blocks``, checks a simulation's inputs and memory once, before anything
+is drawn; ``em_run`` and ``paths`` run unchecked under it.  ``em_run`` writes
+each block's recorded rows in place into its level's one trajectory array.
+The drivers return those arrays read-only, as ``(times, states)`` from
+``run_single`` and ``(times, {level: states})`` from ``em_multilevel``, whose
+levels share one ``times``; ``states[j]`` is the (N, d) ensemble at
+``times[j]``.
 
 The initial ensemble is a plain float64 (N, d) array.  Each initial law checks
 its parameters when it is built, and their length, which needs d, when read.
@@ -21,6 +23,7 @@ its parameters when it is built, and their length, which needs d, when read.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -28,16 +31,7 @@ import numpy as np
 
 from .measure import EmpiricalMeasure
 from .models import CoefficientModel
-from .paths import (
-    AUX_STREAM_BASE,
-    DEFAULT_MEMORY_CAP,
-    MAX_LATTICE_LEVEL,
-    LatticeError,
-    NoiseStreams,
-    coarsen,
-    sample_lattice,
-    _particle_rng,
-)
+from .paths import AUX_STREAM_BASE, MAX_LATTICE_LEVEL, NoiseStreams, coarsen, sample_lattice, _particle_rng
 
 __all__ = [
     "SolverError",
@@ -53,6 +47,9 @@ __all__ = [
 
 #: abort threshold for any state coordinate
 BLOWUP_LIMIT = 1e8
+
+#: bytes that each array ``_em_blocks`` bounds may take
+DEFAULT_MEMORY_CAP = 2**31
 
 
 class SolverError(ValueError):
@@ -180,17 +177,28 @@ class ParticleEnsemble:
         return self.states.shape[0]
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; as in ``fit_rate``, any integral value is accepted."""
+    if not (isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())):
+        raise SolverError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 def sample_initial(law: InitialLaw, n: int, dim: int, seed: int) -> np.ndarray:
     """N i.i.d. draws from the initial law as a float64 (N, d) array,
     deterministic in the seed.
 
     Uses a counter-based stream in the auxiliary key range so it never
-    collides with the per-particle noise streams of the same seed.  A draw
-    with a coordinate beyond ``BLOWUP_LIMIT`` is refused: the law, not the
-    scheme, put that particle out of range.
+    collides with the per-particle noise streams of the same seed.  A seed
+    that is not an integer in [0, 2^64) is refused, not folded onto one.  A
+    draw with a coordinate beyond ``BLOWUP_LIMIT`` is refused: the law, not
+    the scheme, put that particle out of range.
     """
     if n < 1 or dim < 1:
         raise SolverError("need at least one particle and one dimension")
+    seed = _integer("seed", seed)
+    if not 0 <= seed < 1 << 64:
+        raise SolverError(f"seed must lie in [0, 2^64), got {seed}")
     rng = _particle_rng(seed, AUX_STREAM_BASE)
     states = law.sample(rng, n, dim)
     beyond = ~(np.abs(states) <= BLOWUP_LIMIT).all(axis=1)
@@ -248,18 +256,26 @@ BLOCK_LEVEL = 9
 
 
 def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: list[int], finest: int,
-               n_particles: int, horizon: float, record_level: int) -> tuple[np.ndarray, dict]:
+               n_particles: int, horizon: float, record_level: int | None) -> tuple[np.ndarray, dict]:
     """Step every level of ``run_levels`` (none above ``finest``) off one
     level-``finest`` Brownian path, drawn in time blocks.
+
+    The one checked entry of a simulation.  Before anything is drawn or
+    allocated it refuses a non-integer particle count or record level
+    (default: the coarsest run level), levels outside [0,
+    ``MAX_LATTICE_LEVEL``], a bad horizon, and, naming it, each of three
+    arrays above ``DEFAULT_MEMORY_CAP`` bytes: the returned trajectories, one
+    block of increments and the stream positions.  ``sample_initial`` then
+    checks the particle count, the dimension and the seed before the streams
+    are built; the machinery of ``paths`` checks nothing.
 
     The blocks are the 2^c cells of level
     ``c = min(record_level, max(0, finest - BLOCK_LEVEL))``.  Each block's
     finest increments are drawn once (the last block marked ``last``, so the
     draw skips reading the stream positions back) and reduced once down the
     sorted level ladder, each level's increments summed from the next finer
-    level's;
-    coarsening is one fixed tree of sums, so these are the bits of reducing
-    the whole path from the finest level.  Each level's trajectory is
+    level's; coarsening is one fixed tree of sums, so these are the bits of
+    reducing the whole path from the finest level.  Each level's trajectory is
     allocated once; ``em_run`` steps the level through a block starting from
     the record row the block begins on and writes the block's rows in place.
     So the states are the same floats as stepping the whole path at once.
@@ -267,25 +283,32 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
     ``increments`` frees the finer level, so the peak memory is the returned
     trajectories plus one block of increments plus its next level down, for
     a ladder as for one level.  A ``BlowUpError`` names the first blow-up in
-    block order, on the level's own grid from t = 0.  ``DEFAULT_MEMORY_CAP``
-    bounds the returned trajectories as well as each block; a request above
-    it is refused before anything is drawn.
+    block order, on the level's own grid from t = 0.
     """
-    if finest > MAX_LATTICE_LEVEL:
-        raise LatticeError(f"lattice level {finest} outside the level limit [0, {MAX_LATTICE_LEVEL}]")
-    if not (0 <= record_level <= min(run_levels)):
-        raise SolverError(f"record level {record_level} outside [0, {min(run_levels)}]")
-    nbytes = len(run_levels) * ((1 << record_level) + 1) * n_particles * model.dim * 8
-    if nbytes > DEFAULT_MEMORY_CAP:
-        raise SolverError(
-            f"recorded trajectories need {nbytes} bytes, above the memory limit of {DEFAULT_MEMORY_CAP} bytes"
-        )
-    ladder = sorted(run_levels, reverse=True)
+    n_particles = _integer("n_particles", n_particles)
+    coarsest = min(run_levels)
+    record_level = coarsest if record_level is None else _integer("record_level", record_level)
+    if not (0 <= coarsest and finest <= MAX_LATTICE_LEVEL):
+        raise SolverError(f"levels {coarsest}..{finest} outside the level limit [0, {MAX_LATTICE_LEVEL}]")
+    if not (0 <= record_level <= coarsest):
+        raise SolverError(f"record level {record_level} outside [0, {coarsest}]")
     c = min(record_level, max(0, finest - BLOCK_LEVEL))
     block_horizon = horizon / (1 << c)
+    if not (np.isfinite(block_horizon) and block_horizon > 0):
+        raise SolverError(f"horizon must be positive and finite, got {horizon}")
+    state_bytes = n_particles * model.dim * 8
+    for name, nbytes in (
+        ("recorded trajectories", len(run_levels) * ((1 << record_level) + 1) * state_bytes),
+        ("one block of increments", (1 << (finest - c)) * state_bytes),
+        ("stream positions", n_particles * NoiseStreams.POSITION_BYTES),
+    ):
+        if nbytes > DEFAULT_MEMORY_CAP:
+            raise SolverError(f"{name} would need {nbytes} bytes, above the memory limit of {DEFAULT_MEMORY_CAP} bytes")
+
+    ladder = sorted(run_levels, reverse=True)
     block_rows = 1 << (record_level - c)
-    streams = NoiseStreams(seed, n_particles)
     initial = sample_initial(law, n_particles, model.dim, seed)
+    streams = NoiseStreams(seed, n_particles)
     recorded = {lvl: np.empty(((1 << record_level) + 1, n_particles, model.dim)) for lvl in run_levels}
     for states in recorded.values():
         states[0] = initial
@@ -330,16 +353,14 @@ def em_multilevel(
     returned trajectories are synchronously coupled.  The reference level
     ``finest`` is included in the result map.  The path is streamed in time
     blocks, each reduced once down the levels, by the loop that also serves
-    ``run_single``.
+    ``run_single`` and checks the arguments.
     """
-    levels = sorted(set(int(v) for v in levels))
+    levels = sorted({_integer("levels", v) for v in levels})
+    finest = _integer("finest", finest)
     if not levels:
         raise SolverError("need at least one level")
-    if levels[0] < 0:
-        raise SolverError("levels must be nonnegative")
     if levels[-1] >= finest:
         raise SolverError(f"max level {levels[-1]} must be below the reference level {finest}")
-    record_level = levels[0] if record_level is None else record_level
     return _em_blocks(model, law, seed, [*levels, finest], finest, n_particles, horizon, record_level)
 
 
@@ -357,11 +378,11 @@ def run_single(
     to the run level), recorded at ``record_level`` (default: every step).
 
     The path is streamed in time blocks through the same loop as
-    ``em_multilevel``, so ``DEFAULT_MEMORY_CAP`` bounds one block here too.
+    ``em_multilevel``, which checks the arguments and bounds the memory.
     """
-    finest = level if finest is None else finest
+    level = _integer("level", level)
+    finest = level if finest is None else _integer("finest", finest)
     if finest < level:
         raise SolverError(f"finest level {finest} below run level {level}")
-    record_level = level if record_level is None else record_level
     times, recorded = _em_blocks(model, law, seed, [level], finest, n_particles, horizon, record_level)
     return times, recorded[level]

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvsde import cli, paths, solver
+from mvsde import cli, solver
 from mvsde.cli import (
     _CSV_BLOCK_ROWS,
     EXIT_ANALYSIS,
@@ -298,18 +298,22 @@ class TestCliMomentsMetricCheck:
         assert header == "time,moment,stderr,envelope"
         assert "oracle" not in (out / "summary.txt").read_text()
 
-    def test_metric_zero_curves_for_identical_seeds(self, tmp_path):
-        text = (
-            "model.id = mf-ou\nsim.N = 64\nsim.level = 4\nsim.seed = 5\n"
-            "metric.seed_b = 5\ninit.law = gaussian\n"
-        )
-        path = _write(tmp_path, text)
+    @pytest.mark.parametrize(
+        "lines, flags, source",
+        [
+            ("sim.seed = 5\nmetric.seed_b = 5\n", [], "sim.seed"),
+            ("sim.seed = 11\nmetric.seed_b = 12\n", ["--seed", "12"], "--seed"),
+        ],
+        ids=["sim.seed", "flag"],
+    )
+    def test_metric_seed_b_equal_to_the_seed_is_config_error(self, tmp_path, capsys, lines, flags, source):
+        # both runs would be one ensemble, whose law gap reads zero
+        path = _write(tmp_path, f"model.id = mf-ou\nsim.N = 64\nsim.level = 4\n{lines}")
         out = tmp_path / "out"
-        assert main(["metric", "--config", str(path), "--out", str(out)]) == EXIT_OK
-        rows = (out / "metric.csv").read_text().splitlines()[1:]
-        for row in rows:
-            _, upper, lower = row.split(",")
-            assert float(upper) == 0.0 and float(lower) == 0.0
+        assert main(["metric", "--config", str(path), "--out", str(out), *flags]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"metric.seed_b must differ from {source}" in err
+        assert not out.exists()
 
     def test_check_passes_catalog_model(self, tmp_path):
         text = "model.id = mf-ou\nsim.N = 1\nsim.level = 0\n"
@@ -395,12 +399,11 @@ class TestCliSelftestAndCodes:
     def test_stream_positions_above_memory_limit_exit_2(self, tmp_path, capsys, monkeypatch):
         # level 0, N = 1000: 8,000 bytes of lattice and 16,000 of states fit
         # in 20,000 bytes, 72,000 bytes of stream positions do not
-        monkeypatch.setattr(paths, "DEFAULT_MEMORY_CAP", 20_000)
         monkeypatch.setattr(solver, "DEFAULT_MEMORY_CAP", 20_000)
         text = "model.id = mf-ou\nsim.N = 1000\nsim.level = 0\n"
         code = main(["run", "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
-        assert "would need 72000 bytes, above the memory limit of 20000 bytes" in capsys.readouterr().err
+        assert "stream positions would need 72000 bytes, above the memory limit of 20000 bytes" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "kind, lines, key",

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from mvsde import paths
+from mvsde import solver
+from mvsde.models import mf_ou
 from mvsde.paths import (
     COARSEN_CHUNK,
     LatticeError,
@@ -15,8 +16,18 @@ from mvsde.paths import (
     coarsen,
     sample_lattice,
 )
+from mvsde.solver import PointMass, SolverError, em_multilevel, run_single, sample_initial
 
 from conftest import halving_loop
+
+
+def _refuse_any_draw(monkeypatch):
+    """Fail the test if the block loop builds noise streams or draws a lattice."""
+    def drawn(*args, **kwargs):
+        raise AssertionError("the lattice machinery was reached")
+
+    monkeypatch.setattr(NoiseStreams, "__init__", drawn)
+    monkeypatch.setattr(solver, "sample_lattice", drawn)
 
 
 class TestLatticeSampling:
@@ -73,39 +84,50 @@ class TestLatticeSampling:
         for name in ("counter", "buffer", "buffer_pos"):
             assert np.array_equal(getattr(streams, name), getattr(serial, name))
 
-    def test_memory_guard(self):
-        # 4096 x 2^20 increments would take 32 GiB; the guard raises before
-        # anything is allocated
-        with pytest.raises(LatticeError, match="memory limit"):
-            sample_lattice(NoiseStreams(0, 4096), 1, 20, 1.0)
+    # the lattice checks nothing itself: the block loop of the drivers refuses
+    # every request below before any stream is built or any lattice drawn
+
+    def test_memory_guard(self, monkeypatch):
+        # recorded at level 0, 4096 x 2^20 increments are one block of 32 GiB
+        _refuse_any_draw(monkeypatch)
+        with pytest.raises(SolverError, match="one block of increments would need 34359738368 bytes"):
+            run_single(mf_ou(), PointMass(0.0), seed=0, level=20, n_particles=4096, record_level=0)
 
     def test_stream_positions_bounded_by_memory_cap(self, monkeypatch):
         # 72 bytes of position a particle: 277 particles fit in 20,000 bytes
-        monkeypatch.setattr(paths, "DEFAULT_MEMORY_CAP", 20_000)
-        assert NoiseStreams(0, 277).counter.shape == (277, 4)
-        with pytest.raises(LatticeError, match="stream positions of 278 particles would need 20016 bytes, "
-                                               "above the memory limit of 20000 bytes"):
-            NoiseStreams(0, 278)
+        monkeypatch.setattr(solver, "DEFAULT_MEMORY_CAP", 20_000)
+        _, states = run_single(mf_ou(), PointMass(0.0), seed=0, level=0, n_particles=277)
+        assert states.shape == (2, 277, 1)
+        _refuse_any_draw(monkeypatch)
+        with pytest.raises(SolverError, match="stream positions would need 20016 bytes, "
+                                              "above the memory limit of 20000 bytes"):
+            run_single(mf_ou(), PointMass(0.0), seed=0, level=0, n_particles=278)
 
-    def test_level_guard(self):
-        with pytest.raises(LatticeError, match="level limit"):
-            sample_lattice(NoiseStreams(0, 1), 1, 31, 1.0)
+    def test_level_guard(self, monkeypatch):
+        _refuse_any_draw(monkeypatch)
+        with pytest.raises(SolverError, match="level limit"):
+            run_single(mf_ou(), PointMass(0.0), seed=0, level=31, n_particles=1)
+        with pytest.raises(SolverError, match="level limit"):
+            em_multilevel(mf_ou(), PointMass(0.0), seed=0, levels=[3], finest=31, n_particles=1, horizon=1.0)
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
-    def test_horizon_guard(self, horizon):
-        with pytest.raises(LatticeError, match="horizon must be positive and finite"):
-            sample_lattice(NoiseStreams(0, 2), 1, 3, horizon)
+    def test_horizon_guard(self, monkeypatch, horizon):
+        _refuse_any_draw(monkeypatch)
+        with pytest.raises(SolverError, match="horizon must be positive and finite"):
+            run_single(mf_ou(), PointMass(0.0), seed=0, level=12, n_particles=2, horizon=horizon)
 
-    def test_particle_and_dimension_guards(self):
-        with pytest.raises(LatticeError, match=r"^need at least one particle$"):
-            NoiseStreams(0, 0)
-        with pytest.raises(LatticeError, match=r"^need at least one dimension$"):
-            sample_lattice(NoiseStreams(0, 1), 0, 3, 1.0)
+    def test_particle_and_dimension_guards(self, monkeypatch):
+        _refuse_any_draw(monkeypatch)
+        with pytest.raises(SolverError, match=r"^need at least one particle and one dimension$"):
+            run_single(mf_ou(), PointMass(0.0), seed=0, level=3, n_particles=0)
+        with pytest.raises(SolverError, match=r"^need at least one particle and one dimension$"):
+            sample_initial(PointMass(0.0), 4, 0, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_seed_outside_64_bits(self, seed):
-        with pytest.raises(LatticeError, match=r"seed must lie in \[0, 2\^64\)"):
-            NoiseStreams(seed, 2)
+    def test_seed_outside_64_bits(self, monkeypatch, seed):
+        _refuse_any_draw(monkeypatch)
+        with pytest.raises(SolverError, match=r"seed must lie in \[0, 2\^64\)"):
+            em_multilevel(mf_ou(), PointMass(0.0), seed=seed, levels=[2], finest=4, n_particles=2, horizon=1.0)
 
     def test_increments_read_only(self):
         lat = sample_lattice(NoiseStreams(0, 2), 1, 3, 1.0)
@@ -173,25 +195,6 @@ class TestLeanDraw:
         b = sample_lattice(full, dim, 1, 0.5).increments
         assert a.tobytes() == b.tobytes()
         assert lean.spent and not full.spent
-
-    @pytest.mark.parametrize(
-        "out",
-        [
-            np.empty((3, 8, 1)),  # fewer rows than particles
-            np.empty((5, 8, 1)),  # more rows than particles
-            np.empty((4, 8, 1), dtype=np.float32),
-            np.empty((4, 8, 2))[:, :, :1],  # rows not contiguous
-        ],
-        ids=["short", "long", "float32", "strided"],
-    )
-    def test_bad_out_raises_before_any_stream_moves(self, out):
-        streams = NoiseStreams(2, 4)
-        sample_lattice(streams, 1, 2, 1.0)
-        before = _positions(streams)
-        with pytest.raises(LatticeError, match="C-contiguous float64 array of 4 rows"):
-            streams.draw(out)
-        assert _same_positions(streams, before)
-        assert not streams.spent
 
     @pytest.mark.parametrize("last", [False, True])
     def test_draw_memory_is_per_particle(self, last):
@@ -271,8 +274,3 @@ class TestCoarsen:
         finally:
             tracemalloc.stop()
         assert peak < out.nbytes + COARSEN_CHUNK * 8
-
-    def test_target_above_finest(self):
-        lat = sample_lattice(NoiseStreams(1, 1), 1, 3, 1.0)
-        with pytest.raises(LatticeError):
-            coarsen(lat.increments, 4)

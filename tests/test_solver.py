@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvsde import paths, solver
+from mvsde import solver
 from mvsde.measure import uniform_measure
 from mvsde.models import CoefficientModel, mf_ou, mf_ou_oracles, osgood
-from mvsde.paths import LatticeError, NoiseStreams, coarsen, sample_lattice
+from mvsde.paths import NoiseStreams, coarsen, sample_lattice
 from mvsde.solver import (
     BlowUpError,
     GaussianLaw,
@@ -247,14 +247,14 @@ class TestEmRun:
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
     def test_horizon_guard(self, monkeypatch, horizon):
-        # each driver's first block draw refuses the horizon, before any step
+        # each driver refuses the horizon before any step
         def no_step(*args):
             raise AssertionError("stepped")
 
         monkeypatch.setattr(solver, "em_run", no_step)
-        with pytest.raises(LatticeError, match="horizon must be positive and finite"):
+        with pytest.raises(SolverError, match="horizon must be positive and finite"):
             run_single(mf_ou(), PointMass(0.0), seed=0, level=3, n_particles=4, horizon=horizon)
-        with pytest.raises(LatticeError, match="horizon must be positive and finite"):
+        with pytest.raises(SolverError, match="horizon must be positive and finite"):
             em_multilevel(mf_ou(), PointMass(0.0), seed=0, levels=[1, 2], finest=3, n_particles=4,
                           horizon=horizon)
 
@@ -419,18 +419,37 @@ class TestRunSingleBlocks:
 
     def test_whole_lattice_above_memory_cap_runs(self, monkeypatch):
         # N = 8, level 12: one block of 512 steps is 32 KB, the whole path 256 KB
-        monkeypatch.setattr(paths, "DEFAULT_MEMORY_CAP", 8 * 2**9 * 8 + 1)
-        with pytest.raises(LatticeError, match="memory limit"):
-            sample_lattice(NoiseStreams(1, 8), 1, 12, 1.0)
-        _, states = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=1, level=12, n_particles=8, horizon=1.0)
-        assert states.shape == (2**12 + 1, 8, 1)
+        monkeypatch.setattr(solver, "DEFAULT_MEMORY_CAP", 8 * 2**9 * 8 + 1)
+        args = dict(seed=1, level=12, n_particles=8, horizon=1.0)
+        # recorded at level 0, the whole path is one block
+        with pytest.raises(SolverError, match="one block of increments would need 262144 bytes"):
+            run_single(mf_ou(), GaussianLaw(0.0, 1.0), record_level=0, **args)
+        _, states = run_single(mf_ou(), GaussianLaw(0.0, 1.0), record_level=3, **args)
+        assert states.shape == (2**3 + 1, 8, 1)
+
+    def test_block_above_memory_cap_refused_before_the_initial_draw(self, monkeypatch):
+        # level 10 recorded at level 0 for N = 8: one 64 KiB block above a
+        # 32 KiB cap, while the trajectories (128 bytes) and the stream
+        # positions (576 bytes) fit
+        def no_draw(*args):
+            raise AssertionError("initial ensemble drawn")
+
+        monkeypatch.setattr(solver, "DEFAULT_MEMORY_CAP", 32 * 1024)
+        monkeypatch.setattr(solver, "sample_initial", no_draw)
+        with pytest.raises(SolverError, match="one block of increments would need 65536 bytes"):
+            run_single(mf_ou(), PointMass(0.0), 1, level=10, n_particles=8, record_level=0)
+
+    def test_non_integer_seed_refused(self):
+        # a key word would truncate 1.5 to seed 1
+        with pytest.raises(SolverError, match="^seed must be an integer, got 1.5$"):
+            run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=1.5, level=4, n_particles=8)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_refused(self, seed):
         # a 64-bit key word would fold -1 onto 2^64 - 1 and 2^64 onto 0
-        with pytest.raises(LatticeError, match="seed must lie"):
+        with pytest.raises(SolverError, match="seed must lie"):
             run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=seed, level=4, n_particles=8)
-        with pytest.raises(LatticeError, match="seed must lie"):
+        with pytest.raises(SolverError, match="seed must lie"):
             sample_initial(GaussianLaw(0.0, 1.0), 8, 1, seed=seed)
 
     def test_peak_memory_is_the_trajectory_plus_one_block(self):
@@ -517,15 +536,16 @@ class TestEmMultilevel:
                           n_particles=2, horizon=1.0)
 
     def test_recorded_trajectories_bounded_by_memory_cap(self, monkeypatch):
-        # levels 3, 4 and reference 8 recorded at level 3 for N = 4, d = 2:
-        # 3 * (2^3 + 1) * 4 * 2 * 8 = 1728 bytes
-        args = dict(seed=0, levels=[3, 4], finest=8, n_particles=4, horizon=1.0)
-        monkeypatch.setattr(solver, "DEFAULT_MEMORY_CAP", 1728)
+        # levels 1, 2 and reference 3 recorded at level 1 for N = 4, d = 2:
+        # 3 * (2^1 + 1) * 4 * 2 * 8 = 576 bytes, above the one 512-byte block
+        # and the 288 bytes of stream positions
+        args = dict(seed=0, levels=[1, 2], finest=3, n_particles=4, horizon=1.0)
+        monkeypatch.setattr(solver, "DEFAULT_MEMORY_CAP", 576)
         _, runs = em_multilevel(mf_ou(dim=2), PointMass(0.0), **args)
-        assert sum(states.nbytes for states in runs.values()) == 1728
+        assert sum(states.nbytes for states in runs.values()) == 576
         drawn = _count_draws(monkeypatch)
-        monkeypatch.setattr(solver, "DEFAULT_MEMORY_CAP", 1727)
-        with pytest.raises(SolverError, match="memory limit"):
+        monkeypatch.setattr(solver, "DEFAULT_MEMORY_CAP", 575)
+        with pytest.raises(SolverError, match="recorded trajectories would need 576 bytes"):
             em_multilevel(mf_ou(dim=2), PointMass(0.0), **args)
         assert drawn == []
 
@@ -587,6 +607,40 @@ class TestEmMultilevel:
         err3 = np.abs(runs[3][-1] - runs[10][-1]).max()
         assert err3 < err2
         assert err3 / err2 == pytest.approx(0.5, abs=0.1)
+
+    @pytest.mark.parametrize(
+        "driver, kwargs, name",
+        [
+            (em_multilevel, dict(levels=[2.7, 4], finest=6), "levels"),
+            (em_multilevel, dict(levels=[2, 4], finest=6.5), "finest"),
+            (run_single, dict(level=2.5), "level"),
+            (run_single, dict(level=float("nan")), "level"),
+            (run_single, dict(level=2, finest=4.5), "finest"),
+            (run_single, dict(level=2, record_level=1.5), "record_level"),
+            (run_single, dict(level=2, n_particles=2.5), "n_particles"),
+            (run_single, dict(level="2"), "level"),
+        ],
+        ids=["levels", "multilevel-finest", "level", "nan-level", "finest", "record_level", "n_particles",
+             "str-level"],
+    )
+    def test_non_integer_argument_refused_by_name(self, monkeypatch, driver, kwargs, name):
+        def no_draw(*args):
+            raise AssertionError("initial ensemble drawn")
+
+        monkeypatch.setattr(solver, "sample_initial", no_draw)
+        kwargs = {"n_particles": 4, "horizon": 1.0, **kwargs}
+        with pytest.raises(SolverError, match=f"^{name} must be an integer"):
+            driver(mf_ou(), PointMass(0.0), 0, **kwargs)
+
+    def test_integral_floats_and_numpy_integers_accepted(self):
+        law = GaussianLaw(0.0, 1.0)
+        _, want = em_multilevel(mf_ou(), law, 3, levels=[2, 3], finest=6, n_particles=4, horizon=1.0)
+        _, got = em_multilevel(mf_ou(), law, 3, levels=[np.int64(2), 3.0], finest=np.int32(6),
+                               n_particles=4.0, horizon=1.0, record_level=np.uint8(2))
+        assert sorted(got) == [2, 3, 6]
+        assert all(type(lvl) is int and got[lvl].tobytes() == want[lvl].tobytes() for lvl in got)
+        _, single = run_single(mf_ou(), law, 3, level=np.int64(3), finest=6.0, n_particles=np.int16(4))
+        assert single.shape == (2**3 + 1, 4, 1)
 
     def test_level_validation(self):
         model = mf_ou()
