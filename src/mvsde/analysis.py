@@ -321,40 +321,57 @@ class LawGapReport:
     coupling: str
 
 
-def law_gap_curve(times: np.ndarray, a: np.ndarray, b: np.ndarray) -> LawGapReport:
+def law_gap_curve(times: np.ndarray, a: np.ndarray, b) -> LawGapReport:
     """Two-sided law gap per record point between two equal-size ensembles
-    recorded at ``times``.
+    recorded at ``times``: ``a`` a (points, N, d) array and ``b`` any
+    iterable of (N, d) rows, such as an array or ``stream_single``'s rows,
+    each reduced as it comes.
 
     The upper curve is a coupled mean distance; the one-dimensional case uses
     the monotone (sorted) pairing, the tightest order-one coupling available
     there, while higher dimensions keep the index pairing.  The lower curve
     maximizes over ``default_dictionary``.  The sandwich lower <= upper is
-    asserted pointwise, up to ``SANDWICH_RTOL``.
+    asserted pointwise, up to ``SANDWICH_RTOL``; the first violation is
+    raised once ``b`` is used up, so an error raised while making its rows
+    (a blow-up) comes first.  A ``b`` with other than ``len(times)`` rows is
+    refused, naming both counts.
     """
-    if a.shape != b.shape:
-        raise AnalysisError(f"state arrays have mismatched shapes {a.shape} and {b.shape}")
+    n_points = times.shape[0]
+    if a.shape[0] != n_points:
+        raise AnalysisError(f"a has {a.shape[0]} rows for {n_points} record times")
     use_sorted = a.shape[2] == 1
     dictionary = default_dictionary(a.shape[2])
     # driver states are finite (guarded every step) float64 and read-only and
     # the sorted copies are fresh, so the measures are built unchecked.  The
     # lower curve reads the unsorted ones: exact_sum is ~2x slower on sorted input
-    uppers = np.empty(times.shape[0])
+    uppers = np.empty(n_points)
     lowers = np.empty_like(uppers)
-    for j in range(times.shape[0]):
+    violation = None
+    count = 0
+    for row in b:
+        j, count = count, count + 1
+        if j >= n_points:
+            continue
+        if row.shape != a.shape[1:]:
+            raise AnalysisError(f"state rows have mismatched shapes {a.shape[1:]} and {row.shape}")
         mu = EmpiricalMeasure(a[j])
-        nu = EmpiricalMeasure(b[j])
+        nu = EmpiricalMeasure(row)
         if use_sorted:
             mu_c = EmpiricalMeasure(np.sort(a[j], axis=0))
-            nu_c = EmpiricalMeasure(np.sort(b[j], axis=0))
+            nu_c = EmpiricalMeasure(np.sort(row, axis=0))
         else:
             mu_c, nu_c = mu, nu
         uppers[j] = rho_upper(mu_c, nu_c)
         lowers[j] = rho_lower(mu, nu, dictionary)
-        if not lowers[j] <= uppers[j] + SANDWICH_RTOL * max(1.0, uppers[j]):
-            raise AnalysisError(
+        if violation is None and not lowers[j] <= uppers[j] + SANDWICH_RTOL * max(1.0, uppers[j]):
+            violation = AnalysisError(
                 f"metric sandwich violated at t={times[j]:.6g}: "
                 f"lower {lowers[j]:.6g} > upper {uppers[j]:.6g}"
             )
+    if count != n_points:
+        raise AnalysisError(f"b has {count} rows for {n_points} record times")
+    if violation is not None:
+        raise violation
     return LawGapReport(
         times=times, upper=uppers, lower=lowers,
         coupling="sorted" if use_sorted else "index",

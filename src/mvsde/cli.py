@@ -24,7 +24,7 @@ import numpy as np
 from . import analysis, models
 from .config import ConfigError, ExperimentConfig, load_config
 from .models import make_model
-from .solver import BlowUpError, em_multilevel, run_single
+from .solver import BlowUpError, em_multilevel, run_single, stream_single
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -110,10 +110,12 @@ def _out_dir(cli_out: str | None, kind: str) -> Path:
 # the experiment pipeline: build model -> simulate -> analyse -> write -> gate
 # ---------------------------------------------------------------------------
 
-def _run(cfg: ExperimentConfig, model, seed: int):
-    """One run at ``sim.level`` from ``seed``, as ``(times, states)``."""
-    return run_single(model, cfg.law, seed, cfg.level, finest=cfg.finest, n_particles=cfg.n_particles,
-                      horizon=cfg.horizon, record_level=cfg.record_level)
+def _run(cfg: ExperimentConfig, model, seed: int, stream: bool = False):
+    """One run at ``sim.level`` from ``seed``, as ``(times, states)``, or as
+    ``(times, rows)`` with the rows stepped as they are read when ``stream``."""
+    driver = stream_single if stream else run_single
+    return driver(model, cfg.law, seed, cfg.level, finest=cfg.finest, n_particles=cfg.n_particles,
+                  horizon=cfg.horizon, record_level=cfg.record_level)
 
 
 def _report(out: Path, summary: dict, failure: str | None) -> dict:
@@ -162,6 +164,10 @@ def _analyse_run(cfg, model, out, gate):
 
 
 def _analyse_rate(cfg, model, out, gate):
+    window = {"gate.slope_min": cfg.gate_slope_min, "gate.slope_max": cfg.gate_slope_max}
+    missing = [key for key, value in window.items() if value is None]
+    if gate and missing:
+        raise ConfigError(f"rate --gate requires the slope window; missing {', '.join(map(repr, missing))}")
     _, runs = em_multilevel(model, cfg.law, cfg.seed, list(cfg.levels), cfg.finest, cfg.n_particles,
                             cfg.horizon, cfg.record_level)
     errors, stderrs = [], []
@@ -249,9 +255,11 @@ def _analyse_moments(cfg, model, out, gate):
 
 
 def _analyse_metric(cfg, model, out, gate):
+    # seed a is held whole; seed b's rows are stepped as the curve reads them,
+    # so one trajectory and one block of increments are held, not two trajectories
     times, a = _run(cfg, model, cfg.seed)
-    _, b = _run(cfg, model, cfg.seed_b)
-    report = analysis.law_gap_curve(times, a, b)
+    _, rows_b = _run(cfg, model, cfg.seed_b, stream=True)
+    report = analysis.law_gap_curve(times, a, rows_b)
     _write_csv(
         out / "metric.csv",
         ["time", "rho_upper", "rho_lower"],

@@ -103,6 +103,7 @@ REQUIRED = object()
 #: every accepted key besides ``model.<param>``: key -> (ExperimentConfig
 #: field, parser, default).  Keys without a field check the subcommand or
 #: describe the initial law.  ``metric.seed_b`` defaults to the seed plus one.
+#: The rate gate's slope window has no default: ``rate --gate`` requires it.
 KEYS = {
     "experiment.kind": (None, str, None),
     "model.id": ("model_id", str, REQUIRED),
@@ -122,8 +123,8 @@ KEYS = {
     "init.hi": (None, _location, 1.0),
     "moments.p": ("moment_order", _integer, 1),
     "metric.seed_b": ("seed_b", _integer, None),
-    "gate.slope_min": ("gate_slope_min", _number, -1.4),
-    "gate.slope_max": ("gate_slope_max", _number, -0.6),
+    "gate.slope_min": ("gate_slope_min", _number, None),
+    "gate.slope_max": ("gate_slope_max", _number, None),
     "gate.monotone": ("gate_monotone", _boolean, False),
 }
 
@@ -147,8 +148,8 @@ class ExperimentConfig:
     record_level: int | None
     moment_order: int
     seed_b: int
-    gate_slope_min: float
-    gate_slope_max: float
+    gate_slope_min: float | None
+    gate_slope_max: float | None
     gate_monotone: bool
 
 
@@ -262,7 +263,7 @@ def _validate(cfg: ExperimentConfig, seed_source: str) -> None:
 
     if cfg.moment_order < 1:
         raise ConfigError("moments.p must be at least 1")
-    if cfg.gate_slope_min >= cfg.gate_slope_max:
+    if None not in (cfg.gate_slope_min, cfg.gate_slope_max) and cfg.gate_slope_min >= cfg.gate_slope_max:
         raise ConfigError("gate.slope_min must be below gate.slope_max")
 
 

@@ -62,6 +62,9 @@ class CouplingError(MeasureError):
 
 #: bucket sums of both mantissa parts stay exact in float64 below this many terms
 _EXACT_SUM_MAX_TERMS = 1 << 26
+#: below this many terms math.fsum is the faster exact sum: on a 2-vCPU
+#: Xeon, 2.5 against 15 us at 64 terms, about even at 512
+_EXACT_SUM_MIN_TERMS = 512
 
 
 def exact_sum(values) -> float:
@@ -70,7 +73,7 @@ def exact_sum(values) -> float:
     Order does not matter, so the result is permutation invariant.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
-    if not 0 < x.size < _EXACT_SUM_MAX_TERMS or not np.isfinite(x).all():
+    if not _EXACT_SUM_MIN_TERMS <= x.size < _EXACT_SUM_MAX_TERMS or not np.isfinite(x).all():
         return math.fsum(x.tolist())
     mant, expo = np.frexp(x)
     base, top = int(expo.min()), int(expo.max())

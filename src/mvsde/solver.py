@@ -5,17 +5,19 @@ moves; drift and diffusion are then frozen at the left grid point for every
 particle.  Running several levels against one Brownian path (synchronous
 coupling) makes the inter-level difference a pure discretization error.
 
-The public way to simulate is the two drivers, ``run_single`` and
-``em_multilevel``; both draw the path the same way: in time blocks, each
-reduced once down the ladder of simulated levels and stepped through at every
-level, by ``em_run``, before the next block is drawn.  That loop,
-``_em_blocks``, checks a simulation's inputs and memory once, before anything
-is drawn; ``em_run`` and ``paths`` run unchecked under it.  ``em_run`` writes
-each block's recorded rows in place into its level's one trajectory array.
-The drivers return those arrays read-only, as ``(times, states)`` from
-``run_single`` and ``(times, {level: states})`` from ``em_multilevel``, whose
-levels share one ``times``; ``states[j]`` is the (N, d) ensemble at
-``times[j]``.
+The public way to simulate is the three drivers, ``run_single``,
+``stream_single`` and ``em_multilevel``; all draw the path the same way: in
+time blocks, each reduced once down the ladder of simulated levels and
+stepped through at every level, one record interval at a time by ``em_run``,
+before the next block is drawn.  That loop, ``_em_blocks``, is a generator of
+record rows; it checks a simulation's inputs and memory once, before anything
+is drawn, and ``em_run`` and ``paths`` run unchecked under it.
+``stream_single`` hands its rows on as they are stepped, as ``(times, rows)``
+with ``rows`` an iterator of (N, d) ensembles, so a caller that reduces them
+as they come holds one block of increments, not a trajectory.
+``run_single`` and ``em_multilevel`` collect the rows into read-only arrays:
+``(times, states)`` and ``(times, {level: states})``, whose levels share one
+``times``; ``states[j]`` is the (N, d) ensemble at ``times[j]``.
 
 The initial ensemble is a plain float64 (N, d) array.  Each initial law checks
 its parameters when it is built, and their length, which needs d, when read.
@@ -43,6 +45,7 @@ __all__ = [
     "sample_initial",
     "em_multilevel",
     "run_single",
+    "stream_single",
 ]
 
 #: abort threshold for any state coordinate
@@ -220,26 +223,22 @@ def _guard(states: np.ndarray, level: int, step: int, time: float) -> None:
 # mvbench/spans.py wraps ``em_run`` by name and binds its ``level`` and
 # ``ensemble`` arguments to count steps, so both keep their names
 def em_run(model: CoefficientModel, ensemble: ParticleEnsemble, level: int, increments: np.ndarray,
-           horizon: float, out: np.ndarray) -> None:
-    """Step the ensemble over the level-``level`` grid of [0, horizon].
+           horizon: float) -> np.ndarray:
+    """Step the ensemble over the level-``level`` grid of [0, horizon] and
+    return the final states.
 
     ``increments`` holds the Brownian increments of that grid's own cells,
     shape (N, 2^level, d): row p, cell i is particle p's W(t_{i+1}) - W(t_i).
     Per cell: freeze the empirical law and the left states, then
-    ``X += b(X, mu) * h + sigma(X, mu) @ dW`` for every particle.  Recorded
-    states are exactly the iterates of this recursion, on the sub-grid of
-    ``out.shape[0] - 1`` cells; rows 1.. of ``out`` receive them.
+    ``X += b(X, mu) * h + sigma(X, mu) @ dW`` for every particle.  A
+    ``BlowUpError`` names the cell from 0 on this grid.
 
     The block loop is the one caller, and it guarantees what is not checked
-    here: ``out`` is float64 of shape (2^r + 1, N, d) for some r <= level,
-    with the ensemble's states in row 0; ``increments`` matches the ensemble
-    and the model; the horizon is positive and finite; and the states are
-    finite and within ``BLOWUP_LIMIT``.  They are rebound each step, never
-    written.
+    here: ``increments`` matches the ensemble and the model; the horizon is
+    positive and finite; and the states are finite and within
+    ``BLOWUP_LIMIT``.  They are rebound each step, never written.
     """
     h = horizon / (1 << level)
-    stride = (1 << level) // (out.shape[0] - 1)
-
     states = ensemble.states
     for i in range(1 << level):
         mu = EmpiricalMeasure(states)
@@ -247,8 +246,7 @@ def em_run(model: CoefficientModel, ensemble: ParticleEnsemble, level: int, incr
         noise = np.asarray(model.diffusion_apply(states, mu, increments[:, i, :]), dtype=np.float64)
         states = states + h * drift + noise
         _guard(states, level=level, step=i, time=(i + 1) * h)
-        if (i + 1) % stride == 0:
-            out[(i + 1) // stride] = states
+    return states
 
 
 #: blocks hold 2^BLOCK_LEVEL finest steps where the record grid allows
@@ -256,15 +254,19 @@ BLOCK_LEVEL = 9
 
 
 def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: list[int], finest: int,
-               n_particles: int, horizon: float, record_level: int | None) -> tuple[np.ndarray, dict]:
+               n_particles: int, horizon: float, record_level: int | None):
     """Step every level of ``run_levels`` (none above ``finest``) off one
-    level-``finest`` Brownian path, drawn in time blocks.
+    level-``finest`` Brownian path, drawn in time blocks: a generator that
+    first yields the record times and then, per record point j, the dict
+    ``{level: (N, d) states at times[j]}``, row 0 the initial ensemble.
 
-    The one checked entry of a simulation.  Before anything is drawn or
-    allocated it refuses a non-integer particle count or record level
-    (default: the coarsest run level), levels outside [0,
-    ``MAX_LATTICE_LEVEL``], a bad horizon, and, naming it, each of three
-    arrays above ``DEFAULT_MEMORY_CAP`` bytes: the returned trajectories, one
+    The one checked entry of a simulation.  It does its checks and draws the
+    initial ensemble before the first yield, so a driver primes it with
+    ``next`` to raise at the call.  Before anything is drawn or allocated it
+    refuses a non-integer particle count or record level (default: the
+    coarsest run level), levels outside [0, ``MAX_LATTICE_LEVEL``], a bad
+    horizon, and, naming it, each of three arrays above
+    ``DEFAULT_MEMORY_CAP`` bytes: the trajectories a driver collects, one
     block of increments and the stream positions.  ``sample_initial`` then
     checks the particle count, the dimension and the seed before the streams
     are built; the machinery of ``paths`` checks nothing.
@@ -275,15 +277,18 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
     draw skips reading the stream positions back) and reduced once down the
     sorted level ladder, each level's increments summed from the next finer
     level's; coarsening is one fixed tree of sums, so these are the bits of
-    reducing the whole path from the finest level.  Each level's trajectory is
-    allocated once; ``em_run`` steps the level through a block starting from
-    the record row the block begins on and writes the block's rows in place.
-    So the states are the same floats as stepping the whole path at once.
-    ``coarsen`` allocates only the level it returns, and rebinding
-    ``increments`` frees the finer level, so the peak memory is the returned
-    trajectories plus one block of increments plus its next level down, for
-    a ladder as for one level.  A ``BlowUpError`` names the first blow-up in
-    block order, on the level's own grid from t = 0.
+    reducing the whole path from the finest level.  ``em_run`` steps each
+    level one record interval at a time from the state it reached, so the
+    states are the same floats as stepping the whole path at once.  One level
+    yields each row as soon as it is stepped; a ladder keeps its levels' rows
+    of the block and yields them at the block's end (for a rate study, one
+    row per block: each level's current state).  ``coarsen`` allocates only
+    the level it returns, and rebinding ``increments`` frees the finer level,
+    so the loop holds one block of increments plus its next level down, the
+    current states and, for a ladder, one block's rows.  Yielded rows are
+    read-only; a ladder's are overwritten by the next block, so its consumer
+    copies each row before asking for the next.  A ``BlowUpError`` names the
+    first blow-up in block order, on the level's own grid from t = 0.
     """
     n_particles = _integer("n_particles", n_particles)
     coarsest = min(run_levels)
@@ -306,34 +311,81 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
             raise SolverError(f"{name} would need {nbytes} bytes, above the memory limit of {DEFAULT_MEMORY_CAP} bytes")
 
     ladder = sorted(run_levels, reverse=True)
+    single = len(ladder) == 1
     block_rows = 1 << (record_level - c)
+    interval = horizon / (1 << record_level)
     initial = sample_initial(law, n_particles, model.dim, seed)
     streams = NoiseStreams(seed, n_particles)
-    recorded = {lvl: np.empty(((1 << record_level) + 1, n_particles, model.dim)) for lvl in run_levels}
-    for states in recorded.values():
-        states[0] = initial
+    # t_i = i * (T / 2^r): dividing by a power of two is exact
+    times = np.arange((1 << record_level) + 1, dtype=np.float64) * interval
+    times.flags.writeable = False
+    yield times
+
+    # Rows that outlive a block are copied into arrays made before it is
+    # drawn: an array made while the block is alive may sit above it on the
+    # heap, and then the freed block cannot merge back to be reused (a rate
+    # study's peak resident memory rose by a block).  A ladder copies every
+    # row into one array, made once and overwritten by each block, so its
+    # consumer copies each row before asking for the next; one level copies
+    # each block's last row into a fresh array.
+    kept = None if single else np.empty((len(ladder), block_rows, n_particles, model.dim))
+    initial.flags.writeable = False
+    current = {lvl: initial for lvl in run_levels}
+    yield dict(current)
     for b in range(1 << c):
+        if single:
+            kept = np.empty((1, 1, n_particles, model.dim))
         increments = sample_lattice(streams, model.dim, finest - c, block_horizon,
                                     last=b == (1 << c) - 1).increments
-        for lvl in ladder:
+        for i, lvl in enumerate(ladder):
             # rebinding releases the finer level's array
             increments = coarsen(increments, lvl - c)
-            block = recorded[lvl][b * block_rows:(b + 1) * block_rows + 1]
-            try:
-                em_run(model, ParticleEnsemble(block[0]), lvl - c, increments, block_horizon, block)
-            except BlowUpError as err:
-                step = (b << (lvl - c)) + err.step
-                raise BlowUpError(
-                    level=lvl, step=step, time=(step + 1) * (horizon / (1 << lvl)),
-                    particle=err.particle, state=err.state,
-                ) from None
-        del increments  # released before the next block is drawn
+            cells = 1 << (lvl - record_level)
+            for k in range(block_rows):
+                try:
+                    states = em_run(model, ParticleEnsemble(current[lvl]), lvl - record_level,
+                                    increments[:, k * cells:(k + 1) * cells], interval)
+                except BlowUpError as err:
+                    step = ((b * block_rows + k) << (lvl - record_level)) + err.step
+                    raise BlowUpError(
+                        level=lvl, step=step, time=(step + 1) * (horizon / (1 << lvl)),
+                        particle=err.particle, state=err.state,
+                    ) from None
+                if not single or k == block_rows - 1:
+                    slot = 0 if single else k
+                    kept[i, slot] = states
+                    states = kept[i, slot]
+                states.flags.writeable = False
+                current[lvl] = states
+                if single:
+                    yield {lvl: states}
+        del increments  # released before the ladder's rows are handed on
+        if not single:
+            for k in range(block_rows):
+                yield {lvl: kept[i, k] for i, lvl in enumerate(ladder)}
 
-    # t_i = i * (T / 2^r): dividing by a power of two is exact
-    times = np.arange((1 << record_level) + 1, dtype=np.float64) * (horizon / (1 << record_level))
-    for arr in (times, *recorded.values()):
-        arr.flags.writeable = False
-    return times, recorded
+
+def _collect(rows, n_points: int) -> dict[int, np.ndarray]:
+    """The record rows gathered into one read-only (points, N, d) array per
+    level.  The arrays are allocated at row 0, before the first block is
+    drawn: allocated after the first block was freed, they raised a rate
+    study's peak resident memory by about 5 MB (glibc's mmap threshold
+    rises when a large block is freed, so later blocks land on the heap)."""
+    recorded = {}
+    for j, row in enumerate(rows):
+        for lvl, states in row.items():
+            if j == 0:
+                recorded[lvl] = np.empty((n_points, *states.shape))
+            recorded[lvl][j] = states
+    for states in recorded.values():
+        states.flags.writeable = False
+    return recorded
+
+
+def _stream(model, law, seed, run_levels, finest, n_particles, horizon, record_level):
+    """``(times, rows)`` of the block loop, primed, so its checks have run."""
+    rows = _em_blocks(model, law, seed, run_levels, finest, n_particles, horizon, record_level)
+    return next(rows), rows
 
 
 def em_multilevel(
@@ -361,7 +413,30 @@ def em_multilevel(
         raise SolverError("need at least one level")
     if levels[-1] >= finest:
         raise SolverError(f"max level {levels[-1]} must be below the reference level {finest}")
-    return _em_blocks(model, law, seed, [*levels, finest], finest, n_particles, horizon, record_level)
+    times, rows = _stream(model, law, seed, [*levels, finest], finest, n_particles, horizon, record_level)
+    return times, _collect(rows, times.shape[0])
+
+
+def stream_single(
+    model: CoefficientModel,
+    law: InitialLaw,
+    seed: int,
+    level: int,
+    finest: int | None = None,
+    n_particles: int = 1000,
+    horizon: float = 1.0,
+    record_level: int | None = None,
+):
+    """``run_single``'s run as ``(times, rows)``: ``rows`` is an iterator of
+    the read-only (N, d) states at ``times[0], times[1], ...``, each stepped
+    as it is asked for, so only one block of increments and the current
+    states are held.  The arguments are checked at the call."""
+    level = _integer("level", level)
+    finest = level if finest is None else _integer("finest", finest)
+    if finest < level:
+        raise SolverError(f"finest level {finest} below run level {level}")
+    times, rows = _stream(model, law, seed, [level], finest, n_particles, horizon, record_level)
+    return times, (row[level] for row in rows)
 
 
 def run_single(
@@ -377,12 +452,8 @@ def run_single(
     """One level, driven by a level-``finest`` Brownian path (finest defaults
     to the run level), recorded at ``record_level`` (default: every step).
 
-    The path is streamed in time blocks through the same loop as
-    ``em_multilevel``, which checks the arguments and bounds the memory.
+    ``stream_single``'s rows collected into one read-only (points, N, d)
+    array, allocated before the first block is drawn.
     """
-    level = _integer("level", level)
-    finest = level if finest is None else _integer("finest", finest)
-    if finest < level:
-        raise SolverError(f"finest level {finest} below run level {level}")
-    times, recorded = _em_blocks(model, law, seed, [level], finest, n_particles, horizon, record_level)
-    return times, recorded[level]
+    times, rows = stream_single(model, law, seed, level, finest, n_particles, horizon, record_level)
+    return times, _collect(({0: row} for row in rows), times.shape[0])[0]

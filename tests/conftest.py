@@ -15,14 +15,18 @@ def random_coupled_pair(rng: np.random.Generator, n: int, dim: int, scale: float
 
 def em_path(model, states, level, increments, horizon, record_level=None):
     """``states`` stepped by ``solver.em_run`` over the level-``level`` grid
-    of [0, horizon] as the block loop steps a block: into a trajectory
-    allocated for the record grid (default: every step), its row 0 the start.
-    Returns ``(times, states)`` as the drivers do."""
+    of [0, horizon], one record interval (default: every step) at a time off
+    the whole-path ``increments``, not in blocks.  Returns ``(times, states)``
+    as the drivers do; a ``BlowUpError`` names the step within its record
+    interval, so record level 0 names it on the whole grid."""
     record_level = level if record_level is None else record_level
-    out = np.empty(((1 << record_level) + 1, *np.shape(states)))
-    out[0] = states
-    solver.em_run(model, ParticleEnsemble(out[0]), level, increments, horizon, out)
-    return np.arange(len(out)) * (horizon / (1 << record_level)), out
+    cells = 1 << (level - record_level)
+    interval = horizon / (1 << record_level)
+    rows = [np.asarray(states)]
+    for j in range(1 << record_level):
+        rows.append(solver.em_run(model, ParticleEnsemble(rows[-1]), level - record_level,
+                                  increments[:, j * cells:(j + 1) * cells], interval))
+    return np.arange(len(rows)) * interval, np.stack(rows)
 
 
 def halving_loop(increments, level):

