@@ -246,6 +246,21 @@ class TestEmRun:
         assert 0 <= err.value.particle < 4
         assert np.abs(err.value.state).max() > 1e8 or not np.isfinite(err.value.state).all()
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+    def test_horizon_guard(self, monkeypatch, horizon):
+        # each driver refuses the horizon at the call, before any step
+        def no_step(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(solver, "em_run", no_step)
+        with pytest.raises(SolverError, match="horizon must be positive and finite"):
+            run_single(mf_ou(), PointMass(0.0), seed=0, level=3, n_particles=4, horizon=horizon)
+        with pytest.raises(SolverError, match="horizon must be positive and finite"):
+            stream_single(mf_ou(), PointMass(0.0), seed=0, level=3, n_particles=4, horizon=horizon)
+        with pytest.raises(SolverError, match="horizon must be positive and finite"):
+            em_multilevel(mf_ou(), PointMass(0.0), seed=0, levels=[1, 2], finest=3, n_particles=4,
+                          horizon=horizon)
+
 
 class TestGuard:
     LIMIT = solver.BLOWUP_LIMIT
@@ -431,6 +446,14 @@ class TestRunSingleBlocks:
         # a key word would truncate 1.5 to seed 1
         with pytest.raises(SolverError, match="^seed must be an integer, got 1.5$"):
             run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=1.5, level=4, n_particles=8)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_refused(self, seed):
+        # a 64-bit key word would fold -1 onto 2^64 - 1 and 2^64 onto 0
+        with pytest.raises(SolverError, match="seed must lie"):
+            run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=seed, level=4, n_particles=8)
+        with pytest.raises(SolverError, match="seed must lie"):
+            sample_initial(GaussianLaw(0.0, 1.0), 8, 1, seed=seed)
 
     @pytest.mark.parametrize(
         "model, level, finest, record_level",
