@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager, suppress
 from functools import partial
 from pathlib import Path
 
@@ -61,14 +62,40 @@ def _format_column(values) -> list[str]:
     return [v if type(v) is str else _fmt(v) for v in values]
 
 
+@contextmanager
 def _open(path: Path):
-    """Open ``path`` for writing, making its directory first, so a run that
-    fails before its first write leaves no output directory."""
+    """Open ``path`` for writing under a temporary name beside it, moved into
+    place once the body is done.
+
+    Directories are made at the first write, so a run that fails before it
+    leaves no output directory.  If the body raises, the temporary file and
+    every directory made for it are removed, so a run that fails while it
+    writes leaves no partial file and no new directory, and an earlier file
+    of that name stays as it was.  An ``OSError`` while making, writing or
+    moving the file is a ``ConfigError`` that names ``path``.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    # the deepest directory that exists already; those below it are made here
+    top = next((d for d in path.parents if d.exists()), None)
+    done = False
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        return open(path, "w", newline="\n")
+        with open(tmp, "w", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+        done = True
     except OSError as exc:
         raise ConfigError(f"cannot write output {path}: {exc}") from exc
+    finally:
+        if not done:
+            # the cleanup must not hide the error that stopped the write
+            with suppress(OSError):
+                tmp.unlink()
+            for d in path.parents:
+                if d == top:
+                    break
+                with suppress(OSError):
+                    d.rmdir()
 
 
 def _write_csv(path: Path, header: list[str], blocks) -> None:
@@ -112,7 +139,8 @@ def _out_dir(cli_out: str | None, kind: str) -> Path:
 
 def _run(cfg: ExperimentConfig, model, seed: int, stream: bool = False):
     """One run at ``sim.level`` from ``seed``, as ``(times, states)``, or as
-    ``(times, rows)`` with the rows stepped as they are read when ``stream``."""
+    ``(times, rows)`` with the rows stepped as they are read when ``stream``
+    (``run`` writes them, ``metric`` reads seed b's)."""
     driver = stream_single if stream else run_single
     return driver(model, cfg.law, seed, cfg.level, finest=cfg.finest, n_particles=cfg.n_particles,
                   horizon=cfg.horizon, record_level=cfg.record_level)
@@ -136,18 +164,23 @@ def _pipeline(analyse, cfg: ExperimentConfig, out: Path, gate: bool) -> dict:
 
 
 def _analyse_run(cfg, model, out, gate):
-    times, states = _run(cfg, model, cfg.seed)
-    # one block per time slice, its rows particle-major; the times and the
-    # "particle,dim" labels are formatted once
-    _, n, d = states.shape
-    labels = [f"{p},{k}" for p in range(n) for k in range(d)]
-    _write_csv(
-        out / "trajectories.csv",
-        ["time", "particle", "dim", "value"],
-        ([[t] * len(labels), labels, row.reshape(-1)] for t, row in zip(_format_column(times), states)),
-    )
+    # each record row is written as soon as it is stepped, so one block of
+    # increments is held, not the trajectory, and a failure midway leaves no
+    # trajectories.csv (see _open).  One block per time slice, its rows
+    # particle-major; each time and the "particle,dim" labels are formatted once
+    times, rows = _run(cfg, model, cfg.seed, stream=True)
+    means = np.empty((times.shape[0], cfg.dim))
+    labels = [f"{p},{k}" for p in range(cfg.n_particles) for k in range(cfg.dim)]
 
-    means = states.mean(axis=1)
+    def blocks():
+        # rows first, so the block loop runs to its end and frees its block
+        for j, (row, t) in enumerate(zip(rows, times)):
+            # the same floats as the trajectory's mean(axis=1)
+            means[j] = row.mean(axis=0)
+            yield [[_fmt(t)] * len(labels), labels, row.reshape(-1)]
+
+    _write_csv(out / "trajectories.csv", ["time", "particle", "dim", "value"], blocks())
+
     mean_norms = np.linalg.norm(means, axis=1)
     entries = {
         "seed": cfg.seed,

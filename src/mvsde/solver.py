@@ -14,7 +14,9 @@ record rows; it checks a simulation's inputs and memory once, before anything
 is drawn, and ``em_run`` and ``paths`` run unchecked under it.
 ``stream_single`` hands its rows on as they are stepped, as ``(times, rows)``
 with ``rows`` an iterator of (N, d) ensembles, so a caller that reduces them
-as they come holds one block of increments, not a trajectory.
+as they come holds one block of increments, not a trajectory: ``mvsde run``
+writes each row to its CSV, and ``mvsde metric`` reads seed b's rows into the
+law-gap curve.
 ``run_single`` and ``em_multilevel`` collect the rows into read-only arrays:
 ``(times, states)`` and ``(times, {level: states})``, whose levels share one
 ``times``; ``states[j]`` is the (N, d) ensemble at ``times[j]``.
@@ -266,7 +268,8 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
     refuses a non-integer particle count or record level (default: the
     coarsest run level), levels outside [0, ``MAX_LATTICE_LEVEL``], a bad
     horizon, and, naming it, each of three arrays above
-    ``DEFAULT_MEMORY_CAP`` bytes: the trajectories a driver collects, one
+    ``DEFAULT_MEMORY_CAP`` bytes: the recorded trajectories (what a driver
+    collects, or what ``mvsde run`` writes from ``stream_single``), one
     block of increments and the stream positions.  ``sample_initial`` then
     checks the particle count, the dimension and the seed before the streams
     are built; the machinery of ``paths`` checks nothing.

@@ -1,4 +1,6 @@
+import errno
 import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -73,6 +75,40 @@ def _write(tmp_path: Path, text: str, name: str = "exp.cfg") -> Path:
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def _patch_writes(monkeypatch, fail_at=None):
+    """Route every file ``cli`` opens through a wrapper that records the rows
+    of each write and raises ENOSPC on write number ``fail_at`` (from 1);
+    returns the list of rows per write."""
+    rows_per_write = []
+
+    class RecordingFile:
+        def __init__(self, *args, **kwargs):
+            self.fh = open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            if len(rows_per_write) + 1 == fail_at:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            rows_per_write.append(text.count("\n"))
+            return self.fh.write(text)
+
+    monkeypatch.setattr(cli, "open", RecordingFile, raising=False)
+    return rows_per_write
+
+
+# x' = 30 x from N(0, 4): seed 5's four particles stay below the blow-up limit
+# at t = 1, seed 6's do not, at level 4's last step
+BLOWUP_AT_LAST_STEP_CFG = (
+    "model.id = mf-ou\nmodel.theta = -30\nmodel.alpha = 0\nmodel.s = 0\n"
+    "sim.N = 4\nsim.level = 4\nsim.seed = 5\ninit.law = gaussian\ninit.cov = 4\n"
+)
 
 
 class TestConfigParsing:
@@ -253,6 +289,87 @@ class TestCliRun:
         assert "memory limit" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("before", ["new", "unrelated-file", "earlier-run"])
+    def test_blowup_after_rows_leaves_out_as_it_was(self, tmp_path, monkeypatch, capsys, before):
+        # seed 6 blows up at level 4's last step, after 16 record rows were
+        # handed to the writer; the partial trajectories.csv is removed, and
+        # with it the output directory if the run made it
+        path = _write(tmp_path, BLOWUP_AT_LAST_STEP_CFG)
+        out = tmp_path / "o"
+        if before == "unrelated-file":
+            out.mkdir()
+            (out / "notes.txt").write_text("kept\n")
+        elif before == "earlier-run":
+            assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        kept = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+        rows_per_write = _patch_writes(monkeypatch)
+        assert main(["run", "--config", str(path), "--out", str(out), "--seed", "6"]) == EXIT_BLOWUP
+        assert "numeric blow-up: blow-up at level 4, step 15 (t=1)" in capsys.readouterr().err
+        assert sum(rows_per_write) == 1 + 16 * 4
+        if kept is None:
+            assert not out.exists()
+        else:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == kept
+
+    @pytest.mark.parametrize("before", ["new", "earlier-run"])
+    def test_write_error_is_config_error_and_leaves_no_file(self, tmp_path, monkeypatch, capsys, before):
+        # the disk fills on the second write, after the header: a config
+        # error naming the file, with no partial trajectories.csv left behind
+        path = _write(tmp_path, RUN_CFG)
+        out = tmp_path / "o"
+        if before == "earlier-run":
+            assert main(["run", "--config", str(path), "--out", str(out), "--seed", "8"]) == EXIT_OK
+        kept = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+        _patch_writes(monkeypatch, fail_at=2)
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: cannot write output {out / 'trajectories.csv'}: " in err
+        assert os.strerror(errno.ENOSPC) in err
+        if kept is None:
+            assert not out.exists()
+        else:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == kept
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_summary_matches_trajectory_mean_formula(self, tmp_path, dim):
+        # the streamed per-row means give the floats of the collected
+        # trajectory's states.mean(axis=1), at every dimension
+        text = RUN_CFG.replace("sim.d = 1", f"sim.d = {dim}").replace("sim.N = 32", "sim.N = 1000")
+        text = text.replace("init.law = point\ninit.x0 = 1.0", "init.law = gaussian\ninit.mean = 1.0")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == EXIT_OK
+        summary = dict(line.split(" = ") for line in (out / "summary.txt").read_text().splitlines())
+        import mvsde
+
+        model = mvsde.mf_ou(theta=1.0, alpha=0.5, s=0.4, dim=dim)
+        times, states = mvsde.run_single(model, mvsde.GaussianLaw(1.0, 1.0), seed=7, level=4,
+                                         n_particles=1000, horizon=1.0, record_level=2)
+        mean_norms = np.linalg.norm(states.mean(axis=1), axis=1)
+        decay, _ = np.polyfit(times, np.log(mean_norms), 1)
+        assert summary["final_mean_norm"] == repr(float(mean_norms[-1]))
+        assert summary["mean_decay_rate"] == repr(float(decay))
+
+    def test_run_holds_one_block_not_its_trajectory(self, tmp_path):
+        # N = 64 at level 12, every point recorded: 2.1 MB of states, drawn
+        # in 8 blocks of 0.26 MB.  The rows are written as they are stepped,
+        # so the trajectory is never held
+        text = "model.id = mf-ou\nsim.N = 64\nsim.level = {}\ninit.law = point\ninit.x0 = 1.0\n"
+        # a small run first, so lazy imports are not counted
+        small = _write(tmp_path, text.format(2), "small.cfg")
+        assert main(["run", "--config", str(small), "--out", str(tmp_path / "small")]) == EXIT_OK
+        path = _write(tmp_path, text.format(12))
+        trajectory = ((1 << 12) + 1) * 64 * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak - before < trajectory / 2
+
 
 class TestCliRate:
     def test_writes_rate_csv_and_summary(self, tmp_path):
@@ -353,13 +470,7 @@ class TestCliMomentsMetricCheck:
         assert peak - before < 1.5 * (trajectory + block)
 
     def test_metric_seed_b_blowup_exit_code(self, tmp_path, capsys):
-        # x' = 30 x from N(0, 4): seed 5's four particles stay below the limit
-        # at t = 1, seed 6's do not
-        text = (
-            "model.id = mf-ou\nmodel.theta = -30\nmodel.alpha = 0\nmodel.s = 0\n"
-            "sim.N = 4\nsim.level = 4\nsim.seed = 5\ninit.law = gaussian\ninit.cov = 4\n"
-        )
-        path = _write(tmp_path, text)
+        path = _write(tmp_path, BLOWUP_AT_LAST_STEP_CFG)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "a")]) == EXIT_OK
         out = tmp_path / "o"
         assert main(["metric", "--config", str(path), "--out", str(out)]) == EXIT_BLOWUP
@@ -636,23 +747,7 @@ class TestCsvWriter:
         # d = 3: each time slice holds 1400 * 3 rows, more than one block, and
         # no single write may cover more than a block
         assert 1400 * 3 > _CSV_BLOCK_ROWS
-        rows_per_write = []
-
-        class RecordingFile:
-            def __init__(self, *args, **kwargs):
-                self.fh = open(*args, **kwargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, text):
-                rows_per_write.append(text.count("\n"))
-                return self.fh.write(text)
-
-        monkeypatch.setattr(cli, "open", RecordingFile, raising=False)
+        rows_per_write = _patch_writes(monkeypatch)
         new, ref = _run_csv(tmp_path, n=1400, dim=3, level=2)
         assert new == ref
         assert sum(rows_per_write) > 5 * 1400 * 3
