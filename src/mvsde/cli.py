@@ -7,7 +7,8 @@ gnuplot script where a plot makes sense).  Floats are serialized with
 shortest round-trip decimals so reruns are byte-comparable.
 
 Exit codes: 0 success, 2 config error, 3 numeric blow-up, 4 gate failure,
-5 analysis error (a numeric failure while turning trajectories into numbers).
+5 analysis error (a numeric failure while turning trajectories into numbers);
+any other exception is a bug and ends the program with a traceback (exit 1).
 """
 
 from __future__ import annotations
@@ -126,6 +127,15 @@ def _write_gnuplot(path: Path, body: str) -> None:
         fh.write(body)
 
 
+@contextmanager
+def _config_values():
+    """A ``ValueError`` from a call that checks config values, as a ``ConfigError``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _out_dir(cli_out: str | None, kind: str) -> Path:
     """The output directory's path; it is made only once there is output."""
     if cli_out is not None:
@@ -142,8 +152,9 @@ def _run(cfg: ExperimentConfig, model, seed: int, stream: bool = False):
     ``(times, rows)`` with the rows stepped as they are read when ``stream``
     (``run`` writes them, ``metric`` reads seed b's)."""
     driver = stream_single if stream else run_single
-    return driver(model, cfg.law, seed, cfg.level, finest=cfg.finest, n_particles=cfg.n_particles,
-                  horizon=cfg.horizon, record_level=cfg.record_level)
+    with _config_values():
+        return driver(model, cfg.law, seed, cfg.level, finest=cfg.finest, n_particles=cfg.n_particles,
+                      horizon=cfg.horizon, record_level=cfg.record_level)
 
 
 def _report(out: Path, summary: dict, failure: str | None) -> dict:
@@ -158,7 +169,8 @@ def _pipeline(analyse, cfg: ExperimentConfig, out: Path, gate: bool) -> dict:
     """One experiment.  ``analyse(cfg, model, out, gate)`` runs its kind's
     simulations, writes its data files and returns its summary entries and its
     gate failure (None when the gate is off or passes)."""
-    model = make_model(cfg.model_id, dim=cfg.dim, params=cfg.model_params)
+    with _config_values():
+        model = make_model(cfg.model_id, dim=cfg.dim, params=cfg.model_params)
     entries, failure = analyse(cfg, model, out, gate)
     return _report(out, {"experiment": cfg.kind, "model": cfg.model_id, **entries}, failure)
 
@@ -201,8 +213,9 @@ def _analyse_rate(cfg, model, out, gate):
     missing = [key for key, value in window.items() if value is None]
     if gate and missing:
         raise ConfigError(f"rate --gate requires the slope window; missing {', '.join(map(repr, missing))}")
-    _, runs = em_multilevel(model, cfg.law, cfg.seed, list(cfg.levels), cfg.finest, cfg.n_particles,
-                            cfg.horizon, cfg.record_level)
+    with _config_values():
+        _, runs = em_multilevel(model, cfg.law, cfg.seed, list(cfg.levels), cfg.finest, cfg.n_particles,
+                                cfg.horizon, cfg.record_level)
     errors, stderrs = [], []
     for lvl in cfg.levels:
         est, se = analysis.strong_error(runs[cfg.finest], runs[lvl])
@@ -432,11 +445,6 @@ def main(argv=None) -> int:
     except analysis.AnalysisError as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
-    except ValueError as exc:
-        # solver, measure and model preconditions: through the CLI they
-        # arise only from config values
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     for key, value in summary.items():
         print(f"{key} = {_fmt(value)}")
     return EXIT_OK

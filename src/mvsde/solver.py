@@ -7,16 +7,17 @@ coupling) makes the inter-level difference a pure discretization error.
 
 The public way to simulate is the three drivers, ``run_single``,
 ``stream_single`` and ``em_multilevel``; all draw the path the same way: in
-time blocks, each reduced once down the ladder of simulated levels and
-stepped through at every level, one record interval at a time by ``em_run``,
-before the next block is drawn.  That loop, ``_em_blocks``, is a generator of
-record rows; it checks a simulation's inputs and memory once, before anything
-is drawn, and ``em_run`` and ``paths`` run unchecked under it.
-``stream_single`` hands its rows on as they are stepped, as ``(times, rows)``
-with ``rows`` an iterator of (N, d) ensembles, so a caller that reduces them
-as they come holds one block of increments, not a trajectory: ``mvsde run``
-writes each row to its CSV, and ``mvsde metric`` reads seed b's rows into the
-law-gap curve.
+time blocks, each taken one record interval at a time, the interval's
+increments reduced down the ladder of simulated levels and stepped through
+at every level by ``em_run``, and the record row handed on.  That loop,
+``_em_blocks``, is a generator of record rows; it checks a simulation's
+inputs and memory once, before anything is drawn, and ``em_run`` and
+``paths`` run unchecked under it.
+``stream_single`` hands its rows on as ``(times, rows)`` with ``rows`` an
+iterator of (N, d) ensembles, so a caller that reduces them as they come
+holds one block of increments, not a trajectory: ``mvsde run`` writes each
+row to its CSV, and ``mvsde metric`` reads seed b's rows into the law-gap
+curve.
 ``run_single`` and ``em_multilevel`` collect the rows into read-only arrays:
 ``(times, states)`` and ``(times, {level: states})``, whose levels share one
 ``times``; ``states[j]`` is the (N, d) ensemble at ``times[j]``.
@@ -277,21 +278,18 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
     The blocks are the 2^c cells of level
     ``c = min(record_level, max(0, finest - BLOCK_LEVEL))``.  Each block's
     finest increments are drawn once (the last block marked ``last``, so the
-    draw skips reading the stream positions back) and reduced once down the
-    sorted level ladder, each level's increments summed from the next finer
-    level's; coarsening is one fixed tree of sums, so these are the bits of
-    reducing the whole path from the finest level.  ``em_run`` steps each
-    level one record interval at a time from the state it reached, so the
-    states are the same floats as stepping the whole path at once.  One level
-    yields each row as soon as it is stepped; a ladder keeps its levels' rows
-    of the block and yields them at the block's end (for a rate study, one
-    row per block: each level's current state).  ``coarsen`` allocates only
-    the level it returns, and rebinding ``increments`` frees the finer level,
-    so the loop holds one block of increments plus its next level down, the
-    current states and, for a ladder, one block's rows.  Yielded rows are
-    read-only; a ladder's are overwritten by the next block, so its consumer
-    copies each row before asking for the next.  A ``BlowUpError`` names the
-    first blow-up in block order, on the level's own grid from t = 0.
+    draw skips reading the stream positions back) and taken one record
+    interval at a time: the interval's increments are reduced down the sorted
+    level ladder, each level's summed from the next finer level's, every
+    level is stepped over the interval by ``em_run`` from the state it
+    reached, and the row is yielded.  An interval starts on a grid point of
+    every level, so its increments hold whole subtrees of the one fixed tree
+    of sums, and the states are the floats of reducing and stepping the whole
+    path at once.  The loop holds one block, one interval's next level down
+    and the current states; the block is freed before its last row is handed
+    on.  Rows are read-only and never written again, so a consumer may hold
+    them.  A ``BlowUpError`` names the first blow-up in interval order,
+    finest level first, on the level's own grid from t = 0.
     """
     n_particles = _integer("n_particles", n_particles)
     coarsest = min(run_levels)
@@ -314,8 +312,8 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
             raise SolverError(f"{name} would need {nbytes} bytes, above the memory limit of {DEFAULT_MEMORY_CAP} bytes")
 
     ladder = sorted(run_levels, reverse=True)
-    single = len(ladder) == 1
     block_rows = 1 << (record_level - c)
+    span = 1 << (finest - record_level)
     interval = horizon / (1 << record_level)
     initial = sample_initial(law, n_particles, model.dim, seed)
     streams = NoiseStreams(seed, n_particles)
@@ -324,48 +322,40 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
     times.flags.writeable = False
     yield times
 
-    # Rows that outlive a block are copied into arrays made before it is
-    # drawn: an array made while the block is alive may sit above it on the
-    # heap, and then the freed block cannot merge back to be reused (a rate
-    # study's peak resident memory rose by a block).  A ladder copies every
-    # row into one array, made once and overwritten by each block, so its
-    # consumer copies each row before asking for the next; one level copies
-    # each block's last row into a fresh array.
-    kept = None if single else np.empty((len(ladder), block_rows, n_particles, model.dim))
     initial.flags.writeable = False
     current = {lvl: initial for lvl in run_levels}
     yield dict(current)
     for b in range(1 << c):
-        if single:
-            kept = np.empty((1, 1, n_particles, model.dim))
-        increments = sample_lattice(streams, model.dim, finest - c, block_horizon,
-                                    last=b == (1 << c) - 1).increments
-        for i, lvl in enumerate(ladder):
-            # rebinding releases the finer level's array
-            increments = coarsen(increments, lvl - c)
-            cells = 1 << (lvl - record_level)
-            for k in range(block_rows):
+        # each level's state at the block's end outlives the block, so it goes
+        # into a fresh array made before the block is drawn: one made while the
+        # block is alive may sit above it on the heap, where the freed block
+        # cannot merge back (a rate study's peak resident memory rose by a block)
+        ends = np.empty((len(ladder), n_particles, model.dim))
+        block = sample_lattice(streams, model.dim, finest - c, block_horizon,
+                               last=b == (1 << c) - 1).increments
+        for k in range(block_rows):
+            increments = block[:, k * span:(k + 1) * span]
+            end = k == block_rows - 1
+            if end:
+                del block  # the last interval's slice holds it until reduced
+            for i, lvl in enumerate(ladder):
+                # rebinding releases the finer level's array
+                increments = coarsen(increments, lvl - record_level)
                 try:
-                    states = em_run(model, ParticleEnsemble(current[lvl]), lvl - record_level,
-                                    increments[:, k * cells:(k + 1) * cells], interval)
+                    states = em_run(model, ParticleEnsemble(current[lvl]), lvl - record_level, increments, interval)
                 except BlowUpError as err:
                     step = ((b * block_rows + k) << (lvl - record_level)) + err.step
                     raise BlowUpError(
                         level=lvl, step=step, time=(step + 1) * (horizon / (1 << lvl)),
                         particle=err.particle, state=err.state,
                     ) from None
-                if not single or k == block_rows - 1:
-                    slot = 0 if single else k
-                    kept[i, slot] = states
-                    states = kept[i, slot]
+                if end:
+                    ends[i] = states
+                    states = ends[i]
                 states.flags.writeable = False
                 current[lvl] = states
-                if single:
-                    yield {lvl: states}
-        del increments  # released before the ladder's rows are handed on
-        if not single:
-            for k in range(block_rows):
-                yield {lvl: kept[i, k] for i, lvl in enumerate(ladder)}
+            del increments  # released before the row is handed on
+            yield dict(current)
 
 
 def _collect(rows, n_points: int) -> dict[int, np.ndarray]:

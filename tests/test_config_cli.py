@@ -533,6 +533,18 @@ class TestCliSelftestAndCodes:
         assert "config error" not in err
         assert not out.exists()
 
+    def test_value_error_from_a_bug_is_not_a_config_error(self, tmp_path, monkeypatch, capsys):
+        # a ValueError raised after the config was checked, as a tuple
+        # unpacking bug in the analysis would raise it: a traceback, not exit 2
+        def buggy(ref, coarse):
+            raise ValueError("too many values to unpack (expected 2)")
+
+        monkeypatch.setattr(cli.analysis, "strong_error", buggy)
+        out = tmp_path / "o"
+        with pytest.raises(ValueError, match="too many values to unpack"):
+            main(["rate", "--config", str(_write(tmp_path, RATE_CFG)), "--out", str(out)])
+        assert "config error" not in capsys.readouterr().err
+
     def test_blowup_exit_code(self, tmp_path, capsys):
         text = (
             "model.id = osgood\nmodel.c = 100.0\nsim.N = 4\nsim.T = 8.0\n"

@@ -594,6 +594,27 @@ class TestEmMultilevel:
         block = 200 * 2**12 * 8
         assert peak < 1.2 * (block + sum(states.nbytes for states in runs.values()))
 
+    def test_ladder_rows_can_be_held(self):
+        # record level 4 under finest 10: two blocks of eight rows, so a held
+        # row outlives the block it was stepped in
+        args = (mf_ou(dim=2), GaussianLaw(0.0, 1.0), 13)
+        _, rows = solver._stream(*args, [4, 5, 10], 10, 8, 1.0, 4)
+        held = list(rows)
+        _, runs = em_multilevel(*args, levels=[4, 5], finest=10, n_particles=8, horizon=1.0, record_level=4)
+        for lvl, states in runs.items():
+            assert np.stack([row[lvl] for row in held]).tobytes() == states.tobytes()
+
+    def test_ladder_recording_finer_than_its_block_holds_one_row(self):
+        # levels 10, 11 and reference 12 recorded at 10 for N = 200: blocks of
+        # 2^9 finest steps (0.8 MB), each 128 rows, read and dropped one by one
+        def consume():
+            _, rows = solver._stream(mf_ou(), PointMass(0.0), 1, [10, 11, 12], 12, 200, 1.0, 10)
+            for _ in rows:
+                pass
+
+        _, peak = _peak_bytes(consume)
+        assert peak < 1.3 * 200 * 2**9 * 8
+
     def test_additive_noise_zero_drift_exact_across_levels(self):
         # constant coefficients: every level reproduces x0 + s*W at shared
         # grid points up to float regrouping dust

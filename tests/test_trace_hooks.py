@@ -95,9 +95,10 @@ def test_traced_run_fires_the_simulation_hooks(bench, tmp_path):
     metrics = tracer.layer_metrics(0)
     assert metrics["solver.steps"] == 2**RUN_LEVEL
     assert metrics["paths.lattice_bytes"] == N * 2**RUN_FINEST * DIM * 8
-    # blocks of level min(record level 4, finest - 9) = 2: four blocks, each
-    # coarsened once, straight to the run level
-    assert metrics["paths.coarsen_calls"] == 4
+    # blocks of level min(record level 4, finest - 9) = 2: four blocks of
+    # four record intervals, each interval coarsened once, straight to the
+    # run level
+    assert metrics["paths.coarsen_calls"] == 4 * 4
 
 
 def test_traced_metric_run_fires_the_law_gap_hooks(bench, tmp_path):
