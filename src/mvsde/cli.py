@@ -6,9 +6,9 @@ the experiment, and writes CSV data plus a flat key=value summary (and a
 gnuplot script where a plot makes sense).  Floats are serialized with
 shortest round-trip decimals so reruns are byte-comparable.
 
-Exit codes: 0 success, 2 config error, 3 numeric blow-up, 4 gate failure,
-5 analysis error (a numeric failure while turning trajectories into numbers);
-any other exception is a bug and ends the program with a traceback (exit 1).
+Exit codes follow the error's type: 0 success, 2 config error (``ConfigError``,
+``SolverError``, or ``make_model``'s ``ModelError``), 3 numeric blow-up, 4 gate
+failure, 5 analysis error; any other exception is a bug: a traceback, exit 1.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 
 from . import analysis, models
 from .config import ConfigError, ExperimentConfig, load_config
-from .models import make_model
-from .solver import BlowUpError, em_multilevel, run_single, stream_single
+from .models import ModelError, make_model
+from .solver import BlowUpError, SolverError, em_multilevel, run_single, stream_single
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -127,15 +127,6 @@ def _write_gnuplot(path: Path, body: str) -> None:
         fh.write(body)
 
 
-@contextmanager
-def _config_values():
-    """A ``ValueError`` from a call that checks config values, as a ``ConfigError``."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _out_dir(cli_out: str | None, kind: str) -> Path:
     """The output directory's path; it is made only once there is output."""
     if cli_out is not None:
@@ -148,13 +139,11 @@ def _out_dir(cli_out: str | None, kind: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def _run(cfg: ExperimentConfig, model, seed: int, stream: bool = False):
-    """One run at ``sim.level`` from ``seed``, as ``(times, states)``, or as
-    ``(times, rows)`` with the rows stepped as they are read when ``stream``
-    (``run`` writes them, ``metric`` reads seed b's)."""
+    """One run at ``sim.level`` from ``seed``: ``(times, states)``, or with ``stream``
+    ``(times, rows)``, stepped as they are read (``run``'s rows, ``metric``'s seed b)."""
     driver = stream_single if stream else run_single
-    with _config_values():
-        return driver(model, cfg.law, seed, cfg.level, finest=cfg.finest, n_particles=cfg.n_particles,
-                      horizon=cfg.horizon, record_level=cfg.record_level)
+    return driver(model, cfg.law, seed, cfg.level, finest=cfg.finest, n_particles=cfg.n_particles,
+                  horizon=cfg.horizon, record_level=cfg.record_level)
 
 
 def _report(out: Path, summary: dict, failure: str | None) -> dict:
@@ -169,8 +158,10 @@ def _pipeline(analyse, cfg: ExperimentConfig, out: Path, gate: bool) -> dict:
     """One experiment.  ``analyse(cfg, model, out, gate)`` runs its kind's
     simulations, writes its data files and returns its summary entries and its
     gate failure (None when the gate is off or passes)."""
-    with _config_values():
+    try:
         model = make_model(cfg.model_id, dim=cfg.dim, params=cfg.model_params)
+    except ModelError as exc:
+        raise ConfigError(str(exc)) from exc
     entries, failure = analyse(cfg, model, out, gate)
     return _report(out, {"experiment": cfg.kind, "model": cfg.model_id, **entries}, failure)
 
@@ -213,9 +204,8 @@ def _analyse_rate(cfg, model, out, gate):
     missing = [key for key, value in window.items() if value is None]
     if gate and missing:
         raise ConfigError(f"rate --gate requires the slope window; missing {', '.join(map(repr, missing))}")
-    with _config_values():
-        _, runs = em_multilevel(model, cfg.law, cfg.seed, list(cfg.levels), cfg.finest, cfg.n_particles,
-                                cfg.horizon, cfg.record_level)
+    _, runs = em_multilevel(model, cfg.law, cfg.seed, list(cfg.levels), cfg.finest, cfg.n_particles,
+                            cfg.horizon, cfg.record_level)
     errors, stderrs = [], []
     for lvl in cfg.levels:
         est, se = analysis.strong_error(runs[cfg.finest], runs[lvl])
@@ -421,19 +411,17 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_CONFIG
     try:
+        if args.threads < 1:
+            raise ConfigError("--threads must be at least 1")
+        out = _out_dir(args.out, args.command)
         if args.command == "selftest":
-            out = _out_dir(args.out, "selftest")
             cmd_selftest(out)
             print(f"selftest pass ({out})")
             return EXIT_OK
         cfg = load_config(args.config, args.command, seed_override=args.seed)
-        out = _out_dir(args.out, args.command)
         summary = _COMMANDS[args.command](cfg, out, args.gate)
-    except ConfigError as exc:
+    except (ConfigError, SolverError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowUpError as exc:

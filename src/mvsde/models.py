@@ -70,7 +70,11 @@ DEFAULT_ETA = math.exp(-2.0)
 
 
 class ModelError(ValueError):
-    """Invalid model parameter, input, or checker configuration."""
+    """Invalid model parameter, input, or checker configuration.
+
+    ``mvsde`` reports one from ``make_model`` as a config error (exit 2);
+    raised anywhere else in a run it is a bug and ends with a traceback.
+    """
 
 
 # ---------------------------------------------------------------------------

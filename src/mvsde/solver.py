@@ -59,7 +59,9 @@ DEFAULT_MEMORY_CAP = 2**31
 
 
 class SolverError(ValueError):
-    pass
+    """An input the solver refuses (a law's parameters, a driver's argument or
+    an initial particle drawn beyond the blow-up limit), raised before the
+    first step; ``mvsde`` reports it as a config error (exit 2)."""
 
 
 class BlowUpError(RuntimeError):
@@ -128,9 +130,11 @@ class GaussianLaw:
             raise SolverError(f"covariance must be nonnegative, got {self.cov}")
 
     def sample(self, rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-        factor = np.diag(np.sqrt(_components(self, "cov", dim)))
+        scale = np.sqrt(_components(self, "cov", dim))
         mean = _components(self, "mean_vec", dim)
-        return mean + rng.standard_normal((n, dim)) @ factor.T
+        # + 0.0 makes a zero-variance coordinate +0.0 for a -0.0 mean too: the
+        # bits of the diagonal matmul that a test compares against
+        return mean + (rng.standard_normal((n, dim)) * scale + 0.0)
 
     def mean(self, dim: int) -> np.ndarray:
         return _components(self, "mean_vec", dim).copy()

@@ -24,6 +24,7 @@ from mvsde.cli import (
 )
 from mvsde.config import KEYS, REQUIRED, ConfigError, load_config, parse_config_text
 from mvsde.models import MODELS, ModelError, make_model
+from mvsde.paths import coarsen
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -544,6 +545,47 @@ class TestCliSelftestAndCodes:
         with pytest.raises(ValueError, match="too many values to unpack"):
             main(["rate", "--config", str(_write(tmp_path, RATE_CFG)), "--out", str(out)])
         assert "config error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            pytest.param("rate", RATE_CFG, id="rate-em_multilevel"),
+            pytest.param("moments", "model.id = mf-ou\nsim.N = 16\nsim.level = 4\n", id="moments-run_single"),
+        ],
+    )
+    def test_value_error_mid_simulation_is_not_a_config_error(self, tmp_path, monkeypatch, capsys, kind, text):
+        # every driver check has passed and the run is stepping: a ValueError
+        # from the block loop, as a shape bug in coarsening would raise it, is
+        # a traceback, not exit 2, and leaves no output directory
+        calls = []
+
+        def buggy(increments, halvings):
+            calls.append(halvings)
+            if len(calls) == 4:
+                raise ValueError("operands could not be broadcast together")
+            return coarsen(increments, halvings)
+
+        monkeypatch.setattr(solver, "coarsen", buggy)
+        out = tmp_path / "o"
+        with pytest.raises(ValueError, match="operands could not be broadcast"):
+            main([kind, "--config", str(_write(tmp_path, text)), "--out", str(out)])
+        assert len(calls) == 4
+        assert "config error" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_error_after_make_model_is_not_a_config_error(self, tmp_path, monkeypatch, capsys):
+        # only make_model's ModelError is a config value; one from an
+        # assumption checker, once the model is built, is a bug
+        def buggy(model, seed):
+            raise ModelError("modulus argument must be nonnegative")
+
+        monkeypatch.setattr(cli.models, "check_h2prime", buggy)
+        text = "model.id = mf-ou\nsim.N = 1\nsim.level = 0\n"
+        out = tmp_path / "o"
+        with pytest.raises(ModelError, match="modulus argument"):
+            main(["check", "--config", str(_write(tmp_path, text)), "--out", str(out)])
+        assert "config error" not in capsys.readouterr().err
+        assert not out.exists()
 
     def test_blowup_exit_code(self, tmp_path, capsys):
         text = (

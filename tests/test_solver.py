@@ -113,6 +113,25 @@ class TestSampleInitial:
         diagonal = sample_initial(GaussianLaw([1.0, -1.0], [2.0, 2.0]), 50, 2, seed=3)
         assert scalar.tobytes() == diagonal.tobytes()
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_gaussian_sample_equals_the_matmul_formula(self, dim):
+        # elementwise scaling gives the floats of the diagonal matmul it
+        # replaced, including -0.0 means with zero variance and subnormal variances
+        rng = np.random.default_rng(dim)
+        for case in range(200):
+            mean = rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4, dim)
+            cov = rng.exponential(size=dim) * 10.0 ** rng.integers(-3, 4, dim)
+            special = rng.random(dim) < 0.5
+            mean[special] = rng.choice([0.0, -0.0], special.sum())
+            special = rng.random(dim) < 0.5
+            cov[special] = rng.choice([0.0, 5e-324, 1e-310], special.sum())
+            if case % 10 == 0:
+                mean, cov = mean[0], cov[0]
+            got = GaussianLaw(mean, cov).sample(np.random.default_rng(case), 7, dim)
+            factor = np.diag(np.sqrt(np.broadcast_to(cov, (dim,))))
+            want = np.broadcast_to(mean, (dim,)) + np.random.default_rng(case).standard_normal((7, dim)) @ factor.T
+            assert got.tobytes() == want.tobytes(), (mean, cov)
+
     @pytest.mark.parametrize("lo, hi, dim", [(1.0, 0.0, 1), (0.5, 0.5, 1), ([0.0, 1.0], 1.0, 2)])
     def test_uniform_box_needs_lo_below_hi(self, lo, hi, dim):
         with pytest.raises(SolverError, match="lo < hi"):

@@ -1,8 +1,10 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 # a failing property test, then a plain test that fails only because the
 # project's warning filters make a DeprecationWarning an error
@@ -31,3 +33,16 @@ def test_failing_property_test_does_not_end_the_session(tmp_path):
     )
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "2 failed" in proc.stdout, proc.stdout
+
+
+def test_cli_catches_only_typed_errors():
+    # exit codes follow the error's type: a broad except in cli would turn
+    # a bug's exception into a config error (or hide it)
+    tree = ast.parse((ROOT / "src" / "mvsde" / "cli.py").read_text())
+    broad = {"ValueError", "Exception", "BaseException"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler):
+            assert node.type is not None, f"bare except at line {node.lineno}"
+            names = {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(node.type) if isinstance(n, (ast.Name, ast.Attribute))}
+            assert not names & broad, f"except {sorted(names & broad)} at line {node.lineno}"
