@@ -4,7 +4,11 @@ Subcommands: run | rate | moments | metric | check | selftest.  Each reads a
 flat key=value config (see config.py), validates everything up front, runs
 the experiment, and writes CSV data plus a flat key=value summary (and a
 gnuplot script where a plot makes sense).  Floats are serialized with
-shortest round-trip decimals so reruns are byte-comparable.
+shortest round-trip decimals so reruns are byte-comparable.  An
+experiment's files are moved into place together after its last one,
+summary.txt, is written.  ``run``'s rows are formatted a time slice at a
+time: its time once, its "particle,dim," keys once per run, and one ``repr``
+per value.
 
 Exit codes follow the error's type: 0 success, 2 config error (``ConfigError``,
 ``SolverError``, or ``make_model``'s ``ModelError``), 3 numeric blow-up, 4 gate
@@ -19,6 +23,7 @@ import os
 import sys
 from contextlib import contextmanager, suppress
 from functools import partial
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -56,63 +61,102 @@ _CSV_BLOCK_ROWS = 4096
 def _format_column(values) -> list[str]:
     """Strings equal to ``_fmt`` of each value, formatted a column at a time."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
-        # tolist() gives Python floats and ints, whose repr is _fmt's output;
-        # one list repr formats them all, and repr([]) would give one empty cell
-        return repr(values.tolist())[1:-1].split(", ") if values.size else []
+        # tolist() gives Python floats and ints, whose repr is _fmt's output
+        return list(map(repr, values.tolist()))
     # _fmt of a str is the str itself, so formatted cells pass through
     return [v if type(v) is str else _fmt(v) for v in values]
 
 
-@contextmanager
-def _open(path: Path):
-    """Open ``path`` for writing under a temporary name beside it, moved into
-    place once the body is done.
+#: while an experiment is written, its files as (temporary, final) paths and
+#: the directories made for them; None outside ``_staged``
+_stage: tuple[list, list] | None = None
 
-    Directories are made at the first write, so a run that fails before it
-    leaves no output directory.  If the body raises, the temporary file and
-    every directory made for it are removed, so a run that fails while it
-    writes leaves no partial file and no new directory, and an earlier file
-    of that name stays as it was.  An ``OSError`` while making, writing or
-    moving the file is a ``ConfigError`` that names ``path``.
+
+@contextmanager
+def _staged():
+    """Hold back the files written in the body under temporary names beside
+    them, and move them all into place once the body is done.
+
+    A ``_staged`` inside another joins it, so an experiment's files are moved
+    together after its last one.  If the body raises, every temporary file and
+    every directory made for one is removed, so a run that fails leaves no
+    file and no new directory, and the earlier files of those names stay as
+    they were.  An ``OSError`` while moving is a ``ConfigError`` that names the
+    file; the files moved before it stay.
     """
-    tmp = path.with_name(f".{path.name}.tmp")
-    # the deepest directory that exists already; those below it are made here
-    top = next((d for d in path.parents if d.exists()), None)
+    global _stage
+    if _stage is not None:
+        yield _stage
+        return
+    moves, made = _stage = ([], [])
     done = False
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", newline="\n") as fh:
-            yield fh
-        os.replace(tmp, path)
+        yield _stage
+        for tmp, path in moves:
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise ConfigError(f"cannot write output {path}: {exc}") from exc
         done = True
-    except OSError as exc:
-        raise ConfigError(f"cannot write output {path}: {exc}") from exc
     finally:
+        _stage = None
         if not done:
-            # the cleanup must not hide the error that stopped the write
-            with suppress(OSError):
-                tmp.unlink()
-            for d in path.parents:
-                if d == top:
-                    break
+            # the cleanup must not hide the error that stopped the experiment
+            for tmp, _ in moves:
+                with suppress(OSError):
+                    tmp.unlink()
+            for d in reversed(made):
                 with suppress(OSError):
                     d.rmdir()
 
 
-def _write_csv(path: Path, header: list[str], blocks) -> None:
-    """Write CSV rows given as an iterable of blocks of equal-length columns.
+@contextmanager
+def _open(path: Path):
+    """Open ``path`` for writing under a temporary name, moved into place by
+    the enclosing ``_staged`` (or at once, outside one).
 
-    Consecutive blocks continue the table.  Each block is formatted and
-    written ``_CSV_BLOCK_ROWS`` rows at a time, so only that much text is
-    held at once.
+    Directories are made at the first write, so a run that fails before it
+    leaves no output directory.  An ``OSError`` while making or writing the
+    file is a ``ConfigError`` that names ``path``.
+    """
+    with _staged() as (moves, made):
+        tmp = path.with_name(f".{path.name}.tmp")
+        try:
+            made.extend(d for d in reversed(path.parents) if not d.exists())
+            path.parent.mkdir(parents=True, exist_ok=True)
+            moves.append((tmp, path))
+            with open(tmp, "w", newline="\n") as fh:
+                yield fh
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {path}: {exc}") from exc
+
+
+def _write_csv(path: Path, header: list[str], blocks, keys=None) -> None:
+    """Write CSV rows given as an iterable of blocks; consecutive blocks
+    continue the table.
+
+    A block is a list of equal-length columns.  With ``keys``, formatted cells
+    that each end in a comma (``run``'s "particle,dim," labels), a block is
+    ``(lead, values)`` instead: row i is ``lead``, ``keys[i]`` and
+    ``values[i]``.  ``lead`` is formatted once and placed by the join's
+    separator, so such a row costs its value's repr and one concatenation.
+    Each block is formatted and written ``_CSV_BLOCK_ROWS`` rows at a time, so
+    only that much text is held at once.
     """
     with _open(path) as fh:
         fh.write(",".join(header) + "\n")
-        for columns in blocks:
-            for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-                hi = lo + _CSV_BLOCK_ROWS
-                cells = [_format_column(c[lo:hi]) for c in columns]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        for block in blocks:
+            if keys is None:
+                for lo in range(0, len(block[0]), _CSV_BLOCK_ROWS):
+                    cells = [_format_column(c[lo:lo + _CSV_BLOCK_ROWS]) for c in block]
+                    fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            else:
+                lead, values = block
+                head = _fmt(lead) + ","
+                for lo in range(0, len(keys), _CSV_BLOCK_ROWS):
+                    hi = lo + _CSV_BLOCK_ROWS
+                    rows = map(add, keys[lo:hi], _format_column(values[lo:hi]))
+                    fh.write(head + ("\n" + head).join(rows) + "\n")
 
 
 def _write_summary(path: Path, mapping: dict) -> None:
@@ -146,9 +190,16 @@ def _run(cfg: ExperimentConfig, model, seed: int, stream: bool = False):
                   horizon=cfg.horizon, record_level=cfg.record_level)
 
 
-def _report(out: Path, summary: dict, failure: str | None) -> dict:
-    """Write summary.txt, then fail the gate if a failure was found."""
-    _write_summary(out / "summary.txt", summary)
+def _report(out: Path, heading: dict, experiment) -> dict:
+    """Run ``experiment()``, which writes the data files and returns its
+    summary entries and its gate failure (None when the gate is off or
+    passes); write summary.txt, the last file, and move every file into place
+    together.  Then fail the gate if a failure was found, so a failed gate
+    keeps its outputs."""
+    with _staged():
+        entries, failure = experiment()
+        summary = {**heading, **entries}
+        _write_summary(out / "summary.txt", summary)
     if failure is not None:
         raise GateFailure(failure)
     return summary
@@ -157,32 +208,32 @@ def _report(out: Path, summary: dict, failure: str | None) -> dict:
 def _pipeline(analyse, cfg: ExperimentConfig, out: Path, gate: bool) -> dict:
     """One experiment.  ``analyse(cfg, model, out, gate)`` runs its kind's
     simulations, writes its data files and returns its summary entries and its
-    gate failure (None when the gate is off or passes)."""
+    gate failure."""
     try:
         model = make_model(cfg.model_id, dim=cfg.dim, params=cfg.model_params)
     except ModelError as exc:
         raise ConfigError(str(exc)) from exc
-    entries, failure = analyse(cfg, model, out, gate)
-    return _report(out, {"experiment": cfg.kind, "model": cfg.model_id, **entries}, failure)
+    heading = {"experiment": cfg.kind, "model": cfg.model_id}
+    return _report(out, heading, partial(analyse, cfg, model, out, gate))
 
 
 def _analyse_run(cfg, model, out, gate):
     # each record row is written as soon as it is stepped, so one block of
     # increments is held, not the trajectory, and a failure midway leaves no
-    # trajectories.csv (see _open).  One block per time slice, its rows
-    # particle-major; each time and the "particle,dim" labels are formatted once
+    # trajectories.csv (see _staged).  One block per time slice, its rows
+    # particle-major; the "particle,dim," keys are formatted once per run
     times, rows = _run(cfg, model, cfg.seed, stream=True)
     means = np.empty((times.shape[0], cfg.dim))
-    labels = [f"{p},{k}" for p in range(cfg.n_particles) for k in range(cfg.dim)]
+    keys = [f"{p},{k}," for p in range(cfg.n_particles) for k in range(cfg.dim)]
 
     def blocks():
         # rows first, so the block loop runs to its end and frees its block
         for j, (row, t) in enumerate(zip(rows, times)):
             # the same floats as the trajectory's mean(axis=1)
             means[j] = row.mean(axis=0)
-            yield [[_fmt(t)] * len(labels), labels, row.reshape(-1)]
+            yield t, row.reshape(-1)
 
-    _write_csv(out / "trajectories.csv", ["time", "particle", "dim", "value"], blocks())
+    _write_csv(out / "trajectories.csv", ["time", "particle", "dim", "value"], blocks(), keys=keys)
 
     mean_norms = np.linalg.norm(means, axis=1)
     entries = {
@@ -344,7 +395,7 @@ def _analyse_check(cfg, model, out, gate):
     return entries, None if ok or not gate else "assumption check failed; see check.csv"
 
 
-def cmd_selftest(out: Path) -> dict:
+def _analyse_selftest(out: Path):
     """Solver-free pipeline checks against closed forms; always gated."""
     levels = [1, 2, 3, 4, 5, 6]
     errors = [2.0 ** (-n) for n in levels]
@@ -367,16 +418,15 @@ def cmd_selftest(out: Path) -> dict:
         "osgood_closed_form": abs(osgood_val - osgood_exact) <= 1e-6 * osgood_exact,
         "bihari_closed_form": abs(bihari.path[-1] - bihari_exact) <= 1e-6 * bihari_exact,
     }
-    summary = {
-        "experiment": "selftest",
+    entries = {
         "synthetic_slope": report.slope,
         "osgood_value": osgood_val,
         "bihari_final": float(bihari.path[-1]),
     }
     for name, ok in checks.items():
-        summary[f"check.{name}"] = "pass" if ok else "fail"
+        entries[f"check.{name}"] = "pass" if ok else "fail"
     failed = [k for k, v in checks.items() if not v]
-    return _report(out, summary, "selftest failed: " + ", ".join(failed) if failed else None)
+    return entries, "selftest failed: " + ", ".join(failed) if failed else None
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +466,7 @@ def main(argv=None) -> int:
             raise ConfigError("--threads must be at least 1")
         out = _out_dir(args.out, args.command)
         if args.command == "selftest":
-            cmd_selftest(out)
+            _report(out, {"experiment": "selftest"}, partial(_analyse_selftest, out))
             print(f"selftest pass ({out})")
             return EXIT_OK
         cfg = load_config(args.config, args.command, seed_override=args.seed)

@@ -78,15 +78,17 @@ def _write(tmp_path: Path, text: str, name: str = "exp.cfg") -> Path:
     return path
 
 
-def _patch_writes(monkeypatch, fail_at=None):
+def _patch_writes(monkeypatch, fail_at=None, fail_in=None):
     """Route every file ``cli`` opens through a wrapper that records the rows
-    of each write and raises ENOSPC on write number ``fail_at`` (from 1);
-    returns the list of rows per write."""
+    of each write and raises ENOSPC on write number ``fail_at`` (from 1), or
+    on every write to a file whose name contains ``fail_in``; returns the
+    list of rows per write."""
     rows_per_write = []
 
     class RecordingFile:
         def __init__(self, *args, **kwargs):
             self.fh = open(*args, **kwargs)
+            self.full = fail_in is not None and fail_in in Path(args[0]).name
 
         def __enter__(self):
             return self
@@ -95,7 +97,7 @@ def _patch_writes(monkeypatch, fail_at=None):
             self.fh.close()
 
         def write(self, text):
-            if len(rows_per_write) + 1 == fail_at:
+            if self.full or len(rows_per_write) + 1 == fail_at:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             rows_per_write.append(text.count("\n"))
             return self.fh.write(text)
@@ -331,6 +333,20 @@ class TestCliRun:
         else:
             assert {p.name: p.read_bytes() for p in out.iterdir()} == kept
 
+    def test_failure_in_the_last_file_leaves_an_earlier_run_as_it_was(self, tmp_path, monkeypatch, capsys):
+        # the disk fills while seed 2's summary.txt is written, after its
+        # trajectories.csv is complete: the files are moved together after
+        # the last one, so none of seed 2's replaces one of seed 1's
+        path = _write(tmp_path, RUN_CFG)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out), "--seed", "1"]) == EXIT_OK
+        kept = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(kept) == {"trajectories.csv", "summary.txt"}
+        _patch_writes(monkeypatch, fail_in="summary.txt")
+        assert main(["run", "--config", str(path), "--out", str(out), "--seed", "2"]) == EXIT_CONFIG
+        assert f"config error: cannot write output {out / 'summary.txt'}: " in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == kept
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_summary_matches_trajectory_mean_formula(self, tmp_path, dim):
         # the streamed per-row means give the floats of the collected
@@ -391,6 +407,13 @@ class TestCliRate:
         code = main(["rate", "--config", str(path), "--out", str(tmp_path / "g"), "--gate"])
         assert code == EXIT_GATE
 
+    def test_gate_failure_keeps_its_outputs(self, tmp_path):
+        # the files are moved into place before the gate fails
+        text = RATE_CFG + "gate.slope_min = -0.01\ngate.slope_max = 0.0\n"
+        out = tmp_path / "g"
+        assert main(["rate", "--config", str(_write(tmp_path, text)), "--out", str(out), "--gate"]) == EXIT_GATE
+        assert sorted(p.name for p in out.iterdir()) == ["rate.csv", "rate.gp", "summary.txt"]
+        assert "gate = fail\n" in (out / "summary.txt").read_text()
 
     @pytest.mark.parametrize(
         "lines, missing",
@@ -806,6 +829,39 @@ class TestCsvWriter:
         assert new == ref
         assert sum(rows_per_write) > 5 * 1400 * 3
         assert max(rows_per_write) <= _CSV_BLOCK_ROWS
+
+    @pytest.mark.parametrize("n", [4096, 4097])
+    def test_run_slice_at_block_rows_edge(self, tmp_path, monkeypatch, n):
+        # d = 1, level 1: three time slices of exactly one block, or of one
+        # block and one row
+        assert _CSV_BLOCK_ROWS == 4096
+        rows_per_write = _patch_writes(monkeypatch)
+        new, ref = _run_csv(tmp_path, n=n, dim=1, level=1)
+        assert new == ref
+        assert max(rows_per_write) <= _CSV_BLOCK_ROWS
+        # the header, then each slice's writes; summary.txt's lines follow
+        header_and_slices = [1, *([4096] if n == 4096 else [4096, 1]) * 3]
+        assert rows_per_write[:len(header_and_slices)] == header_and_slices
+
+    def test_keyed_rows_match_fmt(self, tmp_path):
+        # a hand-made d = 2 time slice of three particles: signed zero, the
+        # smallest subnormal, exponent forms either side of plain decimals
+        values = np.array([-0.0, 5e-324, 1e16, 1e-05, 2.0, -1.5e-300])
+        keys = [f"{p},{k}," for p in range(3) for k in range(2)]
+        times = np.array([0.0, 0.125])
+        _write_csv(tmp_path / "new.csv", ["time", "particle", "dim", "value"],
+                   [(times[0], values), (times[1], -values)], keys=keys)
+        lines = (tmp_path / "new.csv").read_text().splitlines()
+        expected = [
+            f"{_fmt(t)},{p},{k},{_fmt(sign * values[2 * p + k])}"
+            for t, sign in zip(times, (1.0, -1.0))
+            for p in range(3)
+            for k in range(2)
+        ]
+        assert lines == ["time,particle,dim,value", *expected]
+        assert lines[1:7] == ["0.0,0,0,-0.0", "0.0,0,1,5e-324", "0.0,1,0,1e+16",
+                              "0.0,1,1,1e-05", "0.0,2,0,2.0", "0.0,2,1,-1.5e-300"]
+        assert lines[7] == "0.125,0,0,0.0"
 
     def test_mixed_columns_match_per_value_writer(self, tmp_path):
         # check.csv mixes bools, floats, empty cells and text

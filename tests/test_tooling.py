@@ -1,4 +1,5 @@
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +47,32 @@ def test_cli_catches_only_typed_errors():
             names = {n.id if isinstance(n, ast.Name) else n.attr
                      for n in ast.walk(node.type) if isinstance(n, (ast.Name, ast.Attribute))}
             assert not names & broad, f"except {sorted(names & broad)} at line {node.lineno}"
+
+
+# the benchmark's setup probe (import the CLI, load a config, build its model),
+# run over every canonical config; the config's kind is its name's first word
+SETUP_IMPORTS = """\
+import sys
+from pathlib import Path
+
+import mvsde.cli
+from mvsde.config import load_config
+from mvsde.models import make_model
+
+for path in sorted(Path(sys.argv[1]).glob("*.cfg")):
+    cfg = load_config(path, path.name.split("_")[0])
+    make_model(cfg.model_id, dim=cfg.dim, params=cfg.model_params)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_setup_imports_no_scipy():
+    # importing scipy.integrate costs about 0.6 s and 52 MB; only the two
+    # analysis oracles use it, on first use
+    proc = subprocess.run(
+        [sys.executable, "-c", SETUP_IMPORTS, str(ROOT / "configs")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
