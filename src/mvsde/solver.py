@@ -276,8 +276,9 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
     ``DEFAULT_MEMORY_CAP`` bytes: the recorded trajectories (what a driver
     collects, or what ``mvsde run`` writes from ``stream_single``), one
     block of increments and the stream positions.  ``sample_initial`` then
-    checks the particle count, the dimension and the seed before the streams
-    are built; the machinery of ``paths`` checks nothing.
+    checks the particle count, the dimension and the seed; the machinery of
+    ``paths`` checks nothing.  The streams are built after the first yield,
+    so a primed generator holds only the initial ensemble.
 
     The blocks are the 2^c cells of level
     ``c = min(record_level, max(0, finest - BLOCK_LEVEL))``.  Each block's
@@ -320,12 +321,12 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
     span = 1 << (finest - record_level)
     interval = horizon / (1 << record_level)
     initial = sample_initial(law, n_particles, model.dim, seed)
-    streams = NoiseStreams(seed, n_particles)
     # t_i = i * (T / 2^r): dividing by a power of two is exact
     times = np.arange((1 << record_level) + 1, dtype=np.float64) * interval
     times.flags.writeable = False
     yield times
 
+    streams = NoiseStreams(seed, n_particles)
     initial.flags.writeable = False
     current = {lvl: initial for lvl in run_levels}
     yield dict(current)

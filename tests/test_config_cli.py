@@ -17,9 +17,9 @@ from mvsde.cli import (
     EXIT_CONFIG,
     EXIT_GATE,
     EXIT_OK,
+    _csv,
     _fmt,
-    _format_column,
-    _write_csv,
+    _trajectory_csv,
     main,
 )
 from mvsde.config import KEYS, REQUIRED, ConfigError, load_config, parse_config_text
@@ -415,6 +415,25 @@ class TestCliRate:
         assert sorted(p.name for p in out.iterdir()) == ["rate.csv", "rate.gp", "summary.txt"]
         assert "gate = fail\n" in (out / "summary.txt").read_text()
 
+    def test_failed_move_is_config_error_and_leaves_no_temporary_file(self, tmp_path, monkeypatch, capsys):
+        # the second of the three moves fails: rate.csv is already in place and
+        # stays (a failure during the moves can leave a mix), and the
+        # temporary files of rate.gp and summary.txt are removed
+        out = tmp_path / "r"
+        replace, moves = os.replace, []
+
+        def second_fails(src, dst):
+            moves.append(Path(dst).name)
+            if len(moves) == 2:
+                raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", second_fails)
+        assert main(["rate", "--config", str(_write(tmp_path, RATE_CFG)), "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: cannot write output {out / 'rate.gp'}: " in capsys.readouterr().err
+        assert moves == ["rate.csv", "rate.gp"]
+        assert [p.name for p in out.iterdir()] == ["rate.csv"]
+
     @pytest.mark.parametrize(
         "lines, missing",
         [
@@ -499,6 +518,21 @@ class TestCliMomentsMetricCheck:
         out = tmp_path / "o"
         assert main(["metric", "--config", str(path), "--out", str(out)]) == EXIT_BLOWUP
         assert "numeric blow-up: blow-up at level 4, step 15 (t=1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_metric_checks_seed_b_before_it_simulates_seed_a(self, tmp_path, monkeypatch, capsys):
+        # with a standard deviation of 1e8, seed 1 draws its one particle at
+        # -0.62e8 and seed 0 at -1.72e8, beyond the blow-up limit: seed b's
+        # initial draw is refused before any lattice is drawn for seed a
+        def no_draw(*args, **kwargs):
+            raise AssertionError("lattice drawn")
+
+        monkeypatch.setattr(solver, "sample_lattice", no_draw)
+        text = ("model.id = mf-ou\nsim.N = 1\nsim.level = 2\nsim.seed = 1\nmetric.seed_b = 0\n"
+                "init.law = gaussian\ninit.cov = 1e16\n")
+        out = tmp_path / "o"
+        assert main(["metric", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == EXIT_CONFIG
+        assert "initial law drew particle 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_check_passes_catalog_model(self, tmp_path):
@@ -761,6 +795,23 @@ class TestCliSelftestAndCodes:
         assert "--threads must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nested_experiment_keeps_its_own_outputs(self, tmp_path, monkeypatch, capsys):
+        # an experiment run inside another one's analysis moves its own files
+        # into place when it ends, and the outer one's failure leaves them
+        other, out = tmp_path / "other", tmp_path / "o"
+
+        def nested_then_fail(*args):
+            assert main(["selftest", "--out", str(other)]) == EXIT_OK
+            raise cli.analysis.AnalysisError("outer analysis failed")
+
+        monkeypatch.setattr(cli.analysis, "strong_error", nested_then_fail)
+        assert main(["rate", "--config", str(_write(tmp_path, RATE_CFG)), "--out", str(out)]) == EXIT_ANALYSIS
+        captured = capsys.readouterr()
+        assert f"selftest pass ({other})" in captured.out
+        assert "analysis error: outer analysis failed" in captured.err
+        assert sorted(p.name for p in other.iterdir()) == ["rate.csv", "summary.txt"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "selftest"])
     def test_unwritable_out_is_config_error(self, tmp_path, capsys, command):
         # --out names an existing regular file, so no directory can be made there
@@ -843,15 +894,13 @@ class TestCsvWriter:
         header_and_slices = [1, *([4096] if n == 4096 else [4096, 1]) * 3]
         assert rows_per_write[:len(header_and_slices)] == header_and_slices
 
-    def test_keyed_rows_match_fmt(self, tmp_path):
+    def test_keyed_rows_match_fmt(self):
         # a hand-made d = 2 time slice of three particles: signed zero, the
         # smallest subnormal, exponent forms either side of plain decimals
         values = np.array([-0.0, 5e-324, 1e16, 1e-05, 2.0, -1.5e-300])
-        keys = [f"{p},{k}," for p in range(3) for k in range(2)]
         times = np.array([0.0, 0.125])
-        _write_csv(tmp_path / "new.csv", ["time", "particle", "dim", "value"],
-                   [(times[0], values), (times[1], -values)], keys=keys)
-        lines = (tmp_path / "new.csv").read_text().splitlines()
+        slices = [(times[0], values.reshape(3, 2)), (times[1], -values.reshape(3, 2))]
+        lines = "".join(_trajectory_csv(slices, 3, 2)).splitlines()
         expected = [
             f"{_fmt(t)},{p},{k},{_fmt(sign * values[2 * p + k])}"
             for t, sign in zip(times, (1.0, -1.0))
@@ -871,17 +920,15 @@ class TestCsvWriter:
             ("h2prime", np.bool_(False), np.float64(1e-300), np.float32(0.1), "ratio 2.5 at x=-0.0"),
             ("count", 3, np.int64(-7), -0.0, None),
         ]
-        _write_csv(tmp_path / "new.csv", header, [list(zip(*rows))])
         _write_csv_per_value(tmp_path / "ref.csv", header, rows)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert "".join(_csv(header, rows)).encode() == (tmp_path / "ref.csv").read_bytes()
 
     def test_tuple_of_ints_column_matches_per_value_writer(self, tmp_path):
         # rate.csv's level column is the config's tuple of levels
         header = ["level", "error", "stderr"]
         columns = [(3, 4, 12), [0.5, 0.25, 1e-17], np.array([0.1, 0.0, 2.5])]
-        _write_csv(tmp_path / "new.csv", header, [columns])
         _write_csv_per_value(tmp_path / "ref.csv", header, zip(*columns))
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert "".join(_csv(header, zip(*columns))).encode() == (tmp_path / "ref.csv").read_bytes()
 
     def test_array_columns_match_per_value_writer(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -894,18 +941,16 @@ class TestCsvWriter:
             rng.standard_normal(n).astype(np.float32),
         ]
         header = ["f64", "i64", "u64", "bool", "f32"]
-        _write_csv(tmp_path / "new.csv", header, [columns])
         _write_csv_per_value(tmp_path / "ref.csv", header, zip(*columns))
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert "".join(_csv(header, zip(*columns))).encode() == (tmp_path / "ref.csv").read_bytes()
 
     def test_empty_numeric_column_matches_per_value_writer(self, tmp_path):
         for empty in (np.empty(0), np.empty(0, dtype=np.int64)):
-            assert _format_column(empty) == []
+            assert "".join(_csv(["x"], zip(empty))) == "x\n"
         blocks = [[np.array([1.5])], [np.empty(0)], [np.array([-0.0])]]
-        _write_csv(tmp_path / "new.csv", ["x"], blocks)
         _write_csv_per_value(tmp_path / "ref.csv", ["x"], [(1.5,), (-0.0,)])
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        rows = (row for block in blocks for row in zip(*block))
+        assert "".join(_csv(["x"], rows)).encode() == (tmp_path / "ref.csv").read_bytes()
 
-    def test_empty_table_is_header_only(self, tmp_path):
-        _write_csv(tmp_path / "new.csv", ["a", "b"], [[[], np.empty(0)]])
-        assert (tmp_path / "new.csv").read_bytes() == b"a,b\n"
+    def test_empty_table_is_header_only(self):
+        assert "".join(_csv(["a", "b"], zip([], np.empty(0)))) == "a,b\n"
