@@ -31,7 +31,6 @@ from .solver import (
     em_multilevel,
     run_single,
     sample_initial,
-    stream_single,
 )
 from .analysis import (
     bihari_ode_check,

@@ -2,8 +2,11 @@
 increment-scaling envelopes, Osgood-integral and comparison-ODE oracles, and
 coupled-law metric curves.
 
-Trajectories are the solver drivers' plain arrays: (points, N, d) states,
-``states[j]`` the ensemble at record time ``times[j]``.  Estimates come with
+A trajectory is any iterable of record rows, such as a solver driver's
+rows or a (points, N, d) array, row j the ensemble at record time
+``times[j]``; the reductions read each row as it comes, so a driver's run is
+never held whole.  ``increment_scaling``, which pairs rows far apart, takes
+a (points, N, d) array.  Estimates come with
 Monte-Carlo standard errors from per-particle statistics; rate verdicts are
 decay exponents fitted on log2 error curves, since the constants in the
 underlying bounds are existential.
@@ -14,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -71,18 +75,33 @@ class RateReport:
             raise AnalysisError("rate fit produced non-finite coefficients")
 
 
-def strong_error(ref: np.ndarray, coarse: np.ndarray) -> tuple[float, float]:
-    """Mean over particles of the squared sup gap along the record grid.
+def strong_error(rows, reference: int) -> dict[int, tuple[float, float]]:
+    """Per level other than ``reference``: the mean over particles of the
+    squared sup gap to the reference level along the record grid, and its
+    standard error, the per-particle sample deviation over sqrt(N).
 
-    Takes two levels' states from one ``em_multilevel`` run, which records
-    them on one grid; the standard error is the per-particle sample
-    deviation over sqrt(N).
+    ``rows`` is any iterable of ``{level: (N, d) states}`` record rows of
+    one coupled run, such as ``em_multilevel``'s.  Each row is reduced as it
+    comes into one per-particle running maximum per level, made from row 0,
+    which a driver hands on before it draws its first block: an array made
+    while a block is alive and kept past its free can pin the heap top, so
+    the freed block cannot be returned (see the block loop's ``ends``).
     """
-    if ref.shape != coarse.shape:
-        raise AnalysisError(f"state arrays have mismatched shapes {ref.shape} and {coarse.shape}")
-    gaps = coarse - ref
-    sup_sq = np.max(np.sum(gaps * gaps, axis=2), axis=0)
-    return _mean_se(sup_sq)
+    sup_sq = {}
+    for row in rows:
+        ref = row[reference]
+        for lvl, states in row.items():
+            if lvl == reference:
+                continue
+            if states.shape != ref.shape:
+                raise AnalysisError(f"state arrays have mismatched shapes {ref.shape} and {states.shape}")
+            gaps = states - ref
+            sq = np.sum(gaps * gaps, axis=1)
+            if lvl in sup_sq:
+                np.maximum(sup_sq[lvl], sq, out=sup_sq[lvl])
+            else:
+                sup_sq[lvl] = sq
+    return {lvl: _mean_se(values) for lvl, values in sup_sq.items()}
 
 
 #: levels a rate fit needs at least; a rate config is refused with fewer
@@ -127,19 +146,26 @@ class MomentReport:
         return bool(np.all(self.envelope >= self.moments))
 
 
-def moment_curve(times: np.ndarray, states: np.ndarray, order: int = 1) -> MomentReport:
-    """Per record point ``times[j]``: ensemble average of |X|^(2p) over
-    ``states[j]`` with standard error, plus the smallest C >= 0 such that
+def moment_curve(times: np.ndarray, rows, order: int = 1) -> MomentReport:
+    """Per record point ``times[j]``: ensemble average of |X|^(2p) over row
+    j of ``rows`` (any iterable of (N, d) rows, each reduced as it comes)
+    with standard error, plus the smallest C >= 0 such that
     C*(1 + m_0)*exp(C*t) dominates the whole empirical curve (m_0 = empirical
-    moment at t = 0)."""
+    moment at t = 0).  An overflow is raised once the rows are used up, so
+    an error raised while making them (a blow-up) comes first."""
     if order < 1:
         raise AnalysisError(f"moment order must be at least 1, got {order}")
-    with np.errstate(over="ignore"):
-        sq = np.sum(states**2, axis=2)
-        vals = sq**order
-    if not np.isfinite(vals).all():
+    pairs = []
+    overflow = False
+    for row in rows:
+        with np.errstate(over="ignore"):
+            vals = np.sum(row**2, axis=1) ** order
+        if np.isfinite(vals).all():
+            pairs.append(_mean_se(vals))
+        else:
+            overflow = True
+    if overflow:
         raise AnalysisError(f"overflow computing |X|^{2 * order}; use a smaller moment order")
-    pairs = [_mean_se(vals[j]) for j in range(vals.shape[0])]
     moments = np.array([p[0] for p in pairs])
     stderrs = np.array([p[1] for p in pairs])
     m0 = float(moments[0])
@@ -321,44 +347,46 @@ class LawGapReport:
     coupling: str
 
 
-def law_gap_curve(times: np.ndarray, a: np.ndarray, b) -> LawGapReport:
+def law_gap_curve(times: np.ndarray, a, b) -> LawGapReport:
     """Two-sided law gap per record point between two equal-size ensembles
-    recorded at ``times``: ``a`` a (points, N, d) array and ``b`` any
-    iterable of (N, d) rows, such as an array or ``stream_single``'s rows,
-    each reduced as it comes.
+    recorded at ``times``: ``a`` and ``b`` are any iterables of (N, d) rows,
+    such as ``run_single``'s or (points, N, d) arrays, read in lockstep (row
+    j of ``a``, then row j of ``b``) and reduced as they come, so two driver
+    runs hold one block of increments each, not a trajectory.
 
     The upper curve is a coupled mean distance; the one-dimensional case uses
     the monotone (sorted) pairing, the tightest order-one coupling available
     there, while higher dimensions keep the index pairing.  The lower curve
     maximizes over ``default_dictionary``.  The sandwich lower <= upper is
     asserted pointwise, up to ``SANDWICH_RTOL``; the first violation is
-    raised once ``b`` is used up, so an error raised while making its rows
-    (a blow-up) comes first.  A ``b`` with other than ``len(times)`` rows is
+    raised once both are used up, so an error raised while making a row (a
+    blow-up) comes first.  Unless both have ``len(times)`` rows, they are
     refused, naming both counts.
     """
     n_points = times.shape[0]
-    if a.shape[0] != n_points:
-        raise AnalysisError(f"a has {a.shape[0]} rows for {n_points} record times")
-    use_sorted = a.shape[2] == 1
-    dictionary = default_dictionary(a.shape[2])
     # driver states are finite (guarded every step) float64 and read-only and
     # the sorted copies are fresh, so the measures are built unchecked.  The
     # lower curve reads the unsorted ones: exact_sum is ~2x slower on sorted input
     uppers = np.empty(n_points)
     lowers = np.empty_like(uppers)
     violation = None
-    count = 0
-    for row in b:
-        j, count = count, count + 1
-        if j >= n_points:
+    count_a = count_b = 0
+    for x, y in zip_longest(a, b):
+        count_a += x is not None
+        count_b += y is not None
+        j = count_a - 1
+        if x is None or y is None or j >= n_points:
             continue
-        if row.shape != a.shape[1:]:
-            raise AnalysisError(f"state rows have mismatched shapes {a.shape[1:]} and {row.shape}")
-        mu = EmpiricalMeasure(a[j])
-        nu = EmpiricalMeasure(row)
+        if x.shape != y.shape:
+            raise AnalysisError(f"state rows have mismatched shapes {x.shape} and {y.shape}")
+        if j == 0:
+            use_sorted = x.shape[1] == 1
+            dictionary = default_dictionary(x.shape[1])
+        mu = EmpiricalMeasure(x)
+        nu = EmpiricalMeasure(y)
         if use_sorted:
-            mu_c = EmpiricalMeasure(np.sort(a[j], axis=0))
-            nu_c = EmpiricalMeasure(np.sort(row, axis=0))
+            mu_c = EmpiricalMeasure(np.sort(x, axis=0))
+            nu_c = EmpiricalMeasure(np.sort(y, axis=0))
         else:
             mu_c, nu_c = mu, nu
         uppers[j] = rho_upper(mu_c, nu_c)
@@ -368,8 +396,8 @@ def law_gap_curve(times: np.ndarray, a: np.ndarray, b) -> LawGapReport:
                 f"metric sandwich violated at t={times[j]:.6g}: "
                 f"lower {lowers[j]:.6g} > upper {uppers[j]:.6g}"
             )
-    if count != n_points:
-        raise AnalysisError(f"b has {count} rows for {n_points} record times")
+    if not count_a == count_b == n_points:
+        raise AnalysisError(f"a has {count_a} rows and b has {count_b} for {n_points} record times")
     if violation is not None:
         raise violation
     return LawGapReport(

@@ -31,7 +31,7 @@ import numpy as np
 from . import analysis, models
 from .config import ConfigError, ExperimentConfig, load_config
 from .models import ModelError, make_model
-from .solver import BlowUpError, SolverError, em_multilevel, run_single, stream_single
+from .solver import BlowUpError, SolverError, em_multilevel, run_single
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -101,12 +101,10 @@ def _out_dir(cli_out: str | None, kind: str) -> Path:
 # the experiment pipeline: build model -> simulate -> analyse -> write -> gate
 # ---------------------------------------------------------------------------
 
-def _run(cfg: ExperimentConfig, model, seed: int, stream: bool = False):
-    """One run at ``sim.level`` from ``seed``: ``(times, states)``, or with ``stream``
-    ``(times, rows)``, stepped as they are read (``run``'s rows, ``metric``'s seed b)."""
-    driver = stream_single if stream else run_single
-    return driver(model, cfg.law, seed, cfg.level, finest=cfg.finest, n_particles=cfg.n_particles,
-                  horizon=cfg.horizon, record_level=cfg.record_level)
+def _run(cfg: ExperimentConfig, model, seed: int):
+    """One run at ``sim.level`` from ``seed``: ``(times, rows)``, each row stepped as it is read."""
+    return run_single(model, cfg.law, seed, cfg.level, finest=cfg.finest, n_particles=cfg.n_particles,
+                      horizon=cfg.horizon, record_level=cfg.record_level)
 
 
 def _report(out: Path, heading: dict, experiment) -> dict:
@@ -181,7 +179,7 @@ def _analyse_run(cfg, model, gate, write):
     # each record row is written as soon as it is stepped, so one block of
     # increments is held, not the trajectory, and a failure midway leaves no
     # trajectories.csv (see _report)
-    times, rows = _run(cfg, model, cfg.seed, stream=True)
+    times, rows = _run(cfg, model, cfg.seed)
     means = np.empty((times.shape[0], cfg.dim))
 
     def slices():
@@ -213,13 +211,11 @@ def _analyse_rate(cfg, model, gate, write):
     missing = [key for key, value in window.items() if value is None]
     if gate and missing:
         raise ConfigError(f"rate --gate requires the slope window; missing {', '.join(map(repr, missing))}")
-    _, runs = em_multilevel(model, cfg.law, cfg.seed, list(cfg.levels), cfg.finest, cfg.n_particles,
+    _, rows = em_multilevel(model, cfg.law, cfg.seed, list(cfg.levels), cfg.finest, cfg.n_particles,
                             cfg.horizon, cfg.record_level)
-    errors, stderrs = [], []
-    for lvl in cfg.levels:
-        est, se = analysis.strong_error(runs[cfg.finest], runs[lvl])
-        errors.append(est)
-        stderrs.append(se)
+    estimates = analysis.strong_error(rows, cfg.finest)
+    errors = [estimates[lvl][0] for lvl in cfg.levels]
+    stderrs = [estimates[lvl][1] for lvl in cfg.levels]
     report = analysis.fit_rate(cfg.levels, errors)
     write("rate.csv", _csv(["level", "error", "stderr"], zip(cfg.levels, errors, stderrs)))
     write("rate.gp", _gnuplot(
@@ -256,8 +252,8 @@ def _analyse_rate(cfg, model, gate, write):
 
 
 def _analyse_moments(cfg, model, gate, write):
-    times, states = _run(cfg, model, cfg.seed)
-    report = analysis.moment_curve(times, states, cfg.moment_order)
+    times, rows = _run(cfg, model, cfg.seed)
+    report = analysis.moment_curve(times, rows, cfg.moment_order)
     oracle_vals = None
     if model.model_id == "mf-ou" and cfg.moment_order == 1:
         d = cfg.dim
@@ -298,13 +294,11 @@ def _analyse_moments(cfg, model, gate, write):
 
 
 def _analyse_metric(cfg, model, gate, write):
-    # seed b's stream is primed first, so both seeds are checked before any
-    # work.  Seed a is held whole; seed b's rows are stepped as the curve reads
-    # them, so one trajectory and one block of increments are held, not two
-    # trajectories
-    _, rows_b = _run(cfg, model, cfg.seed_b, stream=True)
-    times, a = _run(cfg, model, cfg.seed)
-    report = analysis.law_gap_curve(times, a, rows_b)
+    # seed b is primed first, so both seeds are checked before any work; the
+    # curve steps both runs in lockstep, one block of increments each
+    _, rows_b = _run(cfg, model, cfg.seed_b)
+    times, rows_a = _run(cfg, model, cfg.seed)
+    report = analysis.law_gap_curve(times, rows_a, rows_b)
     write("metric.csv", _csv(["time", "rho_upper", "rho_lower"], zip(report.times, report.upper, report.lower)))
     write("metric.gp", _gnuplot(
         "set xlabel 'time'\nset ylabel 'law gap'\n"

@@ -5,22 +5,20 @@ moves; drift and diffusion are then frozen at the left grid point for every
 particle.  Running several levels against one Brownian path (synchronous
 coupling) makes the inter-level difference a pure discretization error.
 
-The public way to simulate is the three drivers, ``run_single``,
-``stream_single`` and ``em_multilevel``; all draw the path the same way: in
-time blocks, each taken one record interval at a time, the interval's
-increments reduced down the ladder of simulated levels and stepped through
-at every level by ``em_run``, and the record row handed on.  That loop,
-``_em_blocks``, is a generator of record rows; it checks a simulation's
-inputs and memory once, before anything is drawn, and ``em_run`` and
-``paths`` run unchecked under it.
-``stream_single`` hands its rows on as ``(times, rows)`` with ``rows`` an
-iterator of (N, d) ensembles, so a caller that reduces them as they come
-holds one block of increments, not a trajectory: ``mvsde run`` writes each
-row to its CSV, and ``mvsde metric`` reads seed b's rows into the law-gap
-curve.
-``run_single`` and ``em_multilevel`` collect the rows into read-only arrays:
-``(times, states)`` and ``(times, {level: states})``, whose levels share one
-``times``; ``states[j]`` is the (N, d) ensemble at ``times[j]``.
+The public way to simulate is the two drivers, ``run_single`` and
+``em_multilevel``; both draw the path the same way: in time blocks, each
+taken one record interval at a time, the interval's increments reduced down
+the ladder of simulated levels and stepped through at every level by
+``em_run``, and the record row handed on.  That loop, ``_em_blocks``, is a
+generator of record rows; it checks a simulation's inputs and memory once,
+before anything is drawn, and ``em_run`` and ``paths`` run unchecked under it.
+Both drivers return ``(times, rows)`` with their arguments checked at the
+call: ``rows`` an iterator that steps each record row as it is asked for, so
+a caller that reduces the rows as they come holds one block of increments
+and the current states, never a trajectory.  ``run_single``'s rows are the
+read-only (N, d) ensembles at ``times[0], times[1], ...``; ``em_multilevel``'s
+are ``{level: (N, d) states}`` dicts, the reference level included, every
+level recorded on the one ``times``.
 
 The initial ensemble is a plain float64 (N, d) array.  Each initial law checks
 its parameters when it is built, and their length, which needs d, when read.
@@ -29,6 +27,7 @@ its parameters when it is built, and their length, which needs d, when read.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Union
 
@@ -48,7 +47,6 @@ __all__ = [
     "sample_initial",
     "em_multilevel",
     "run_single",
-    "stream_single",
 ]
 
 #: abort threshold for any state coordinate
@@ -273,9 +271,9 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
     refuses a non-integer particle count or record level (default: the
     coarsest run level), levels outside [0, ``MAX_LATTICE_LEVEL``], a bad
     horizon, and, naming it, each of three arrays above
-    ``DEFAULT_MEMORY_CAP`` bytes: the recorded trajectories (what a driver
-    collects, or what ``mvsde run`` writes from ``stream_single``), one
-    block of increments and the stream positions.  ``sample_initial`` then
+    ``DEFAULT_MEMORY_CAP`` bytes: the recorded trajectories (the record grid's
+    states of every level, which ``mvsde run`` writes and keeps one mean per
+    row of), one block of increments and the stream positions.  ``sample_initial`` then
     checks the particle count, the dimension and the seed; the machinery of
     ``paths`` checks nothing.  The streams are built after the first yield,
     so a primed generator holds only the initial ensemble.
@@ -363,23 +361,6 @@ def _em_blocks(model: CoefficientModel, law: InitialLaw, seed: int, run_levels: 
             yield dict(current)
 
 
-def _collect(rows, n_points: int) -> dict[int, np.ndarray]:
-    """The record rows gathered into one read-only (points, N, d) array per
-    level.  The arrays are allocated at row 0, before the first block is
-    drawn: allocated after the first block was freed, they raised a rate
-    study's peak resident memory by about 5 MB (glibc's mmap threshold
-    rises when a large block is freed, so later blocks land on the heap)."""
-    recorded = {}
-    for j, row in enumerate(rows):
-        for lvl, states in row.items():
-            if j == 0:
-                recorded[lvl] = np.empty((n_points, *states.shape))
-            recorded[lvl][j] = states
-    for states in recorded.values():
-        states.flags.writeable = False
-    return recorded
-
-
 def _stream(model, law, seed, run_levels, finest, n_particles, horizon, record_level):
     """``(times, rows)`` of the block loop, primed, so its checks have run."""
     rows = _em_blocks(model, law, seed, run_levels, finest, n_particles, horizon, record_level)
@@ -395,15 +376,16 @@ def em_multilevel(
     n_particles: int,
     horizon: float,
     record_level: int | None = None,
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+) -> tuple[np.ndarray, Iterator[dict[int, np.ndarray]]]:
     """Run every requested level plus the finest reference off one Brownian path.
 
     All levels share the initial ensemble and the Brownian path, and are
     recorded on a common grid (default: the coarsest requested level), so the
-    returned trajectories are synchronously coupled.  The reference level
-    ``finest`` is included in the result map.  The path is streamed in time
-    blocks, each reduced once down the levels, by the loop that also serves
-    ``run_single`` and checks the arguments.
+    rows are synchronously coupled: ``(times, rows)``, each row the dict
+    ``{level: (N, d) states}`` at its record time, the reference level
+    ``finest`` included, stepped as it is asked for.  The path is streamed in
+    time blocks, each reduced once down the levels, by the loop that also
+    serves ``run_single`` and checks the arguments.
     """
     levels = sorted({_integer("levels", v) for v in levels})
     finest = _integer("finest", finest)
@@ -411,30 +393,7 @@ def em_multilevel(
         raise SolverError("need at least one level")
     if levels[-1] >= finest:
         raise SolverError(f"max level {levels[-1]} must be below the reference level {finest}")
-    times, rows = _stream(model, law, seed, [*levels, finest], finest, n_particles, horizon, record_level)
-    return times, _collect(rows, times.shape[0])
-
-
-def stream_single(
-    model: CoefficientModel,
-    law: InitialLaw,
-    seed: int,
-    level: int,
-    finest: int | None = None,
-    n_particles: int = 1000,
-    horizon: float = 1.0,
-    record_level: int | None = None,
-):
-    """``run_single``'s run as ``(times, rows)``: ``rows`` is an iterator of
-    the read-only (N, d) states at ``times[0], times[1], ...``, each stepped
-    as it is asked for, so only one block of increments and the current
-    states are held.  The arguments are checked at the call."""
-    level = _integer("level", level)
-    finest = level if finest is None else _integer("finest", finest)
-    if finest < level:
-        raise SolverError(f"finest level {finest} below run level {level}")
-    times, rows = _stream(model, law, seed, [level], finest, n_particles, horizon, record_level)
-    return times, (row[level] for row in rows)
+    return _stream(model, law, seed, [*levels, finest], finest, n_particles, horizon, record_level)
 
 
 def run_single(
@@ -446,12 +405,17 @@ def run_single(
     n_particles: int = 1000,
     horizon: float = 1.0,
     record_level: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """One level, driven by a level-``finest`` Brownian path (finest defaults
     to the run level), recorded at ``record_level`` (default: every step).
 
-    ``stream_single``'s rows collected into one read-only (points, N, d)
-    array, allocated before the first block is drawn.
+    Returns ``(times, rows)``: ``rows`` is an iterator of the read-only
+    (N, d) states at ``times[0], times[1], ...``, each stepped as it is
+    asked for.  The arguments are checked at the call.
     """
-    times, rows = stream_single(model, law, seed, level, finest, n_particles, horizon, record_level)
-    return times, _collect(({0: row} for row in rows), times.shape[0])[0]
+    level = _integer("level", level)
+    finest = level if finest is None else _integer("finest", finest)
+    if finest < level:
+        raise SolverError(f"finest level {finest} below run level {level}")
+    times, rows = _stream(model, law, seed, [level], finest, n_particles, horizon, record_level)
+    return times, (row[level] for row in rows)

@@ -3,6 +3,7 @@ import pytest
 
 from mvsde import solver
 from mvsde.measure import EmpiricalMeasure
+from mvsde.paths import NoiseStreams
 from mvsde.solver import ParticleEnsemble
 
 
@@ -27,6 +28,26 @@ def em_path(model, states, level, increments, horizon, record_level=None):
         rows.append(solver.em_run(model, ParticleEnsemble(rows[-1]), level - record_level,
                                   increments[:, j * cells:(j + 1) * cells], interval))
     return np.arange(len(rows)) * interval, np.stack(rows)
+
+
+def stacked(run):
+    """A driver's ``(times, rows)`` with every row stepped and stacked, for
+    tests that need a whole trajectory: one (points, N, d) array from
+    ``run_single``, ``{level: (points, N, d) array}`` from ``em_multilevel``."""
+    times, rows = run
+    rows = list(rows)
+    if isinstance(rows[0], dict):
+        return times, {lvl: np.stack([row[lvl] for row in rows]) for lvl in rows[0]}
+    return times, np.stack(rows)
+
+
+def refuse_any_draw(monkeypatch):
+    """Fail the test if the block loop builds noise streams or draws a lattice."""
+    def drawn(*args, **kwargs):
+        raise AssertionError("the lattice machinery was reached")
+
+    monkeypatch.setattr(NoiseStreams, "__init__", drawn)
+    monkeypatch.setattr(solver, "sample_lattice", drawn)
 
 
 def halving_loop(increments, level):

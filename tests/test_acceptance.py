@@ -21,6 +21,8 @@ import pytest
 import mvsde as M
 from mvsde.cli import EXIT_OK, main
 
+from conftest import stacked
+
 SEEDS = (101, 202, 303)
 LEVELS = (3, 4, 5, 6, 7, 8)
 REFERENCE = 12
@@ -37,7 +39,7 @@ def _verdict(name: str, passed: bool, detail: str = "") -> bool:
 def _rate_study(model):
     out = {}
     for seed in SEEDS:
-        _, runs = M.em_multilevel(
+        _, rows = M.em_multilevel(
             model,
             M.GaussianLaw(0.0, 1.0),
             seed,
@@ -46,7 +48,8 @@ def _rate_study(model):
             n_particles=2000,
             horizon=1.0,
         )
-        errors = [M.strong_error(runs[REFERENCE], runs[lvl])[0] for lvl in LEVELS]
+        estimates = M.strong_error(rows, REFERENCE)
+        errors = [estimates[lvl][0] for lvl in LEVELS]
         report = M.fit_rate(LEVELS, errors)
         out[seed] = (report, errors)
     return out
@@ -123,9 +126,9 @@ def test_criterion_4_increment_scaling():
     mf-ou: exponent in [0.8, 1.2] (order p = 1)."""
     lags = [1, 2, 4, 8, 16, 32, 64, 128]
     brown = M.mf_ou(theta=0.0, alpha=0.0, s=1.0)
-    _, states = M.run_single(brown, M.PointMass(0.0), seed=1, level=10, n_particles=4000)
+    _, states = stacked(M.run_single(brown, M.PointMass(0.0), seed=1, level=10, n_particles=4000))
     exp_brown = M.increment_scaling(states, 1, lags).exponent
-    _, states = M.run_single(M.mf_ou(), M.PointMass(0.0), seed=1, level=10, n_particles=4000)
+    _, states = stacked(M.run_single(M.mf_ou(), M.PointMass(0.0), seed=1, level=10, n_particles=4000))
     exp_ou = M.increment_scaling(states, 1, lags).exponent
     ok = 0.9 <= exp_brown <= 1.1 and 0.8 <= exp_ou <= 1.2
     _verdict(

@@ -17,7 +17,7 @@ from mvsde.analysis import (
     strong_error,
 )
 from mvsde.measure import default_dictionary, rho_lower, rho_upper, uniform_measure
-from mvsde.models import ModulusKappaEta, mf_ou, mf_ou_oracles
+from mvsde.models import ModulusKappaEta, mf_ou, mf_ou_oracles, osgood
 from mvsde.solver import (
     GaussianLaw,
     PointMass,
@@ -26,10 +26,9 @@ from mvsde.solver import (
     run_single,
     sample_initial,
     sample_lattice,
-    stream_single,
 )
 
-from conftest import em_path
+from conftest import em_path, stacked
 
 ETA = math.exp(-2.0)
 
@@ -75,39 +74,55 @@ class TestFitRate:
 
 class TestStrongError:
     def test_zero_on_identical(self):
-        _, states = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=0, level=4, n_particles=16)
-        est, se = strong_error(states, states)
-        assert est == 0.0 and se == 0.0
+        _, rows = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=0, level=4, n_particles=16)
+        assert strong_error(({4: row, 9: row} for row in rows), 9) == {4: (0.0, 0.0)}
 
     def test_additive_noise_zero_drift_is_exact(self):
-        _, runs = em_multilevel(
+        _, rows = em_multilevel(
             mf_ou(theta=0.0, alpha=0.0, s=0.5), PointMass(0.0), seed=1,
             levels=[3], finest=7, n_particles=64, horizon=1.0,
         )
-        est, _ = strong_error(runs[7], runs[3])
+        est, _ = strong_error(rows, 7)[3]
         assert est < 1e-28  # float regrouping dust only
 
     def test_monotone_decrease_for_mf_ou(self):
-        _, runs = em_multilevel(
+        _, rows = em_multilevel(
             mf_ou(), GaussianLaw(0.0, 1.0), seed=2, levels=[4, 6], finest=12,
             n_particles=500, horizon=1.0,
         )
-        e4, _ = strong_error(runs[12], runs[4])
-        e6, _ = strong_error(runs[12], runs[6])
-        assert 0.0 < e6 < e4
+        errors = strong_error(rows, 12)
+        assert sorted(errors) == [4, 6]
+        assert 0.0 < errors[6][0] < errors[4][0]
 
     def test_permutation_invariance(self):
-        _, runs = em_multilevel(
+        _, rows = em_multilevel(
             mf_ou(), GaussianLaw(0.0, 1.0), seed=3, levels=[3], finest=6,
             n_particles=32, horizon=1.0,
         )
-        ref, coarse = runs[6], runs[3]
+        rows = list(rows)
         perm = np.random.default_rng(0).permutation(32)
-        assert strong_error(ref[:, perm, :], coarse[:, perm, :]) == strong_error(ref, coarse)
+        permuted = [{lvl: states[perm] for lvl, states in row.items()} for row in rows]
+        assert strong_error(permuted, 6) == strong_error(rows, 6)
+
+    @pytest.mark.parametrize("model", [osgood(), mf_ou(dim=2), mf_ou(dim=3)], ids=["d1", "d2", "d3"])
+    def test_rows_equal_the_array_formula(self, model):
+        # the running maxima give the bits of reducing the whole trajectories
+        args = (model, GaussianLaw(0.0, 1.0), 7, [3, 4, 5], 9, 200, 1.0)
+        _, runs = stacked(em_multilevel(*args))
+        _, rows = em_multilevel(*args)
+        got = strong_error(rows, 9)
+        assert sorted(got) == [3, 4, 5]
+        for lvl in (3, 4, 5):
+            g = runs[lvl] - runs[9]
+            sup_sq = np.max(np.sum(g * g, axis=2), axis=0)
+            n = sup_sq.shape[0]
+            mean = math.fsum(sup_sq.tolist()) / n
+            se = math.sqrt(math.fsum(((sup_sq - mean) ** 2).tolist()) / (n - 1) / n)
+            assert np.array(got[lvl]).tobytes() == np.array([mean, se]).tobytes()
 
     def test_grid_mismatch(self):
         with pytest.raises(AnalysisError, match="mismatched shapes"):
-            strong_error(np.zeros((5, 4, 1)), np.zeros((9, 4, 1)))
+            strong_error([{3: np.zeros((5, 1)), 6: np.zeros((4, 1))}], 6)
 
 
 class TestMomentCurve:
@@ -149,16 +164,34 @@ class TestMomentCurve:
         with pytest.raises(AnalysisError, match="smaller"):
             moment_curve(np.linspace(0.0, 1.0, 3), big, order=2)
 
+    def test_overflow_raised_after_the_rows(self):
+        # an error that making a later row raises (a blow-up) comes first
+        def failing_rows():
+            yield np.full((2, 1), 1e200)
+            raise RuntimeError("row 1 failed")
+
+        with pytest.raises(RuntimeError, match="row 1 failed"):
+            moment_curve(np.linspace(0.0, 1.0, 3), failing_rows(), order=2)
+
+    def test_rows_as_they_come_equal_the_array(self):
+        args = (mf_ou(dim=2), GaussianLaw(0.0, 1.0), 3, 6)
+        times, states = stacked(run_single(*args, n_particles=300))
+        _, rows = run_single(*args, n_particles=300)
+        got, want = moment_curve(times, rows, order=2), moment_curve(times, states, order=2)
+        for name in ("times", "moments", "stderrs", "envelope"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.envelope_constant == want.envelope_constant
+
 
 class TestIncrementScaling:
     def test_pure_brownian_exponent(self):
         model = mf_ou(theta=0.0, alpha=0.0, s=1.0)
-        _, states = run_single(model, PointMass(0.0), seed=6, level=10, n_particles=4000)
+        _, states = stacked(run_single(model, PointMass(0.0), seed=6, level=10, n_particles=4000))
         report = increment_scaling(states, order=1, lags=[1, 2, 4, 8, 16, 32, 64, 128])
         assert report.exponent == pytest.approx(1.0, abs=0.1)
 
     def test_permutation_invariance(self):
-        _, states = run_single(mf_ou(dim=2), GaussianLaw(0.0, 1.0), seed=4, level=8, n_particles=301)
+        _, states = stacked(run_single(mf_ou(dim=2), GaussianLaw(0.0, 1.0), seed=4, level=8, n_particles=301))
         perm = np.random.default_rng(1).permutation(301)
         lags = [1, 3, 10, 100, 200]
         report = increment_scaling(states, order=1, lags=lags)
@@ -269,7 +302,7 @@ class TestBihari:
 
 class TestLawGapCurve:
     def test_identical_trajectories_zero(self):
-        times, states = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=0, level=4, n_particles=32)
+        times, states = stacked(run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=0, level=4, n_particles=32))
         report = law_gap_curve(times, states, states)
         assert np.all(report.upper == 0.0)
         assert np.all(report.lower == 0.0)
@@ -304,8 +337,8 @@ class TestLawGapCurve:
     def test_equals_validated_measures(self, dim, coupling):
         # law_gap_curve skips validation; the curves are the bits of building
         # every measure with the validated uniform_measure
-        times, a = run_single(mf_ou(dim=dim), GaussianLaw(0.0, 1.0), seed=5, level=4, n_particles=301)
-        _, b = run_single(mf_ou(dim=dim), GaussianLaw(0.0, 1.0), seed=6, level=4, n_particles=301)
+        times, a = stacked(run_single(mf_ou(dim=dim), GaussianLaw(0.0, 1.0), seed=5, level=4, n_particles=301))
+        _, b = stacked(run_single(mf_ou(dim=dim), GaussianLaw(0.0, 1.0), seed=6, level=4, n_particles=301))
         dictionary = default_dictionary(dim)
         upper, lower = [], []
         for x, y in zip(a, b):
@@ -322,28 +355,46 @@ class TestLawGapCurve:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_rows_as_they_come_equal_the_array(self, dim):
-        times, a = run_single(mf_ou(dim=dim), GaussianLaw(0.0, 1.0), seed=5, level=4, n_particles=64)
-        _, b = run_single(mf_ou(dim=dim), GaussianLaw(0.0, 1.0), seed=6, level=4, n_particles=64)
-        _, rows = stream_single(mf_ou(dim=dim), GaussianLaw(0.0, 1.0), seed=6, level=4, n_particles=64)
+        def run(seed):
+            return run_single(mf_ou(dim=dim), GaussianLaw(0.0, 1.0), seed=seed, level=4, n_particles=64)
+
+        times, a = stacked(run(5))
+        _, b = stacked(run(6))
         whole = law_gap_curve(times, a, b)
-        for streamed in (law_gap_curve(times, a, iter(b)), law_gap_curve(times, a, rows)):
+        for streamed in (law_gap_curve(times, iter(a), iter(b)), law_gap_curve(times, run(5)[1], run(6)[1])):
             assert streamed.upper.tobytes() == whole.upper.tobytes()
             assert streamed.lower.tobytes() == whole.lower.tobytes()
             assert streamed.coupling == whole.coupling
 
+    def test_reads_a_and_b_in_lockstep(self):
+        times, a = stacked(run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=1, level=2, n_particles=8))
+        _, b = stacked(run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=2, level=2, n_particles=8))
+        reads = []
+
+        def rows(name, states):
+            for j, row in enumerate(states):
+                reads.append(f"{name}{j}")
+                yield row
+
+        law_gap_curve(times, rows("a", a), rows("b", b))
+        assert reads == [f"{name}{j}" for j in range(2**2 + 1) for name in "ab"]
+
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_row_count_other_than_the_times_refused(self, extra):
-        times, a = run_single(mf_ou(), PointMass(0.0), seed=1, level=3, n_particles=8)
+        # a short or long a or b is refused, naming both counts
+        times, a = stacked(run_single(mf_ou(), PointMass(0.0), seed=1, level=3, n_particles=8))
         rows = [*a, a[-1]] if extra > 0 else a[:-1]
-        with pytest.raises(AnalysisError, match=f"^b has {9 + extra} rows for 9 record times$"):
+        with pytest.raises(AnalysisError, match=f"^a has 9 rows and b has {9 + extra} for 9 record times$"):
             law_gap_curve(times, a, iter(rows))
-        with pytest.raises(AnalysisError, match="^a has 9 rows for 8 record times$"):
+        with pytest.raises(AnalysisError, match=f"^a has {9 + extra} rows and b has 9 for 9 record times$"):
+            law_gap_curve(times, iter(rows), a)
+        with pytest.raises(AnalysisError, match="^a has 9 rows and b has 8 for 8 record times$"):
             law_gap_curve(times[:-1], a, a[:-1])
 
     def test_sandwich_violation_raised_after_the_rows(self, monkeypatch):
         # a violation at t = 0 waits for the stream, so an error that making
         # a later row raises comes first
-        times, a = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=1, level=3, n_particles=8)
+        times, a = stacked(run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=1, level=3, n_particles=8))
         monkeypatch.setattr(analysis, "rho_lower", lambda mu, nu, dictionary: 1e9)
 
         def failing_rows():
@@ -364,8 +415,8 @@ class TestLawGapCurve:
 
 class TestUniquenessReplay:
     def test_seed_perturbation_changes_output(self):
-        _, base = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=3, level=4, n_particles=16)
-        _, other = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=4, level=4, n_particles=16)
+        _, base = stacked(run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=3, level=4, n_particles=16))
+        _, other = stacked(run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=4, level=4, n_particles=16))
         assert base.tobytes() != other.tobytes()
 
     def test_initial_perturbation_controlled_by_gronwall(self):

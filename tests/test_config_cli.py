@@ -26,6 +26,8 @@ from mvsde.config import KEYS, REQUIRED, ConfigError, load_config, parse_config_
 from mvsde.models import MODELS, ModelError, make_model
 from mvsde.paths import coarsen
 
+from conftest import stacked
+
 ROOT = Path(__file__).resolve().parent.parent
 
 RUN_CFG = """\
@@ -272,8 +274,8 @@ class TestCliRun:
         import mvsde
 
         model = mvsde.mf_ou(theta=1.0, alpha=0.5, s=0.4)
-        times, states = mvsde.run_single(model, mvsde.PointMass(1.0), seed=7, level=4,
-                                         n_particles=32, horizon=1.0, record_level=2)
+        times, states = stacked(mvsde.run_single(model, mvsde.PointMass(1.0), seed=7, level=4,
+                                                 n_particles=32, horizon=1.0, record_level=2))
         for line in lines[:50]:
             t, p, k, v = line.split(",")
             j = int(np.nonzero(times == float(t))[0][0])
@@ -359,8 +361,8 @@ class TestCliRun:
         import mvsde
 
         model = mvsde.mf_ou(theta=1.0, alpha=0.5, s=0.4, dim=dim)
-        times, states = mvsde.run_single(model, mvsde.GaussianLaw(1.0, 1.0), seed=7, level=4,
-                                         n_particles=1000, horizon=1.0, record_level=2)
+        times, states = stacked(mvsde.run_single(model, mvsde.GaussianLaw(1.0, 1.0), seed=7, level=4,
+                                                 n_particles=1000, horizon=1.0, record_level=2))
         mean_norms = np.linalg.norm(states.mean(axis=1), axis=1)
         decay, _ = np.polyfit(times, np.log(mean_norms), 1)
         assert summary["final_mean_norm"] == repr(float(mean_norms[-1]))
@@ -496,9 +498,9 @@ class TestCliMomentsMetricCheck:
         assert not out.exists()
 
     def test_metric_holds_one_trajectory_and_one_block(self, tmp_path):
-        # N = 2,000 at level 7: a 2.06 MB trajectory and a 2.05 MB block.
-        # Seed b's rows are stepped as the law-gap curve reads them, so its
-        # trajectory is never held beside seed a's
+        # N = 2,000 at level 7: a 2.06 MB trajectory and a 2.05 MB block,
+        # which here is the whole path.  The law-gap curve steps both seeds
+        # row by row, so one block each is held, not two trajectories
         path = _write(tmp_path, "model.id = mf-ou\nsim.N = 2000\nsim.level = 7\ninit.law = gaussian\n")
         trajectory, block = 129 * 2000 * 8, 128 * 2000 * 8
         tracemalloc.start()
@@ -512,12 +514,49 @@ class TestCliMomentsMetricCheck:
         assert code == EXIT_OK
         assert peak - before < 1.5 * (trajectory + block)
 
+    def test_lockstep_metric_holds_two_blocks(self, tmp_path):
+        # N = 1,000 at level 10: each seed's 8.2 MB trajectory is two 4.1 MB
+        # blocks.  The law-gap curve steps both seeds row by row, so one
+        # block each is held, not a trajectory and a block
+        text = "model.id = mf-ou\nsim.N = 1000\nsim.level = {}\ninit.law = gaussian\n"
+        # a small run first, so lazy imports are not counted
+        small = _write(tmp_path, text.format(2), "small.cfg")
+        assert main(["metric", "--config", str(small), "--out", str(tmp_path / "small")]) == EXIT_OK
+        path = _write(tmp_path, text.format(10))
+        block = 2**9 * 1000 * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            code = main(["metric", "--config", str(path), "--out", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak - before < 2.5 * block
+
     def test_metric_seed_b_blowup_exit_code(self, tmp_path, capsys):
         path = _write(tmp_path, BLOWUP_AT_LAST_STEP_CFG)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "a")]) == EXIT_OK
         out = tmp_path / "o"
         assert main(["metric", "--config", str(path), "--out", str(out)]) == EXIT_BLOWUP
         assert "numeric blow-up: blow-up at level 4, step 15 (t=1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_metric_reports_the_first_blowup_in_row_order(self, tmp_path, capsys):
+        # x' = 30 x from N(0, 10^4): seed 2 blows up at step 13, seed 3 at
+        # step 12.  The seeds are stepped row by row, so seed b's blow-up,
+        # the first in record-row order, is the one reported
+        text = BLOWUP_AT_LAST_STEP_CFG.replace("sim.seed = 5", "sim.seed = 2\nmetric.seed_b = 3")
+        text = text.replace("init.cov = 4", "init.cov = 1e4")
+        for seed, step in ((2, 13), (3, 12)):
+            out = tmp_path / f"run{seed}"
+            assert main(["run", "--config", str(_write(tmp_path, text)), "--out", str(out),
+                         "--seed", str(seed)]) == EXIT_BLOWUP
+            assert f"blow-up at level 4, step {step} " in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["metric", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == EXIT_BLOWUP
+        assert "numeric blow-up: blow-up at level 4, step 12 " in capsys.readouterr().err
         assert not out.exists()
 
     def test_metric_checks_seed_b_before_it_simulates_seed_a(self, tmp_path, monkeypatch, capsys):
@@ -594,7 +633,7 @@ class TestCliSelftestAndCodes:
     def test_value_error_from_a_bug_is_not_a_config_error(self, tmp_path, monkeypatch, capsys):
         # a ValueError raised after the config was checked, as a tuple
         # unpacking bug in the analysis would raise it: a traceback, not exit 2
-        def buggy(ref, coarse):
+        def buggy(rows, reference):
             raise ValueError("too many values to unpack (expected 2)")
 
         monkeypatch.setattr(cli.analysis, "strong_error", buggy)
@@ -850,7 +889,8 @@ def _run_csv(tmp_path, n, dim, level):
     import mvsde
 
     model = mvsde.mf_ou(theta=1.0, alpha=0.5, s=0.4, dim=dim)
-    times, states = mvsde.run_single(model, mvsde.PointMass(1.0), seed=7, level=level, n_particles=n, horizon=1.0)
+    times, states = stacked(mvsde.run_single(model, mvsde.PointMass(1.0), seed=7, level=level, n_particles=n,
+                                             horizon=1.0))
     rows = (
         (times[j], p, k, states[j, p, k])
         for j in range(times.shape[0])

@@ -18,16 +18,7 @@ from mvsde.paths import (
 )
 from mvsde.solver import PointMass, SolverError, em_multilevel, run_single, sample_initial
 
-from conftest import halving_loop
-
-
-def _refuse_any_draw(monkeypatch):
-    """Fail the test if the block loop builds noise streams or draws a lattice."""
-    def drawn(*args, **kwargs):
-        raise AssertionError("the lattice machinery was reached")
-
-    monkeypatch.setattr(NoiseStreams, "__init__", drawn)
-    monkeypatch.setattr(solver, "sample_lattice", drawn)
+from conftest import halving_loop, refuse_any_draw, stacked
 
 
 class TestLatticeSampling:
@@ -89,45 +80,33 @@ class TestLatticeSampling:
 
     def test_memory_guard(self, monkeypatch):
         # recorded at level 0, 4096 x 2^20 increments are one block of 32 GiB
-        _refuse_any_draw(monkeypatch)
+        refuse_any_draw(monkeypatch)
         with pytest.raises(SolverError, match="one block of increments would need 34359738368 bytes"):
             run_single(mf_ou(), PointMass(0.0), seed=0, level=20, n_particles=4096, record_level=0)
 
     def test_stream_positions_bounded_by_memory_cap(self, monkeypatch):
         # 72 bytes of position a particle: 277 particles fit in 20,000 bytes
         monkeypatch.setattr(solver, "DEFAULT_MEMORY_CAP", 20_000)
-        _, states = run_single(mf_ou(), PointMass(0.0), seed=0, level=0, n_particles=277)
+        _, states = stacked(run_single(mf_ou(), PointMass(0.0), seed=0, level=0, n_particles=277))
         assert states.shape == (2, 277, 1)
-        _refuse_any_draw(monkeypatch)
+        refuse_any_draw(monkeypatch)
         with pytest.raises(SolverError, match="stream positions would need 20016 bytes, "
                                               "above the memory limit of 20000 bytes"):
             run_single(mf_ou(), PointMass(0.0), seed=0, level=0, n_particles=278)
 
     def test_level_guard(self, monkeypatch):
-        _refuse_any_draw(monkeypatch)
+        refuse_any_draw(monkeypatch)
         with pytest.raises(SolverError, match="level limit"):
             run_single(mf_ou(), PointMass(0.0), seed=0, level=31, n_particles=1)
         with pytest.raises(SolverError, match="level limit"):
             em_multilevel(mf_ou(), PointMass(0.0), seed=0, levels=[3], finest=31, n_particles=1, horizon=1.0)
 
-    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
-    def test_horizon_guard(self, monkeypatch, horizon):
-        _refuse_any_draw(monkeypatch)
-        with pytest.raises(SolverError, match="horizon must be positive and finite"):
-            run_single(mf_ou(), PointMass(0.0), seed=0, level=12, n_particles=2, horizon=horizon)
-
     def test_particle_and_dimension_guards(self, monkeypatch):
-        _refuse_any_draw(monkeypatch)
+        refuse_any_draw(monkeypatch)
         with pytest.raises(SolverError, match=r"^need at least one particle and one dimension$"):
             run_single(mf_ou(), PointMass(0.0), seed=0, level=3, n_particles=0)
         with pytest.raises(SolverError, match=r"^need at least one particle and one dimension$"):
             sample_initial(PointMass(0.0), 4, 0, seed=0)
-
-    @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_seed_outside_64_bits(self, monkeypatch, seed):
-        _refuse_any_draw(monkeypatch)
-        with pytest.raises(SolverError, match=r"seed must lie in \[0, 2\^64\)"):
-            em_multilevel(mf_ou(), PointMass(0.0), seed=seed, levels=[2], finest=4, n_particles=2, horizon=1.0)
 
     def test_increments_read_only(self):
         lat = sample_lattice(NoiseStreams(0, 2), 1, 3, 1.0)

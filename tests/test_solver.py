@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mvsde import solver
+from mvsde.analysis import strong_error
 from mvsde.measure import uniform_measure
 from mvsde.models import CoefficientModel, mf_ou, mf_ou_oracles, osgood
 from mvsde.paths import NoiseStreams, coarsen, sample_lattice
@@ -17,10 +18,9 @@ from mvsde.solver import (
     em_multilevel,
     run_single,
     sample_initial,
-    stream_single,
 )
 
-from conftest import em_path, halving_loop
+from conftest import em_path, halving_loop, refuse_any_draw, stacked
 
 
 class TestSampleInitial:
@@ -181,7 +181,7 @@ class TestEmRun:
     def test_exponential_decay_oracle(self):
         # b = -x, sigma = 0, x0 = 1: the explicit product (1 - 2^-10)^1024
         model = mf_ou(theta=1.0, alpha=0.0, s=0.0)
-        _, states = run_single(model, PointMass(1.0), seed=0, level=10, n_particles=1, horizon=1.0)
+        _, states = stacked(run_single(model, PointMass(1.0), seed=0, level=10, n_particles=1, horizon=1.0))
         euler_product = (1.0 - 2.0**-10) ** 1024
         final = states[-1, 0, 0]
         assert final == pytest.approx(euler_product, rel=1e-12)
@@ -192,11 +192,11 @@ class TestEmRun:
         n = 10_000
         model = mf_ou(theta=1.0, alpha=0.5, s=0.4)
         mean_fn, _ = mf_ou_oracles(**model.parameters, dim=1, m0=1.0, u0=1.0)
-        times, states = run_single(model, PointMass(1.0), seed=7, level=10, n_particles=n,
-                                   horizon=1.0, record_level=4)
-        for j, t in enumerate(times):
-            emp = states[j, :, 0].mean()
-            se = states[j, :, 0].std(ddof=1) / math.sqrt(n)
+        times, rows = run_single(model, PointMass(1.0), seed=7, level=10, n_particles=n,
+                                 horizon=1.0, record_level=4)
+        for t, row in zip(times, rows):
+            emp = row[:, 0].mean()
+            se = row[:, 0].std(ddof=1) / math.sqrt(n)
             assert abs(emp - mean_fn(t)[0]) <= max(3.0 * se, 1e-12)
 
     def test_replay_matches_scalar_recursion(self):
@@ -259,7 +259,7 @@ class TestEmRun:
     def test_blowup_diagnostics(self):
         model = osgood(c=100.0)
         with pytest.raises(BlowUpError) as err:
-            run_single(model, PointMass(1.0), seed=0, level=3, n_particles=4, horizon=8.0)
+            stacked(run_single(model, PointMass(1.0), seed=0, level=3, n_particles=4, horizon=8.0))
         assert err.value.level == 3
         assert err.value.step >= 0
         assert 0 <= err.value.particle < 4
@@ -267,15 +267,16 @@ class TestEmRun:
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
     def test_horizon_guard(self, monkeypatch, horizon):
-        # each driver refuses the horizon at the call, before any step
+        # each driver refuses the horizon at the call, before any stream is
+        # built, any lattice drawn or any step taken
         def no_step(*args):
             raise AssertionError("stepped")
 
         monkeypatch.setattr(solver, "em_run", no_step)
-        with pytest.raises(SolverError, match="horizon must be positive and finite"):
-            run_single(mf_ou(), PointMass(0.0), seed=0, level=3, n_particles=4, horizon=horizon)
-        with pytest.raises(SolverError, match="horizon must be positive and finite"):
-            stream_single(mf_ou(), PointMass(0.0), seed=0, level=3, n_particles=4, horizon=horizon)
+        refuse_any_draw(monkeypatch)
+        for level in (3, 12):
+            with pytest.raises(SolverError, match="horizon must be positive and finite"):
+                run_single(mf_ou(), PointMass(0.0), seed=0, level=level, n_particles=4, horizon=horizon)
         with pytest.raises(SolverError, match="horizon must be positive and finite"):
             em_multilevel(mf_ou(), PointMass(0.0), seed=0, levels=[1, 2], finest=3, n_particles=4,
                           horizon=horizon)
@@ -315,14 +316,14 @@ class TestGridTimes:
     """Recorded times are t_i = i * (T / 2^level), the same floats on every route."""
 
     def test_level_zero_points(self):
-        times, _ = run_single(mf_ou(), PointMass(0.0), seed=0, level=0, n_particles=1, horizon=1.0)
+        times, _ = stacked(run_single(mf_ou(), PointMass(0.0), seed=0, level=0, n_particles=1, horizon=1.0))
         assert np.array_equal(times, [0.0, 1.0])
 
     def test_endpoints_exact(self):
         for horizon in (1.0, 2.0, 0.7, 3.25):
             for level in range(12):
-                pts, _ = run_single(mf_ou(), PointMass(0.0), seed=0, level=level, n_particles=1,
-                                    horizon=horizon)
+                pts, _ = stacked(run_single(mf_ou(), PointMass(0.0), seed=0, level=level, n_particles=1,
+                                            horizon=horizon))
                 assert pts.tobytes() == (np.arange(2**level + 1) * (horizon / 2**level)).tobytes()
                 assert pts[0] == 0.0
                 assert pts[-1] == horizon
@@ -383,19 +384,19 @@ class TestLastBlock:
     def test_run_single_marks_only_its_last_block(self, monkeypatch):
         # level 12: 8 blocks of 512 steps
         flags = _record_last(monkeypatch)
-        run_single(mf_ou(), PointMass(0.0), seed=1, level=12, n_particles=4, horizon=1.0)
+        stacked(run_single(mf_ou(), PointMass(0.0), seed=1, level=12, n_particles=4, horizon=1.0))
         assert flags == [False] * 7 + [True]
 
     def test_em_multilevel_marks_only_its_last_block(self, monkeypatch):
         # finest 11, record level 3: 4 blocks of level 9
         flags = _record_last(monkeypatch)
-        em_multilevel(mf_ou(), PointMass(0.0), seed=1, levels=[3, 4], finest=11,
-                      n_particles=4, horizon=1.0)
+        stacked(em_multilevel(mf_ou(), PointMass(0.0), seed=1, levels=[3, 4], finest=11,
+                              n_particles=4, horizon=1.0))
         assert flags == [False] * 3 + [True]
 
     def test_one_block_is_the_last(self, monkeypatch):
         flags = _record_last(monkeypatch)
-        run_single(mf_ou(), PointMass(0.0), seed=1, level=7, n_particles=4, horizon=1.0)
+        stacked(run_single(mf_ou(), PointMass(0.0), seed=1, level=7, n_particles=4, horizon=1.0))
         assert flags == [True]
 
 
@@ -412,8 +413,8 @@ class TestRunSingleBlocks:
     def test_blocks_equal_whole_path_route(self, monkeypatch, model, level, finest, record_level):
         law = GaussianLaw(0.0, 1.0)
         drawn = _count_draws(monkeypatch)
-        times, blocked = run_single(model, law, 13, level, finest=finest, n_particles=8, horizon=1.0,
-                                    record_level=record_level)
+        times, blocked = stacked(run_single(model, law, 13, level, finest=finest, n_particles=8, horizon=1.0,
+                                            record_level=record_level))
         assert len(drawn) == 8
         whole_times, whole = _whole_path_multilevel(model, law, 13, [level], finest or level, 8, 1.0,
                                                     record_level)
@@ -426,7 +427,7 @@ class TestRunSingleBlocks:
         model = mf_ou(theta=-30.0, alpha=0.0, s=0.4)
         law = GaussianLaw(0.0, 1.0)
         with pytest.raises(BlowUpError) as err:
-            run_single(model, law, seed=3, level=level, finest=finest, n_particles=4, horizon=1.0)
+            stacked(run_single(model, law, seed=3, level=level, finest=finest, n_particles=4, horizon=1.0))
         lattice = sample_lattice(NoiseStreams(3, 4), 1, finest or level, 1.0)
         with pytest.raises(BlowUpError) as ref:
             em_path(model, sample_initial(law, 4, 1, seed=3), level, halving_loop(lattice.increments, level),
@@ -446,7 +447,7 @@ class TestRunSingleBlocks:
         # recorded at level 0, the whole path is one block
         with pytest.raises(SolverError, match="one block of increments would need 262144 bytes"):
             run_single(mf_ou(), GaussianLaw(0.0, 1.0), record_level=0, **args)
-        _, states = run_single(mf_ou(), GaussianLaw(0.0, 1.0), record_level=3, **args)
+        _, states = stacked(run_single(mf_ou(), GaussianLaw(0.0, 1.0), record_level=3, **args))
         assert states.shape == (2**3 + 1, 8, 1)
 
     def test_block_above_memory_cap_refused_before_the_initial_draw(self, monkeypatch):
@@ -467,11 +468,15 @@ class TestRunSingleBlocks:
             run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=1.5, level=4, n_particles=8)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_seed_outside_64_bits_refused(self, seed):
-        # a 64-bit key word would fold -1 onto 2^64 - 1 and 2^64 onto 0
-        with pytest.raises(SolverError, match="seed must lie"):
+    def test_seed_outside_64_bits_refused(self, monkeypatch, seed):
+        # a 64-bit key word would fold -1 onto 2^64 - 1 and 2^64 onto 0; each
+        # driver refuses the seed before any stream is built or lattice drawn
+        refuse_any_draw(monkeypatch)
+        with pytest.raises(SolverError, match=r"seed must lie in \[0, 2\^64\)"):
             run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=seed, level=4, n_particles=8)
-        with pytest.raises(SolverError, match="seed must lie"):
+        with pytest.raises(SolverError, match=r"seed must lie in \[0, 2\^64\)"):
+            em_multilevel(mf_ou(), PointMass(0.0), seed=seed, levels=[2], finest=4, n_particles=2, horizon=1.0)
+        with pytest.raises(SolverError, match=r"seed must lie in \[0, 2\^64\)"):
             sample_initial(GaussianLaw(0.0, 1.0), 8, 1, seed=seed)
 
     @pytest.mark.parametrize(
@@ -486,22 +491,18 @@ class TestRunSingleBlocks:
         ],
     )
     def test_stream_collected_equals_run_single(self, model, level, finest, record_level):
+        # rows held past the block they were stepped in keep their bytes: the
+        # collected rows equal copies taken as each row came
         law = GaussianLaw(0.0, 1.0)
-        times, rows = stream_single(model, law, 13, level, finest=finest, n_particles=8, horizon=1.0,
-                                    record_level=record_level)
-        rows = list(rows)
-        assert not any(row.flags.writeable for row in rows)
-        want_times, want = run_single(model, law, 13, level, finest=finest, n_particles=8, horizon=1.0,
-                                      record_level=record_level)
-        assert times.tobytes() == want_times.tobytes()
-        assert np.stack(rows).tobytes() == want.tobytes()
-
-    def test_peak_memory_is_the_trajectory_plus_one_block(self):
-        # level 12, N = 200: 6.6 MB of states, blocks of 512 steps (0.8 MB)
-        (_, states), peak = _peak_bytes(
-            lambda: run_single(mf_ou(), PointMass(0.0), seed=1, level=12, n_particles=200)
-        )
-        assert peak < 1.5 * states.nbytes
+        args = (model, law, 13, level, finest, 8, 1.0, record_level)
+        times, rows = run_single(*args)
+        copies = [row.copy() for row in rows]
+        held_times, rows = run_single(*args)
+        held = list(rows)
+        assert not any(row.flags.writeable for row in held)
+        assert times.tobytes() == held_times.tobytes()
+        assert len(held) == len(times)
+        assert np.stack(held).tobytes() == np.stack(copies).tobytes()
 
 
 class TestEmMultilevel:
@@ -523,7 +524,7 @@ class TestEmMultilevel:
     def test_blocks_equal_whole_path_route(self, model, levels, finest, record_level):
         law = GaussianLaw(0.0, 1.0)
         args = (model, law, 13, levels, finest, 8, 1.0, record_level)
-        times, blocked = em_multilevel(*args)
+        times, blocked = stacked(em_multilevel(*args))
         whole_times, whole = _whole_path_multilevel(*args)
         assert sorted(blocked) == sorted(whole)
         assert times.tobytes() == whole_times.tobytes()
@@ -533,8 +534,8 @@ class TestEmMultilevel:
     def test_one_block_of_increments_at_a_time(self, monkeypatch):
         # N = 8, d = 2, finest 12, record level 3: 8 blocks of 2^9 finest steps
         drawn = _count_draws(monkeypatch)
-        em_multilevel(mf_ou(dim=2), PointMass(0.0), seed=2, levels=[3, 4], finest=12,
-                      n_particles=8, horizon=1.0)
+        stacked(em_multilevel(mf_ou(dim=2), PointMass(0.0), seed=2, levels=[3, 4], finest=12,
+                              n_particles=8, horizon=1.0))
         assert drawn == [8 * 2**9 * 2 * 8] * 8
         assert sum(drawn) == 8 * 2**12 * 2 * 8
 
@@ -548,8 +549,8 @@ class TestEmMultilevel:
             return coarsen(increments, level)
 
         monkeypatch.setattr(solver, "coarsen", recording)
-        em_multilevel(mf_ou(), PointMass(0.0), seed=2, levels=[4, 3, 5], finest=12,
-                      n_particles=4, horizon=1.0)
+        stacked(em_multilevel(mf_ou(), PointMass(0.0), seed=2, levels=[4, 3, 5], finest=12,
+                              n_particles=4, horizon=1.0))
         assert reduced == [(2**9, 9), (2**9, 2), (2**2, 1), (2**1, 0)] * 8
 
     def test_blowup_after_first_block_names_global_grid(self):
@@ -558,7 +559,7 @@ class TestEmMultilevel:
         model = mf_ou(theta=-30.0, alpha=0.0, s=0.4)
         law = GaussianLaw(0.0, 1.0)
         with pytest.raises(BlowUpError) as err:
-            em_multilevel(model, law, seed=3, levels=[3, 5], finest=12, n_particles=4, horizon=1.0)
+            stacked(em_multilevel(model, law, seed=3, levels=[3, 5], finest=12, n_particles=4, horizon=1.0))
         lattice = sample_lattice(NoiseStreams(3, 4), 1, 12, 1.0)
         with pytest.raises(BlowUpError) as ref:
             em_path(model, sample_initial(law, 4, 1, seed=3), 12, lattice.increments, 1.0, record_level=0)
@@ -585,7 +586,7 @@ class TestEmMultilevel:
         # and the 288 bytes of stream positions
         args = dict(seed=0, levels=[1, 2], finest=3, n_particles=4, horizon=1.0)
         monkeypatch.setattr(solver, "DEFAULT_MEMORY_CAP", 576)
-        _, runs = em_multilevel(mf_ou(dim=2), PointMass(0.0), **args)
+        _, runs = stacked(em_multilevel(mf_ou(dim=2), PointMass(0.0), **args))
         assert sum(states.nbytes for states in runs.values()) == 576
         drawn = _count_draws(monkeypatch)
         monkeypatch.setattr(solver, "DEFAULT_MEMORY_CAP", 575)
@@ -593,35 +594,35 @@ class TestEmMultilevel:
             em_multilevel(mf_ou(dim=2), PointMass(0.0), **args)
         assert drawn == []
 
-    def test_peak_memory_is_the_trajectories_plus_one_block(self):
-        # levels 11 and reference 12 recorded at 11 for N = 200: 6.6 MB of
-        # states, blocks of 512 finest steps (0.8 MB)
-        (_, runs), peak = _peak_bytes(
-            lambda: em_multilevel(mf_ou(), PointMass(0.0), seed=1, levels=[11], finest=12,
-                                  n_particles=200, horizon=1.0)
-        )
-        assert peak < 1.5 * sum(states.nbytes for states in runs.values())
+    def test_rate_ladder_reduced_as_it_comes_holds_one_block(self):
+        # levels 5..7 and reference 13 recorded at 5 for N = 1000, d = 1: 16
+        # blocks of 2^9 finest steps (4.1 MB), two record rows each.  The
+        # running maxima take 3 x 1000 floats; holding the 33 rows of all
+        # four levels would add 1.06 MB, and halving each block whole down
+        # the ladder peaked at 1.74 blocks
+        block, maxima = 1000 * 2**9 * 8, 3 * 1000 * 8
 
-    def test_ladder_peak_is_one_block_plus_the_trajectories(self):
-        # levels 3..8 and reference 15 recorded at 3 for N = 200: blocks of
-        # 2^12 finest steps (6.6 MB) and 0.1 MB of states; halving each block
-        # whole down the ladder peaked at 1.74 x that
-        (_, runs), peak = _peak_bytes(
-            lambda: em_multilevel(osgood(), GaussianLaw(0.0, 1.0), seed=101, levels=[3, 4, 5, 6, 7, 8],
-                                  finest=15, n_particles=200, horizon=1.0)
-        )
-        block = 200 * 2**12 * 8
-        assert peak < 1.2 * (block + sum(states.nbytes for states in runs.values()))
+        def rate():
+            _, rows = em_multilevel(osgood(), GaussianLaw(0.0, 1.0), seed=101, levels=[5, 6, 7], finest=13,
+                                    n_particles=1000, horizon=1.0)
+            return strong_error(rows, 13)
+
+        errors, peak = _peak_bytes(rate)
+        assert sorted(errors) == [5, 6, 7]
+        assert peak < 1.2 * (block + maxima)
 
     def test_ladder_rows_can_be_held(self):
         # record level 4 under finest 10: two blocks of eight rows, so a held
         # row outlives the block it was stepped in
-        args = (mf_ou(dim=2), GaussianLaw(0.0, 1.0), 13)
-        _, rows = solver._stream(*args, [4, 5, 10], 10, 8, 1.0, 4)
+        args = (mf_ou(dim=2), GaussianLaw(0.0, 1.0), 13, [4, 5], 10, 8, 1.0, 4)
+        _, rows = em_multilevel(*args)
+        copies = [{lvl: states.copy() for lvl, states in row.items()} for row in rows]
+        _, rows = em_multilevel(*args)
         held = list(rows)
-        _, runs = em_multilevel(*args, levels=[4, 5], finest=10, n_particles=8, horizon=1.0, record_level=4)
-        for lvl, states in runs.items():
-            assert np.stack([row[lvl] for row in held]).tobytes() == states.tobytes()
+        assert len(held) == len(copies) == 2**4 + 1
+        for row, copy in zip(held, copies):
+            assert sorted(row) == sorted(copy) == [4, 5, 10]
+            assert all(row[lvl].tobytes() == copy[lvl].tobytes() for lvl in row)
 
     def test_ladder_recording_finer_than_its_block_holds_one_row(self):
         # levels 10, 11 and reference 12 recorded at 10 for N = 200: blocks of
@@ -638,8 +639,8 @@ class TestEmMultilevel:
         # constant coefficients: every level reproduces x0 + s*W at shared
         # grid points up to float regrouping dust
         model = mf_ou(theta=0.0, alpha=0.0, s=0.7)
-        _, runs = em_multilevel(model, PointMass(0.5), seed=6, levels=[2, 4], finest=6,
-                                n_particles=32, horizon=1.0)
+        _, runs = stacked(em_multilevel(model, PointMass(0.5), seed=6, levels=[2, 4], finest=6,
+                                        n_particles=32, horizon=1.0))
         gaps = np.abs(runs[2] - runs[6])
         assert gaps.max() < 1e-14
         gaps = np.abs(runs[4] - runs[6])
@@ -648,26 +649,29 @@ class TestEmMultilevel:
     def test_shared_initials_and_common_grid(self):
         # one times array is the construction: every level is recorded on it
         model = mf_ou()
-        times, runs = em_multilevel(model, GaussianLaw(0.0, 1.0), seed=1, levels=[2, 3], finest=6,
-                                    n_particles=8, horizon=1.0)
+        times, runs = stacked(em_multilevel(model, GaussianLaw(0.0, 1.0), seed=1, levels=[2, 3], finest=6,
+                                            n_particles=8, horizon=1.0))
         assert set(runs) == {2, 3, 6}
         assert times.tobytes() == (np.arange(2**2 + 1) * 0.25).tobytes()
         assert all(states.shape == (len(times), 8, 1) for states in runs.values())
         assert np.array_equal(runs[2][0], runs[6][0])
 
     def test_both_drivers_return_read_only_arrays(self):
-        times, states = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=1, level=3, n_particles=4)
-        shared, runs = em_multilevel(mf_ou(), GaussianLaw(0.0, 1.0), seed=1, levels=[2, 3], finest=6,
-                                     n_particles=4, horizon=1.0)
-        for arr in (times, states, shared, *runs.values()):
+        # the times and every row of every level
+        times, rows = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=1, level=3, n_particles=4)
+        shared, ladder = em_multilevel(mf_ou(), GaussianLaw(0.0, 1.0), seed=1, levels=[2, 3], finest=6,
+                                       n_particles=4, horizon=1.0)
+        arrays = [times, *rows, shared, *(states for row in ladder for states in row.values())]
+        assert len(arrays) == 2 + (2**3 + 1) + 3 * (2**2 + 1)
+        for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[-1] = 0.0
 
     def test_deterministic_error_decay_for_ode(self):
         # sigma = 0 reduces to explicit Euler: halving the step halves the error
         model = mf_ou(theta=1.0, alpha=0.0, s=0.0)
-        _, runs = em_multilevel(model, PointMass(1.0), seed=0, levels=[2, 3], finest=10,
-                                n_particles=1, horizon=1.0)
+        _, runs = stacked(em_multilevel(model, PointMass(1.0), seed=0, levels=[2, 3], finest=10,
+                                        n_particles=1, horizon=1.0))
         err2 = np.abs(runs[2][-1] - runs[10][-1]).max()
         err3 = np.abs(runs[3][-1] - runs[10][-1]).max()
         assert err3 < err2
@@ -699,12 +703,12 @@ class TestEmMultilevel:
 
     def test_integral_floats_and_numpy_integers_accepted(self):
         law = GaussianLaw(0.0, 1.0)
-        _, want = em_multilevel(mf_ou(), law, 3, levels=[2, 3], finest=6, n_particles=4, horizon=1.0)
-        _, got = em_multilevel(mf_ou(), law, 3, levels=[np.int64(2), 3.0], finest=np.int32(6),
-                               n_particles=4.0, horizon=1.0, record_level=np.uint8(2))
+        _, want = stacked(em_multilevel(mf_ou(), law, 3, levels=[2, 3], finest=6, n_particles=4, horizon=1.0))
+        _, got = stacked(em_multilevel(mf_ou(), law, 3, levels=[np.int64(2), 3.0], finest=np.int32(6),
+                                       n_particles=4.0, horizon=1.0, record_level=np.uint8(2)))
         assert sorted(got) == [2, 3, 6]
         assert all(type(lvl) is int and got[lvl].tobytes() == want[lvl].tobytes() for lvl in got)
-        _, single = run_single(mf_ou(), law, 3, level=np.int64(3), finest=6.0, n_particles=np.int16(4))
+        _, single = stacked(run_single(mf_ou(), law, 3, level=np.int64(3), finest=6.0, n_particles=np.int16(4)))
         assert single.shape == (2**3 + 1, 4, 1)
 
     def test_level_validation(self):
