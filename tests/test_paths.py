@@ -101,12 +101,24 @@ class TestLatticeSampling:
         with pytest.raises(SolverError, match="level limit"):
             em_multilevel(mf_ou(), PointMass(0.0), seed=0, levels=[3], finest=31, n_particles=1, horizon=1.0)
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+    def test_horizon_guard(self, monkeypatch, horizon):
+        refuse_any_draw(monkeypatch)
+        with pytest.raises(SolverError, match="horizon must be positive and finite"):
+            run_single(mf_ou(), PointMass(0.0), seed=0, level=12, n_particles=2, horizon=horizon)
+
     def test_particle_and_dimension_guards(self, monkeypatch):
         refuse_any_draw(monkeypatch)
         with pytest.raises(SolverError, match=r"^need at least one particle and one dimension$"):
             run_single(mf_ou(), PointMass(0.0), seed=0, level=3, n_particles=0)
         with pytest.raises(SolverError, match=r"^need at least one particle and one dimension$"):
             sample_initial(PointMass(0.0), 4, 0, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits(self, monkeypatch, seed):
+        refuse_any_draw(monkeypatch)
+        with pytest.raises(SolverError, match=r"seed must lie in \[0, 2\^64\)"):
+            em_multilevel(mf_ou(), PointMass(0.0), seed=seed, levels=[2], finest=4, n_particles=2, horizon=1.0)
 
     def test_increments_read_only(self):
         lat = sample_lattice(NoiseStreams(0, 2), 1, 3, 1.0)
