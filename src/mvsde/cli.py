@@ -1,9 +1,10 @@
 """Config-driven experiment runner.
 
 Subcommands: run | rate | moments | metric | check | selftest.  Each reads a
-flat key=value config (see config.py), validates everything up front, runs
-the experiment, and writes CSV data plus a flat key=value summary (and a
-gnuplot script where a plot makes sense).  Floats are serialized with
+flat key=value config (see config.py; selftest, which takes only ``--out``,
+reads none), validates everything up front, runs the experiment, and writes
+CSV data plus a flat key=value summary (and a gnuplot script where a plot
+makes sense).  Only the kinds with a gate take ``--gate``: rate, moments, check.  Floats are serialized with
 shortest round-trip decimals so reruns are byte-comparable.  ``_report`` is
 the one output path: an experiment hands it each file as text chunks, and
 it stages them beside their final names and moves them into place together
@@ -163,19 +164,19 @@ def _report(out: Path, heading: dict, experiment) -> dict:
     return summary
 
 
-def _pipeline(analyse, cfg: ExperimentConfig, out: Path, gate: bool) -> dict:
-    """One experiment.  ``analyse(cfg, model, gate, write)`` runs its kind's
+def _pipeline(analyse, cfg: ExperimentConfig, out: Path, **flags) -> dict:
+    """One experiment.  ``analyse(cfg, model, write, **flags)`` runs its kind's
     simulations, writes its data files through ``write`` and returns its
-    summary entries and its gate failure."""
+    summary entries and its gate failure; a gated kind's flags hold ``gate``."""
     try:
         model = make_model(cfg.model_id, dim=cfg.dim, params=cfg.model_params)
     except ModelError as exc:
         raise ConfigError(str(exc)) from exc
     heading = {"experiment": cfg.kind, "model": cfg.model_id}
-    return _report(out, heading, partial(analyse, cfg, model, gate))
+    return _report(out, heading, partial(analyse, cfg, model, **flags))
 
 
-def _analyse_run(cfg, model, gate, write):
+def _analyse_run(cfg, model, write):
     # each record row is written as soon as it is stepped, so one block of
     # increments is held, not the trajectory, and a failure midway leaves no
     # trajectories.csv (see _report)
@@ -206,7 +207,7 @@ def _analyse_run(cfg, model, gate, write):
     return entries, None
 
 
-def _analyse_rate(cfg, model, gate, write):
+def _analyse_rate(cfg, model, write, gate):
     window = {"gate.slope_min": cfg.gate_slope_min, "gate.slope_max": cfg.gate_slope_max}
     missing = [key for key, value in window.items() if value is None]
     if gate and missing:
@@ -251,7 +252,7 @@ def _analyse_rate(cfg, model, gate, write):
     return entries, failure
 
 
-def _analyse_moments(cfg, model, gate, write):
+def _analyse_moments(cfg, model, write, gate):
     times, rows = _run(cfg, model, cfg.seed)
     report = analysis.moment_curve(times, rows, cfg.moment_order)
     oracle_vals = None
@@ -293,7 +294,7 @@ def _analyse_moments(cfg, model, gate, write):
     return entries, failure
 
 
-def _analyse_metric(cfg, model, gate, write):
+def _analyse_metric(cfg, model, write):
     # seed b is primed first, so both seeds are checked before any work; the
     # curve steps both runs in lockstep, one block of increments each
     _, rows_b = _run(cfg, model, cfg.seed_b)
@@ -319,7 +320,7 @@ def _analyse_metric(cfg, model, gate, write):
     return entries, None
 
 
-def _analyse_check(cfg, model, gate, write):
+def _analyse_check(cfg, model, write, gate):
     growth = models.check_linear_growth(model, seed=cfg.seed)
     rows = [("linear_growth", growth.passed, growth.fitted_l1, "", growth.failure)]
     entries = {
@@ -397,27 +398,30 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in (*_COMMANDS, "selftest"):
         p = sub.add_parser(name)
-        if name != "selftest":
-            p.add_argument("--config", required=True, help="path to a key=value config file")
         p.add_argument("--out", default=None, help="output directory (default: $MVSDE_OUT/<command> or ./mvsde-out/<command>)")
+        if name == "selftest":
+            continue
+        p.add_argument("--config", required=True, help="path to a key=value config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=1, help="accepted for compatibility (at least 1); changes nothing")
-        p.add_argument("--gate", action="store_true", help="enable acceptance thresholds (exit 4 on failure)")
+        if name in ("rate", "moments", "check"):
+            p.add_argument("--gate", action="store_true", help="enable acceptance thresholds (exit 4 on failure)")
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
         out = _out_dir(args.out, args.command)
         if args.command == "selftest":
             _report(out, {"experiment": "selftest"}, _analyse_selftest)
             print(f"selftest pass ({out})")
             return EXIT_OK
+        if args.threads < 1:
+            raise ConfigError("--threads must be at least 1")
         cfg = load_config(args.config, args.command, seed_override=args.seed)
-        summary = _COMMANDS[args.command](cfg, out, args.gate)
+        flags = {"gate": args.gate} if "gate" in args else {}
+        summary = _COMMANDS[args.command](cfg, out, **flags)
     except (ConfigError, SolverError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

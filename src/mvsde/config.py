@@ -1,14 +1,18 @@
 """Flat experiment configs: one ``key = value`` per line, ``#`` comments.
 
-Keys are dotted (``model.id``, ``sim.N``, ...).  ``KEYS`` is the one list of
-accepted keys with their parsers and defaults.  Parsing validates everything
-before any simulation starts and reports the offending line and key.
+Keys are dotted (``model.id``, ``sim.N``, ...).  Each ``ExperimentConfig``
+field declares its key, parser and default, and each initial law in
+``_LAWS`` its ``init.*`` keys; ``KEYS`` is derived from the two.  Parsing
+validates everything before any simulation starts.  A parser checks one
+key's value, bounds included, and its refusal names the line and the key
+(``line N: key 'sim.N': ...``); a rule between keys, or between a key and
+the kind, names the keys it reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -83,10 +87,20 @@ def _covariance(text: str):
     return vec
 
 
+def _positive(parse):
+    """``parse``, refusing a value not above 0: an integer below 1."""
+    def parse_positive(text: str):
+        value = parse(text)
+        if value <= 0:
+            raise ValueError(f"must be positive, got {text!r}")
+        return value
+    return parse_positive
+
+
 def _level(text: str) -> int:
     level = _integer(text)
-    if level > MAX_LATTICE_LEVEL:
-        raise ValueError(f"level {level} above the lattice level limit {MAX_LATTICE_LEVEL}")
+    if not 0 <= level <= MAX_LATTICE_LEVEL:
+        raise ValueError(f"level {level} not between 0 and the lattice level limit {MAX_LATTICE_LEVEL}")
     return level
 
 
@@ -97,60 +111,70 @@ def _levels(text: str) -> tuple[int, ...]:
     return levels
 
 
+def _name_in(table, fold=str):
+    """A parser of a key of ``table``, after ``fold``."""
+    def parse_name(text: str) -> str:
+        name = fold(text)
+        if name not in table:
+            raise ValueError(f"expected one of {', '.join(sorted(table))}, got {name!r}")
+        return name
+    return parse_name
+
+
+#: each initial law and its init keys in constructor order: key -> (parser, default)
+_LAWS = {
+    "point": (PointMass, {"init.x0": (_location, 0.0)}),
+    "gaussian": (GaussianLaw, {"init.mean": (_location, 0.0), "init.cov": (_covariance, 1.0)}),
+    "uniform": (UniformBox, {"init.lo": (_location, -1.0), "init.hi": (_location, 1.0)}),
+}
+
 #: default of a key that every config must set
 REQUIRED = object()
 
-#: every accepted key besides ``model.<param>``: key -> (ExperimentConfig
-#: field, parser, default).  Keys without a field check the subcommand or
-#: describe the initial law.  ``metric.seed_b`` defaults to the seed plus one.
-#: The rate gate's slope window has no default: ``rate --gate`` requires it.
-KEYS = {
-    "experiment.kind": (None, str, None),
-    "model.id": ("model_id", str, REQUIRED),
-    "sim.d": ("dim", _integer, 1),
-    "sim.N": ("n_particles", _integer, REQUIRED),
-    "sim.T": ("horizon", _number, 1.0),
-    "sim.seed": ("seed", _integer, 0),
-    "sim.level": ("level", _level, None),
-    "sim.levels": ("levels", _levels, None),
-    "sim.finest": ("finest", _level, None),
-    "sim.record_level": ("record_level", _integer, None),
-    "init.law": (None, str.lower, "point"),
-    "init.x0": (None, _location, 0.0),
-    "init.mean": (None, _location, 0.0),
-    "init.cov": (None, _covariance, 1.0),
-    "init.lo": (None, _location, -1.0),
-    "init.hi": (None, _location, 1.0),
-    "moments.p": ("moment_order", _integer, 1),
-    "metric.seed_b": ("seed_b", _integer, None),
-    "gate.slope_min": ("gate_slope_min", _number, None),
-    "gate.slope_max": ("gate_slope_max", _number, None),
-    "gate.monotone": ("gate_monotone", _boolean, False),
-}
+
+def _key(key: str, parser, default):
+    """A field read from ``key`` by ``parser``, or ``default`` where the key is absent."""
+    return field(metadata={"key": key, "spec": (parser, default)})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated config: the subcommand's kind, the model parameters, the
-    initial law, and one field per ``KEYS`` entry that names one."""
+    """A validated config: a field per key, and the model parameters.  ``kind``
+    is the subcommand's (``experiment.kind`` must match it); ``law`` is built
+    from the keys of the law ``init.law`` names.  ``metric.seed_b`` defaults
+    to the seed plus one; ``rate --gate`` requires the slope window."""
 
-    kind: str
+    kind: str = _key("experiment.kind", str, None)
+    model_id: str = _key("model.id", _name_in(MODELS), REQUIRED)
+    dim: int = _key("sim.d", _positive(_integer), 1)
+    n_particles: int = _key("sim.N", _positive(_integer), REQUIRED)
+    horizon: float = _key("sim.T", _positive(_number), 1.0)
+    seed: int = _key("sim.seed", _integer, 0)
+    level: int | None = _key("sim.level", _level, None)
+    levels: tuple[int, ...] | None = _key("sim.levels", _levels, None)
+    finest: int | None = _key("sim.finest", _level, None)
+    record_level: int | None = _key("sim.record_level", _level, None)
+    law: InitialLaw = _key("init.law", _name_in(_LAWS, str.lower), "point")
+    moment_order: int = _key("moments.p", _positive(_integer), 1)
+    seed_b: int = _key("metric.seed_b", _integer, None)
+    gate_slope_min: float | None = _key("gate.slope_min", _number, None)
+    gate_slope_max: float | None = _key("gate.slope_max", _number, None)
+    gate_monotone: bool = _key("gate.monotone", _boolean, False)
     model_params: dict[str, float]
-    law: InitialLaw
-    model_id: str
-    dim: int
-    n_particles: int
-    horizon: float
-    seed: int
-    level: int | None
-    levels: tuple[int, ...] | None
-    finest: int | None
-    record_level: int | None
-    moment_order: int
-    seed_b: int
-    gate_slope_min: float | None
-    gate_slope_max: float | None
-    gate_monotone: bool
+
+
+def _keys():
+    for f in fields(ExperimentConfig):
+        if "key" in f.metadata:
+            yield f.metadata["key"], (f.name, *f.metadata["spec"])
+        if f.name == "law":
+            for _, keys in _LAWS.values():
+                yield from ((key, (None, *spec)) for key, spec in keys.items())
+
+
+#: every accepted key besides ``model.<param>``: key -> (ExperimentConfig
+#: field, parser, default); the law keys follow ``init.law``, with no field
+KEYS = dict(_keys())
 
 
 def parse_config_text(text: str) -> dict[str, tuple[int, str]]:
@@ -181,38 +205,23 @@ def _parse(raw: dict[str, tuple[int, str]], key: str, parser):
         raise ConfigError(f"line {lineno}: key {key!r}: {exc}") from None
 
 
-#: each initial law and the init keys it reads, in constructor order
-_LAWS = {
-    "point": (PointMass, ("init.x0",)),
-    "gaussian": (GaussianLaw, ("init.mean", "init.cov")),
-    "uniform": (UniformBox, ("init.lo", "init.hi")),
-}
-
-
 def _build_law(values: dict) -> InitialLaw:
-    law_name = values["init.law"]
-    if law_name not in _LAWS:
-        raise ConfigError(f"init.law must be point, gaussian or uniform, got {law_name!r}")
-    law, keys = _LAWS[law_name]
+    law, keys = _LAWS[values["init.law"]]
     for key in keys:
         size = np.size(values[key])
         if size not in (1, values["sim.d"]):
             raise ConfigError(f"key {key!r}: {size} components, expected 1 or sim.d = {values['sim.d']}")
-    if law_name == "uniform" and np.any(np.less_equal(values["init.hi"], values["init.lo"])):
-        raise ConfigError("key 'init.lo': must lie below init.hi in every coordinate")
+    if law is UniformBox:
+        lo, hi = keys
+        if np.any(np.less_equal(values[hi], values[lo])):
+            raise ConfigError(f"key {lo!r}: must lie below {hi} in every coordinate")
     return law(*(values[key] for key in keys))
 
 
 def _validate(cfg: ExperimentConfig, seed_source: str) -> None:
-    if cfg.dim < 1:
-        raise ConfigError("sim.d must be at least 1")
     _, _, pinned = MODELS[cfg.model_id]
     if pinned is not None and cfg.dim != pinned:
         raise ConfigError(f"model {cfg.model_id!r} is {pinned}-dimensional; set sim.d = {pinned}")
-    if cfg.n_particles < 1:
-        raise ConfigError("sim.N must be at least 1")
-    if cfg.horizon <= 0:
-        raise ConfigError("sim.T must be positive")
     # seeds key 64-bit Philox streams; only a metric study reads seed_b
     seeds = [(seed_source, cfg.seed)]
     if cfg.kind == "metric":
@@ -225,18 +234,15 @@ def _validate(cfg: ExperimentConfig, seed_source: str) -> None:
 
     level, levels, finest = cfg.level, cfg.levels, cfg.finest
     if cfg.kind == "rate":
-        if levels is None:
-            raise ConfigError("rate experiments require 'sim.levels'")
-        if finest is None:
-            raise ConfigError("rate experiments require 'sim.finest'")
+        for key, value in (("sim.levels", levels), ("sim.finest", finest)):
+            if value is None:
+                raise ConfigError(f"rate experiments require {key!r}")
         if len(levels) < MIN_RATE_LEVELS:
             raise ConfigError(
                 f"sim.levels must list at least {MIN_RATE_LEVELS} levels to fit a rate, got {len(levels)}"
             )
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ConfigError("sim.levels must be strictly increasing")
-        if levels[0] < 0:
-            raise ConfigError("sim.levels must be nonnegative")
         if max(levels) > finest - 4:
             raise ConfigError(
                 f"rate studies need max(sim.levels) <= sim.finest - 4, got {max(levels)} vs finest {finest}"
@@ -244,8 +250,6 @@ def _validate(cfg: ExperimentConfig, seed_source: str) -> None:
     elif cfg.kind in ("run", "moments", "metric"):
         if level is None:
             raise ConfigError(f"{cfg.kind} experiments require 'sim.level'")
-        if level < 0:
-            raise ConfigError("sim.level must be nonnegative")
         if finest is not None and finest < level:
             raise ConfigError("sim.finest must be at least sim.level")
     elif cfg.kind == "check":
@@ -256,13 +260,9 @@ def _validate(cfg: ExperimentConfig, seed_source: str) -> None:
                 f"sim.d = {cfg.dim} needs a (d, d) diffusion matrix of {nbytes} bytes, "
                 f"above the memory limit of {DEFAULT_MEMORY_CAP} bytes"
             )
-    if cfg.record_level is not None:
-        base = level if level is not None else (min(levels) if levels else None)
-        if cfg.record_level < 0 or (base is not None and cfg.record_level > base):
-            raise ConfigError("sim.record_level must lie between 0 and the coarsest simulated level")
-
-    if cfg.moment_order < 1:
-        raise ConfigError("moments.p must be at least 1")
+    base = level if level is not None else (min(levels) if levels else None)
+    if None not in (cfg.record_level, base) and cfg.record_level > base:
+        raise ConfigError(f"sim.record_level must not lie above the coarsest simulated level, {base}")
     if None not in (cfg.gate_slope_min, cfg.gate_slope_max) and cfg.gate_slope_min >= cfg.gate_slope_max:
         raise ConfigError("gate.slope_min must be below gate.slope_max")
 
@@ -293,8 +293,6 @@ def load_config(path, kind: str, seed_override: int | None = None) -> Experiment
     if declared is not None and declared != kind:
         raise ConfigError(f"config declares experiment.kind = {declared!r} but the {kind!r} command was invoked")
     model_id = values["model.id"]
-    if model_id not in MODELS:
-        raise ConfigError(f"unknown model id {model_id!r}; known: {sorted(MODELS)}")
     _, names, _ = MODELS[model_id]
     params: dict[str, float] = {}
     for key in raw:
@@ -311,11 +309,8 @@ def load_config(path, kind: str, seed_override: int | None = None) -> Experiment
         values["sim.seed"] = seed_override
     if values["metric.seed_b"] is None:
         values["metric.seed_b"] = values["sim.seed"] + 1
-    cfg = ExperimentConfig(
-        kind=kind,
-        model_params=params,
-        law=_build_law(values),
-        **{field: values[key] for key, (field, _, _) in KEYS.items() if field is not None},
-    )
+    values["experiment.kind"] = kind
+    values["init.law"] = _build_law(values)
+    cfg = ExperimentConfig(model_params=params, **{name: values[key] for key, (name, _, _) in KEYS.items() if name})
     _validate(cfg, "sim.seed" if seed_override is None else "--seed")
     return cfg

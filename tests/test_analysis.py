@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from mvsde import analysis
 from mvsde.analysis import (
     AnalysisError,
+    RateReport,
+    _mean_se,
     bihari_ode_check,
     fit_rate,
     increment_scaling,
@@ -63,6 +65,15 @@ class TestFitRate:
         with pytest.raises(AnalysisError, match="distinct"):
             fit_rate([1, 1, 2], [1.0, 0.5, 0.25])
 
+    def test_unequal_lengths_refused(self):
+        with pytest.raises(AnalysisError, match="equal length"):
+            fit_rate([1, 2, 3], [1.0, 0.5])
+
+    def test_non_finite_report_refused(self):
+        # fit_rate refuses every input that would give one, so build it directly
+        with pytest.raises(AnalysisError, match="non-finite coefficients"):
+            RateReport(slope=math.nan, intercept=0.0)
+
     @pytest.mark.parametrize("bad", [1.5, math.inf, -math.inf, math.nan, 10**400, 2**60, -1])
     def test_level_not_a_finite_integer_refused(self, bad):
         with pytest.raises(AnalysisError, match=rf"finite integers in \[0, 30\], got {bad}$"):
@@ -73,6 +84,9 @@ class TestFitRate:
 
 
 class TestStrongError:
+    def test_single_particle_has_zero_stderr(self):
+        assert _mean_se(np.array([2.5])) == (2.5, 0.0)
+
     def test_zero_on_identical(self):
         _, rows = run_single(mf_ou(), GaussianLaw(0.0, 1.0), seed=0, level=4, n_particles=16)
         assert strong_error(({4: row, 9: row} for row in rows), 9) == {4: (0.0, 0.0)}
@@ -159,6 +173,24 @@ class TestMomentCurve:
             assert dev <= max(3.0 * report.stderrs[j], 1e-12)
         assert report.dominated
 
+    def test_order_below_one_refused(self):
+        with pytest.raises(AnalysisError, match="at least 1, got 0"):
+            moment_curve(np.linspace(0.0, 1.0, 3), np.ones((3, 2, 1)), order=0)
+
+    def test_envelope_constant_above_one_is_bracketed(self):
+        # m0 = 0 and m1 = 9, so C solves C e^C = 9; C = 1 does not dominate
+        rows = np.array([[[0.0]], [[3.0]]])
+        report = moment_curve(np.array([0.0, 1.0]), rows, order=1)
+        c = report.envelope_constant
+        assert c > 1.0 and c * math.exp(c) == pytest.approx(9.0, rel=1e-12)
+        assert report.dominated
+
+    def test_envelope_without_a_bracket_refused(self):
+        # both points at t = 0: C must reach 1e100, beyond 200 doublings of 1
+        rows = np.array([[[0.0]], [[1e50]]])
+        with pytest.raises(AnalysisError, match="failed to bracket"):
+            moment_curve(np.array([0.0, 0.0]), rows, order=1)
+
     def test_overflow_guidance(self):
         big = np.full((3, 2, 1), 1e200)
         with pytest.raises(AnalysisError, match="smaller"):
@@ -206,6 +238,21 @@ class TestIncrementScaling:
     def test_lag_span_guard(self):
         with pytest.raises(AnalysisError, match="two decades"):
             increment_scaling(np.zeros((257, 4, 1)), order=1, lags=[1, 2, 4, 8])
+
+    @pytest.mark.parametrize(
+        "lags, message",
+        [([1, 128], "at least 3 distinct lags"), ([1, 1, 128], "at least 3 distinct lags"),
+         ([1, 2, 257], r"lags must lie in \[1, 256\]"), ([0, 2, 128], r"lags must lie in \[1, 256\]")],
+    )
+    def test_lag_ladder_refused(self, lags, message):
+        with pytest.raises(AnalysisError, match=message):
+            increment_scaling(np.zeros((257, 4, 1)), order=1, lags=lags)
+
+    def test_mean_increment_underflowing_to_zero_refused(self):
+        # squared gaps of 1e-163 and 2e-163 underflow to 0; lag 128's does not
+        states = (1e-163 * np.arange(129.0)).reshape(129, 1, 1)
+        with pytest.raises(AnalysisError, match="zero mean increment"):
+            increment_scaling(states, order=1, lags=[1, 2, 128])
 
     @pytest.mark.parametrize("order", [0, -1])
     def test_order_below_one_refused(self, order):

@@ -1,7 +1,10 @@
+import argparse
+import ast
 import errno
 import math
 import os
 import re
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -9,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvsde import cli, solver
+from mvsde import cli, config, solver
 from mvsde.cli import (
     _CSV_BLOCK_ROWS,
     EXIT_ANALYSIS,
@@ -223,6 +226,11 @@ class TestConfigParsing:
             with pytest.raises(ModelError, match=f"{pinned}-dimensional"):
                 make_model(model_id, dim=pinned + 1, params=params)
 
+    @pytest.mark.parametrize("text, value", [("false", False), ("Off", False), ("0", False), ("yes", True)])
+    def test_boolean_reads_both_values(self, tmp_path, text, value):
+        cfg = load_config(_write(tmp_path, f"{RUN_MIN}gate.monotone = {text}\n"), "run")
+        assert cfg.gate_monotone is value
+
     def test_readme_key_table_matches_keys(self):
         section = (ROOT / "README.md").read_text().split("### Config format", 1)[1].split("\n## ", 1)[0]
         rows = dict(re.findall(r"^\| `([^`]+)` \| ([^|]+?) \|", section, flags=re.M))
@@ -232,6 +240,132 @@ class TestConfigParsing:
                 assert rows[key] == "required", key
             elif default is not None:
                 assert rows[key] == f"`{_fmt(default)}`", key
+
+
+# the smallest configs each kind loads: lines 1-3 and lines 1-4
+RUN_MIN = "model.id = mf-ou\nsim.N = 4\nsim.level = 3\n"
+RATE_MIN = "model.id = mf-ou\nsim.N = 4\nsim.levels = 1 2 3\nsim.finest = 7\n"
+
+
+def _at(line: int, key: str) -> str:
+    """The start of a refusal of one key's value."""
+    return f"line {line}: key '{key}': "
+
+
+# every refusal in config.py: (kind, config text or None for a missing file,
+# a text the message names, the message's start)
+CONFIG_REFUSALS = [
+    # a key's value, refused by its parser
+    pytest.param("run", RUN_MIN + "sim.d = 1.5\n", "integer", _at(4, "sim.d"), id="integer"),
+    pytest.param("run", RUN_MIN + "sim.T = soon\n", "number", _at(4, "sim.T"), id="number"),
+    pytest.param("run", RUN_MIN + "sim.T = inf\n", "finite", _at(4, "sim.T"), id="non-finite-number"),
+    pytest.param("run", RUN_MIN + "gate.monotone = maybe\n", "boolean", _at(4, "gate.monotone"), id="boolean"),
+    pytest.param("run", RUN_MIN + "init.x0 = 1 a\n", "numbers", _at(4, "init.x0"), id="vector"),
+    pytest.param("run", RUN_MIN + "init.x0 = 1 nan\n", "finite", _at(4, "init.x0"), id="non-finite-vector"),
+    pytest.param("run", RUN_MIN + "init.x0 = 1e9\n", "blow-up limit", _at(4, "init.x0"), id="location"),
+    pytest.param("run", RUN_MIN + "init.cov = -1\n", "nonnegative", _at(4, "init.cov"), id="negative-cov"),
+    pytest.param("run", RUN_MIN + "init.cov = 1e17\n", "blow-up limit", _at(4, "init.cov"), id="cov"),
+    pytest.param("run", RUN_MIN + "sim.d = 0\n", "positive", _at(4, "sim.d"), id="sim.d-0"),
+    pytest.param("run", RUN_MIN.replace("sim.N = 4", "sim.N = 0"), "positive", _at(2, "sim.N"), id="sim.N-0"),
+    pytest.param("run", RUN_MIN + "sim.T = 0\n", "positive", _at(4, "sim.T"), id="sim.T-0"),
+    pytest.param("run", RUN_MIN + "sim.T = -1\n", "positive", _at(4, "sim.T"), id="sim.T-negative"),
+    pytest.param("moments", RUN_MIN + "moments.p = 0\n", "positive", _at(4, "moments.p"), id="moments.p-0"),
+    pytest.param("run", RUN_MIN.replace("level = 3", "level = -1"), "level -1", _at(3, "sim.level"), id="level-negative"),
+    pytest.param("run", RUN_MIN.replace("level = 3", "level = 31"), "limit 30", _at(3, "sim.level"), id="level-31"),
+    # a bound holds for every kind, here one that reads no sim.level
+    pytest.param("rate", RATE_MIN + "sim.level = -1\n", "level -1", _at(5, "sim.level"), id="rate-level-negative"),
+    pytest.param("rate", RATE_MIN.replace("1 2 3", "-1 1 2"), "level -1", _at(3, "sim.levels"), id="levels-negative"),
+    pytest.param("rate", RATE_MIN.replace("1 2 3", ","), "at least one level", _at(3, "sim.levels"), id="levels-empty"),
+    pytest.param("run", RUN_MIN + "sim.finest = -1\n", "level -1", _at(4, "sim.finest"), id="finest-negative"),
+    pytest.param("rate", RATE_MIN.replace("finest = 7", "finest = 31"), "limit 30", _at(4, "sim.finest"), id="finest-31"),
+    pytest.param("run", RUN_MIN + "sim.record_level = -1\n", "level -1", _at(4, "sim.record_level"),
+                 id="record-level-negative"),
+    pytest.param("run", RUN_MIN + "sim.record_level = 31\n", "limit 30", _at(4, "sim.record_level"), id="record-level-31"),
+    pytest.param("run", RUN_MIN.replace("mf-ou", "nope"), "'nope'", _at(1, "model.id"), id="model-id"),
+    pytest.param("run", RUN_MIN + "init.law = cauchy\n", "'cauchy'", _at(4, "init.law"), id="init-law"),
+    pytest.param("run", RUN_MIN + "model.theta = x\n", "number", _at(4, "model.theta"), id="model-parameter-value"),
+    # the file's syntax and keys
+    pytest.param("run", RUN_MIN + "sim.d 2\n", "'sim.d 2'", "line 4: expected 'key = value'", id="no-equals"),
+    pytest.param("run", RUN_MIN + "sim.d =\n", "empty key or value", "line 4: ", id="empty-value"),
+    pytest.param("run", RUN_MIN + "= 2\n", "empty key or value", "line 4: ", id="empty-key"),
+    pytest.param("run", RUN_MIN + "sim.N = 5\n", "'sim.N'", "line 4: duplicate key", id="duplicate"),
+    pytest.param("run", RUN_MIN + "sim.bogus = 1\n", "'sim.bogus'", "line 4: unknown key", id="unknown-key"),
+    pytest.param("run", RUN_MIN + "model.zeta = 1\n", "'zeta'", "line 4: model 'mf-ou'", id="model-parameter"),
+    pytest.param("run", "model.id = mf-ou\nsim.level = 3\n", "'sim.N'", "missing required key", id="missing"),
+    pytest.param("bogus", RUN_MIN, "'bogus'", "unknown experiment kind", id="unknown-kind"),
+    pytest.param("run", None, "absent.cfg", "cannot read config", id="unreadable"),
+    pytest.param("run", "experiment.kind = rate\n" + RUN_MIN, "experiment.kind", "config declares", id="kind-mismatch"),
+    # rules between keys, or between a key and the kind
+    pytest.param("run", RUN_MIN + "sim.d = 2\ninit.x0 = 1 2 3\n", "'init.x0'", "key 'init.x0': 3 components",
+                 id="components"),
+    pytest.param("run", RUN_MIN + "init.law = uniform\ninit.lo = 1\ninit.hi = 0\n", "init.hi", "key 'init.lo'",
+                 id="lo-above-hi"),
+    pytest.param("run", RUN_MIN.replace("mf-ou", "osgood") + "sim.d = 2\n", "sim.d = 1", "model 'osgood'", id="pinned"),
+    pytest.param("run", RUN_MIN + "sim.seed = -1\n", "sim.seed", "sim.seed must be nonnegative", id="seed"),
+    pytest.param("metric", RUN_MIN + "sim.seed = 5\nmetric.seed_b = 5\n", "sim.seed", "metric.seed_b must differ",
+                 id="seed_b"),
+    pytest.param("rate", RATE_MIN.replace("sim.levels = 1 2 3\n", ""), "'sim.levels'", "rate experiments require",
+                 id="rate-levels-missing"),
+    pytest.param("rate", RATE_MIN.replace("sim.finest = 7\n", ""), "'sim.finest'", "rate experiments require",
+                 id="rate-finest-missing"),
+    pytest.param("rate", RATE_MIN.replace("1 2 3", "1 2"), "at least 3", "sim.levels must list", id="rate-two-levels"),
+    pytest.param("rate", RATE_MIN.replace("1 2 3", "3 2 1"), "increasing", "sim.levels must", id="rate-order"),
+    pytest.param("rate", RATE_MIN.replace("finest = 7", "finest = 6"), "sim.finest - 4", "rate studies need",
+                 id="rate-margin"),
+    pytest.param("run", RUN_MIN.replace("sim.level = 3\n", ""), "'sim.level'", "run experiments require", id="run-level"),
+    pytest.param("moments", RUN_MIN.replace("sim.level = 3\n", ""), "'sim.level'", "moments experiments require",
+                 id="moments-level"),
+    pytest.param("metric", RUN_MIN.replace("sim.level = 3\n", ""), "'sim.level'", "metric experiments require",
+                 id="metric-level"),
+    pytest.param("run", RUN_MIN + "sim.finest = 2\n", "sim.level", "sim.finest must be at least", id="finest-below-level"),
+    pytest.param("check", RUN_MIN + "sim.d = 20000\n", "memory limit", "sim.d = 20000", id="check-memory"),
+    pytest.param("run", RUN_MIN + "sim.record_level = 4\n", "level, 3", "sim.record_level must not lie above",
+                 id="record-level-above-level"),
+    pytest.param("rate", RATE_MIN + "sim.record_level = 2\n", "level, 1", "sim.record_level must not lie above",
+                 id="record-level-above-ladder"),
+    pytest.param("rate", RATE_MIN + "gate.slope_min = -1\ngate.slope_max = -2\n", "gate.slope_max",
+                 "gate.slope_min must be below", id="gate-window"),
+]
+
+
+def _refusal(tmp_path: Path, kind: str, text: str | None) -> str:
+    path = tmp_path / "absent.cfg" if text is None else _write(tmp_path, text)
+    with pytest.raises(ConfigError) as refused:
+        load_config(path, kind)
+    return str(refused.value)
+
+
+class TestConfigRefusals:
+    @pytest.mark.parametrize("kind, text, named, start", CONFIG_REFUSALS)
+    def test_refusal_names_its_key(self, tmp_path, kind, text, named, start):
+        message = _refusal(tmp_path, kind, text)
+        assert message.startswith(start) and named in message, message
+
+    def test_every_raise_in_config_has_a_case(self, tmp_path):
+        # a refusal added to config.py without a case in the table fails here
+        source = Path(config.__file__).read_text()
+        lines = source.splitlines()
+        raises = {node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Raise)}
+        reached = set()
+
+        def in_config(frame, event, arg):
+            if event == "line":
+                reached.add(frame.f_lineno)
+            return in_config
+
+        def calls(frame, event, arg):
+            return in_config if frame.f_code.co_filename == config.__file__ else None
+
+        previous = sys.gettrace()
+        sys.settrace(calls)
+        try:
+            for k, case in enumerate(CONFIG_REFUSALS):
+                (tmp_path / str(k)).mkdir()
+                _refusal(tmp_path / str(k), *case.values[:2])
+        finally:
+            sys.settrace(previous)
+        missing = [f"line {n}: {lines[n - 1].strip()}" for n in sorted(raises - reached)]
+        assert raises and not missing, missing
 
 
 class TestCliRun:
@@ -869,6 +1003,38 @@ class TestCliSelftestAndCodes:
             assert main(["run", "--config", str(path), "--out", str(out), "--threads", str(threads)]) == EXIT_OK
             outs.append((out / "trajectories.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+
+def _flags(parser: argparse.ArgumentParser) -> dict[str, list[str]]:
+    """Each subcommand's flags, besides ``--help``."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: sorted(flag for a in p._actions for flag in a.option_strings if flag not in ("-h", "--help"))
+            for name, p in sub.choices.items()}
+
+
+class TestFlags:
+    def test_readme_flag_table_matches_parser(self):
+        section = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("\n#", 1)[0]
+        rows = dict(re.findall(r"^\| `(\w+)` \| (.+?) \|", section, flags=re.M))
+        assert {name: sorted(re.findall(r"`(--[\w-]+)", cell)) for name, cell in rows.items()} == _flags(cli._parser())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--gate"], ["metric", "--gate"], ["selftest", "--seed", "1"], ["selftest", "--threads", "1"],
+         ["selftest", "--gate"]],
+    )
+    def test_flag_a_command_does_not_read_is_a_usage_error(self, tmp_path, capsys, argv):
+        command, *flag = argv
+        config = [] if command == "selftest" else ["--config", str(_write(tmp_path, RUN_MIN))]
+        with pytest.raises(SystemExit) as usage:
+            main([command, *config, "--out", str(tmp_path / "o"), *flag])
+        assert usage.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["rate", "moments", "check"])
+    def test_gated_commands_take_gate(self, command):
+        assert cli._parser().parse_args([command, "--config", "exp.cfg", "--gate"]).gate is True
 
 
 def _write_csv_per_value(path, header, rows):

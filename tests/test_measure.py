@@ -168,7 +168,17 @@ class TestRhoLower:
             rho_lower(uniform_measure([[0.0]]), uniform_measure([[1.0]]), {})
 
 
+def test_integrand_of_the_wrong_shape_refused():
+    mu = EmpiricalMeasure(np.zeros((3, 2)))
+    with pytest.raises(MeasureError, match=r"shape \(3, 2\), expected \(3,\)"):
+        mu.integrate(lambda x: x)
+
+
 class TestDefaultDictionary:
+    def test_dimension_below_one_refused(self):
+        with pytest.raises(MeasureError, match="at least 1"):
+            default_dictionary(0)
+
     def test_norm_calibration(self):
         # weighted sup |f(x)| / (1 + |x|)^2 <= 0.2 and pair ratio
         # |f(x) - f(y)| / |x - y| <= 0.8, so every entry has norm at most one;

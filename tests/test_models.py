@@ -285,7 +285,26 @@ class TestPairwiseBounds:
         assert ratios[half:].max() <= 2.0 * ratios[:half].max() + 1e-12
 
 
+def _infinite_drift_fixture(where) -> CoefficientModel:
+    """Drift inf on the states where ``where(|x|)`` holds, else 0; unit noise."""
+    def drift(states, mu):
+        return np.where(where(np.linalg.norm(states, axis=1, keepdims=True)), np.inf, 0.0)
+
+    return CoefficientModel(model_id="inf-fixture", dim=1, drift=drift,
+                            diffusion_apply=lambda states, mu, dw: dw, moduli=(gamma_log, gamma_log))
+
+
+def test_model_dimension_below_one_refused():
+    with pytest.raises(ModelError, match="dimension must be positive, got 0"):
+        CoefficientModel(model_id="m", dim=0, drift=lambda x, mu: x, diffusion_apply=lambda x, mu, dw: dw)
+
+
 class TestCheckLinearGrowth:
+    def test_non_finite_ratio_fails_at_once(self):
+        report = check_linear_growth(_infinite_drift_fixture(lambda r: r > 100.0), seed=0)
+        assert not report.passed and report.fitted_l1 == math.inf
+        assert report.failure.startswith("non-finite ratio at sample")
+
     def test_mf_ou_passes_within_symbolic_bound(self):
         # |b|^2 + |sigma|^2 <= 2 theta^2 |x|^2 + 2 alpha^2 lambda2 + s^2 d
         # gives the analytic constant max(2 theta^2, 2 alpha^2, s^2 d)
@@ -313,6 +332,12 @@ class TestCheckLinearGrowth:
 
 
 class TestCheckH2Prime:
+    def test_non_finite_ratio_fails_at_once(self):
+        report = check_h2prime(_infinite_drift_fixture(lambda r: r < 1e-6), seed=0)
+        assert not report.passed
+        assert report.fitted_lambda1 == report.fitted_lambda2 == math.inf
+        assert report.failure.startswith("non-finite ratio at sample")
+
     def test_osgood_passes(self):
         report = check_h2prime(osgood(), seed=0)
         assert report.passed

@@ -462,6 +462,10 @@ class TestRunSingleBlocks:
         with pytest.raises(SolverError, match="one block of increments would need 65536 bytes"):
             run_single(mf_ou(), PointMass(0.0), 1, level=10, n_particles=8, record_level=0)
 
+    def test_finest_below_level_refused(self):
+        with pytest.raises(SolverError, match="finest level 3 below run level 5"):
+            run_single(mf_ou(), PointMass(0.0), seed=0, level=5, finest=3, n_particles=2)
+
     def test_non_integer_seed_refused(self):
         # a key word would truncate 1.5 to seed 1
         with pytest.raises(SolverError, match="^seed must be an integer, got 1.5$"):
