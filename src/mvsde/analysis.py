@@ -5,17 +5,16 @@ coupled-law metric curves.
 A trajectory is any iterable of record rows, such as a solver driver's
 rows or a (points, N, d) array, row j the ensemble at record time
 ``times[j]``; the reductions read each row as it comes, so a driver's run is
-never held whole.  ``increment_scaling``, which pairs rows far apart, takes
-a (points, N, d) array.  Estimates come with
-Monte-Carlo standard errors from per-particle statistics; rate verdicts are
-decay exponents fitted on log2 error curves, since the constants in the
-underlying bounds are existential.
+never held whole.  Estimates come with Monte-Carlo standard errors from
+per-particle statistics; rate verdicts are decay exponents fitted on log2
+error curves, since the constants in the underlying bounds are existential.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -211,29 +210,40 @@ class IncrementReport:
     degenerate: bool = False
 
 
-def increment_scaling(states: np.ndarray, order: int, lags) -> IncrementReport:
+def increment_scaling(rows, order: int, lags) -> IncrementReport:
     """Regress log E|X_t - X_s|^(2p) on log(t - s) over a ladder of lags.
 
-    The drivers record on a uniform grid, so the slope on log lag is the
-    slope on log time.  Lags are record-grid index offsets and must span at
-    least two decades; each lag's expectation pools all equal-lag windows and
-    all particles.  An all-zero increment field is reported as degenerate
-    instead of fitted.
+    ``rows`` is any iterable of equal-shape (N, d) record rows, each reduced
+    as it comes while the last ``max(lags) + 1`` are held, not copied (a
+    driver's rows never change).  The drivers record on a uniform grid, so the
+    slope on log lag is the slope on log time.  Lags are record-grid index
+    offsets and must span at least two decades; each lag's expectation pools
+    all equal-lag windows and all particles, summing each particle's terms in
+    time order, then exactly across particles.  The lag range is checked once
+    the rows are used up, so an error raised while making them (a blow-up)
+    comes first.  An all-zero increment field is reported as degenerate.
     """
     if order < 1:
         raise AnalysisError(f"increment order must be at least 1, got {order}")
     lags = sorted(set(int(v) for v in lags))
     if len(lags) < 3:
         raise AnalysisError("need at least 3 distinct lags")
-    if lags[0] < 1 or lags[-1] >= states.shape[0]:
-        raise AnalysisError(f"lags must lie in [1, {states.shape[0] - 1}]")
     if lags[-1] < 100 * lags[0]:
         raise AnalysisError("lag ladder must span at least two decades")
-    values = np.empty(len(lags))
-    for k, lag in enumerate(lags):
-        gaps = states[lag:] - states[:-lag]
-        sq = np.sum(gaps * gaps, axis=2) ** order
-        values[k] = exact_sum(sq) / sq.size
+    ring = deque(maxlen=max(lags[-1], 0) + 1)
+    sums = [0.0] * len(lags)
+    points = 0
+    for points, row in enumerate(rows, start=1):
+        if ring and row.shape != ring[0].shape:
+            raise AnalysisError(f"state rows have mismatched shapes {ring[0].shape} and {row.shape}")
+        ring.append(row)
+        for k, lag in enumerate(lags):
+            if 1 <= lag < len(ring):
+                gaps = row - ring[-1 - lag]
+                sums[k] += np.sum(gaps * gaps, axis=1) ** order
+    if lags[0] < 1 or lags[-1] >= points:
+        raise AnalysisError(f"lags must lie in [1, {points - 1}]")
+    values = np.array([exact_sum(sq) / (sq.size * (points - lag)) for sq, lag in zip(sums, lags)])
     if np.all(values == 0.0):
         return IncrementReport(exponent=None, values=values, degenerate=True)
     if (values <= 0.0).any():

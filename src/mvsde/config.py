@@ -218,18 +218,16 @@ def _build_law(values: dict) -> InitialLaw:
     return law(*(values[key] for key in keys))
 
 
-def _validate(cfg: ExperimentConfig, seed_source: str) -> None:
+def _validate(cfg: ExperimentConfig, seeds: dict[str, int]) -> None:
     _, _, pinned = MODELS[cfg.model_id]
     if pinned is not None and cfg.dim != pinned:
         raise ConfigError(f"model {cfg.model_id!r} is {pinned}-dimensional; set sim.d = {pinned}")
-    # seeds key 64-bit Philox streams; only a metric study reads seed_b
-    seeds = [(seed_source, cfg.seed)]
-    if cfg.kind == "metric":
-        seeds.append(("metric.seed_b", cfg.seed_b))
-    for key, seed in seeds:
+    # seeds key 64-bit Philox streams; ``seeds`` maps each to the key or flag that set it
+    for key, seed in seeds.items():
         if not 0 <= seed < 2**64:
             raise ConfigError(f"{key} must be nonnegative and below 2^64, got {seed}")
     if cfg.kind == "metric" and cfg.seed_b == cfg.seed:
+        seed_source = "--seed" if "--seed" in seeds else "sim.seed"
         raise ConfigError(f"metric.seed_b must differ from {seed_source} ({cfg.seed}): the runs would be one ensemble")
 
     level, levels, finest = cfg.level, cfg.levels, cfg.finest
@@ -305,12 +303,18 @@ def load_config(path, kind: str, seed_override: int | None = None) -> Experiment
                 )
             params[name] = _parse(raw, key, _number)
 
+    # every seed the file or --seed sets is checked, and the defaulted
+    # metric.seed_b (the seed plus one) only where a metric study reads it
+    seeds = {"sim.seed": values["sim.seed"]}
     if seed_override is not None:
-        values["sim.seed"] = seed_override
-    if values["metric.seed_b"] is None:
+        values["sim.seed"] = seeds["--seed"] = seed_override
+    explicit_b = values["metric.seed_b"] is not None
+    if not explicit_b:
         values["metric.seed_b"] = values["sim.seed"] + 1
+    if explicit_b or kind == "metric":
+        seeds["metric.seed_b"] = values["metric.seed_b"]
     values["experiment.kind"] = kind
     values["init.law"] = _build_law(values)
     cfg = ExperimentConfig(model_params=params, **{name: values[key] for key, (name, _, _) in KEYS.items() if name})
-    _validate(cfg, "sim.seed" if seed_override is None else "--seed")
+    _validate(cfg, seeds)
     return cfg

@@ -21,7 +21,6 @@ import pytest
 import mvsde as M
 from mvsde.cli import EXIT_OK, main
 
-from conftest import stacked
 
 SEEDS = (101, 202, 303)
 LEVELS = (3, 4, 5, 6, 7, 8)
@@ -126,10 +125,10 @@ def test_criterion_4_increment_scaling():
     mf-ou: exponent in [0.8, 1.2] (order p = 1)."""
     lags = [1, 2, 4, 8, 16, 32, 64, 128]
     brown = M.mf_ou(theta=0.0, alpha=0.0, s=1.0)
-    _, states = stacked(M.run_single(brown, M.PointMass(0.0), seed=1, level=10, n_particles=4000))
-    exp_brown = M.increment_scaling(states, 1, lags).exponent
-    _, states = stacked(M.run_single(M.mf_ou(), M.PointMass(0.0), seed=1, level=10, n_particles=4000))
-    exp_ou = M.increment_scaling(states, 1, lags).exponent
+    _, rows = M.run_single(brown, M.PointMass(0.0), seed=1, level=10, n_particles=4000)
+    exp_brown = M.increment_scaling(rows, 1, lags).exponent
+    _, rows = M.run_single(M.mf_ou(), M.PointMass(0.0), seed=1, level=10, n_particles=4000)
+    exp_ou = M.increment_scaling(rows, 1, lags).exponent
     ok = 0.9 <= exp_brown <= 1.1 and 0.8 <= exp_ou <= 1.2
     _verdict(
         "criterion 4: increment-scaling exponents",

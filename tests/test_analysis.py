@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,8 +219,8 @@ class TestMomentCurve:
 class TestIncrementScaling:
     def test_pure_brownian_exponent(self):
         model = mf_ou(theta=0.0, alpha=0.0, s=1.0)
-        _, states = stacked(run_single(model, PointMass(0.0), seed=6, level=10, n_particles=4000))
-        report = increment_scaling(states, order=1, lags=[1, 2, 4, 8, 16, 32, 64, 128])
+        _, rows = run_single(model, PointMass(0.0), seed=6, level=10, n_particles=4000)
+        report = increment_scaling(rows, order=1, lags=[1, 2, 4, 8, 16, 32, 64, 128])
         assert report.exponent == pytest.approx(1.0, abs=0.1)
 
     def test_permutation_invariance(self):
@@ -253,6 +254,47 @@ class TestIncrementScaling:
         states = (1e-163 * np.arange(129.0)).reshape(129, 1, 1)
         with pytest.raises(AnalysisError, match="zero mean increment"):
             increment_scaling(states, order=1, lags=[1, 2, 128])
+
+    def test_lags_below_one_refused(self):
+        # a ladder of lags below 1 passes the two-decade check and holds one
+        # row; the range check refuses it
+        with pytest.raises(AnalysisError, match=r"lags must lie in \[1, 256\]"):
+            increment_scaling(np.zeros((257, 4, 1)), order=1, lags=[-300, -200, -2])
+
+    @pytest.mark.parametrize("first, later", [(4, 1), (1, 4)])
+    def test_rows_of_mismatched_shapes_refused(self, first, later):
+        # one particle's row would broadcast against four
+        rows = [np.full((first, 1), 0.0), *(np.full((later, 1), float(j)) for j in range(1, 200))]
+        with pytest.raises(AnalysisError, match="mismatched shapes"):
+            increment_scaling(rows, order=1, lags=[1, 2, 128])
+
+    def test_no_rows_refused(self):
+        with pytest.raises(AnalysisError, match=r"lags must lie in \[1, -1\]"):
+            increment_scaling(iter(()), order=1, lags=[1, 2, 128])
+
+    def test_error_making_a_row_comes_before_the_lag_range(self):
+        # two rows are too few for lag 128, but making the third fails first
+        def failing_rows():
+            yield np.zeros((2, 1))
+            yield np.ones((2, 1))
+            raise RuntimeError("row 2 failed")
+
+        with pytest.raises(RuntimeError, match="row 2 failed"):
+            increment_scaling(failing_rows(), order=1, lags=[1, 2, 128])
+
+    def test_rows_peak_below_the_trajectory(self):
+        # level 10, N = 1,000: an 8.2 MB trajectory drawn in two 4.1 MB blocks;
+        # the rows held are the last 129, about 1 MB
+        tracemalloc.start()
+        try:
+            times, rows = run_single(mf_ou(), PointMass(0.0), seed=2, level=10, n_particles=1000)
+            increment_scaling(rows, order=1, lags=[1, 2, 4, 8, 16, 32, 64, 128])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        trajectory = len(times) * 1000 * 8
+        lag_one_gaps = (len(times) - 1) * 1000 * 8
+        assert peak < 0.5 * (trajectory + lag_one_gaps), peak
 
     @pytest.mark.parametrize("order", [0, -1])
     def test_order_below_one_refused(self, order):

@@ -200,6 +200,15 @@ class TestConfigParsing:
         explicit = _write(tmp_path, RUN_CFG.replace("experiment.kind = run\n", "metric.seed_b = 3\n"), "b.cfg")
         assert load_config(explicit, "metric", seed_override=20).seed_b == 3
 
+    def test_defaulted_seed_b_checked_only_where_metric_reads_it(self, tmp_path):
+        # the top seed defaults metric.seed_b to 2^64, which only a metric study reads
+        text = RUN_CFG.replace("experiment.kind = run\n", "").replace("sim.seed = 7", f"sim.seed = {2**64 - 1}")
+        path = _write(tmp_path, text)
+        for kind in ("run", "moments"):
+            assert load_config(path, kind).seed == 2**64 - 1
+        with pytest.raises(ConfigError, match="metric.seed_b must be nonnegative and below 2"):
+            load_config(path, "metric")
+
     @pytest.mark.parametrize("model_id", sorted(MODELS))
     def test_config_and_make_model_agree_on_the_catalog(self, tmp_path, model_id):
         _, names, pinned = MODELS[model_id]
@@ -252,8 +261,9 @@ def _at(line: int, key: str) -> str:
     return f"line {line}: key '{key}': "
 
 
-# every refusal in config.py: (kind, config text or None for a missing file,
-# a text the message names, the message's start)
+# every refusal in config.py: (kind, optionally followed by the command line's
+# "--seed N", config text or None for a missing file, a text the message
+# names, the message's start)
 CONFIG_REFUSALS = [
     # a key's value, refused by its parser
     pytest.param("run", RUN_MIN + "sim.d = 1.5\n", "integer", _at(4, "sim.d"), id="integer"),
@@ -302,6 +312,11 @@ CONFIG_REFUSALS = [
                  id="lo-above-hi"),
     pytest.param("run", RUN_MIN.replace("mf-ou", "osgood") + "sim.d = 2\n", "sim.d = 1", "model 'osgood'", id="pinned"),
     pytest.param("run", RUN_MIN + "sim.seed = -1\n", "sim.seed", "sim.seed must be nonnegative", id="seed"),
+    # a seed the file sets is checked where --seed overrides it or the kind does not read it
+    pytest.param("run --seed 3", RUN_MIN + "sim.seed = -5\n", "-5", "sim.seed must be nonnegative",
+                 id="overridden-seed"),
+    pytest.param("run", RUN_MIN + "metric.seed_b = -1\n", "-1", "metric.seed_b must be nonnegative",
+                 id="seed_b-outside-metric"),
     pytest.param("metric", RUN_MIN + "sim.seed = 5\nmetric.seed_b = 5\n", "sim.seed", "metric.seed_b must differ",
                  id="seed_b"),
     pytest.param("rate", RATE_MIN.replace("sim.levels = 1 2 3\n", ""), "'sim.levels'", "rate experiments require",
@@ -329,9 +344,10 @@ CONFIG_REFUSALS = [
 
 
 def _refusal(tmp_path: Path, kind: str, text: str | None) -> str:
+    kind, _, seed = kind.partition(" --seed ")
     path = tmp_path / "absent.cfg" if text is None else _write(tmp_path, text)
     with pytest.raises(ConfigError) as refused:
-        load_config(path, kind)
+        load_config(path, kind, int(seed) if seed else None)
     return str(refused.value)
 
 

@@ -1,8 +1,18 @@
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mvsde.analysis import increment_scaling, law_gap_curve, moment_curve, strong_error
+from mvsde.models import mf_ou, osgood
+from mvsde.solver import GaussianLaw, em_multilevel, run_single
+
+from conftest import stacked
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -76,3 +86,46 @@ def test_setup_imports_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _bits(report):
+    """Each number of a report as bytes, so equal means bit for bit."""
+    if isinstance(report, dict):
+        return {key: np.array(value).tobytes() for key, value in report.items()}
+    return {f.name: np.array(getattr(report, f.name)).tobytes() for f in dataclasses.fields(report)}
+
+
+def _whole(run):
+    """A driver's run stepped and stacked: a (points, N, d) array, or for a
+    coupled run its rows read back out of the stacked per-level arrays."""
+    _, whole = stacked(run)
+    if isinstance(whole, dict):
+        whole = [dict(zip(whole, states)) for states in zip(*whole.values())]
+    return whole
+
+
+def _single(seed):
+    return run_single(mf_ou(dim=2), GaussianLaw(0.0, 1.0), seed, level=8, n_particles=64)
+
+
+# every reduction of driver rows: (the driver runs it reads, the reduction of
+# their times and rows)
+ROW_REDUCTIONS = [
+    pytest.param(lambda: [em_multilevel(osgood(), GaussianLaw(0.0, 1.0), 7, [3, 4], 8, 64, 1.0)],
+                 lambda times, rows: strong_error(rows, 8), id="strong_error"),
+    pytest.param(lambda: [_single(1)], lambda times, rows: moment_curve(times, rows, order=2), id="moment_curve"),
+    pytest.param(lambda: [_single(1), _single(2)], law_gap_curve, id="law_gap_curve"),
+    pytest.param(lambda: [_single(1)], lambda times, rows: increment_scaling(rows, 1, [1, 2, 16, 128]),
+                 id="increment_scaling"),
+]
+
+
+@pytest.mark.parametrize("runs, reduce", ROW_REDUCTIONS)
+def test_reduction_of_rows_equals_the_stacked_run(runs, reduce):
+    # a reduction handed a driver's one-shot rows must give the bytes of the
+    # whole (points, N, d) trajectory: one that indexes or slices its input
+    # as an array fails here
+    driven = runs()
+    times = driven[0][0]
+    streamed = reduce(times, *(rows for _, rows in driven))
+    assert _bits(streamed) == _bits(reduce(times, *map(_whole, runs())))
